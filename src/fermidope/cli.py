@@ -13,9 +13,7 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
-from .doped import circuit_dumps, circuit_loads, prepare, random_doped_circuit
+from .doped import circuit_dumps, circuit_loads, prepare
 from .harness import ConfigError, ExperimentConfig, run, sweep, trials_csv
 from .learner import LearnedState
 
@@ -34,6 +32,13 @@ def _resolve(path: str | None) -> str | None:
         os.makedirs(base, exist_ok=True)
         return os.path.join(base, path)
     return path
+
+
+def _write(path: str, text: str) -> None:
+    path = _resolve(path)
+    with open(path, "w") as fh:
+        fh.write(text)
+    print(f"wrote {path}", file=sys.stderr)
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -104,12 +109,9 @@ def _config_from_args(args, kind: str) -> ExperimentConfig:
         kind=kind, n=args.n, t=args.t, kappa=args.kappa, seed=args.seed,
         trials=args.trials, mode=args.mode,
     )
-    for name in ("eps", "delta", "eps_a", "eps_b", "fixture", "budget", "shots_override"):
-        arg = name if hasattr(args, name) else None
-        if arg is not None and getattr(args, name, None) is not None:
+    for name in ("eps", "delta", "eps_a", "eps_b", "fixture", "budget", "c_tom", "shots_override"):
+        if getattr(args, name, None) is not None:
             fields[name] = getattr(args, name)
-    if getattr(args, "c_tom", None) is not None:
-        fields["c_tom"] = args.c_tom
     return ExperimentConfig(**fields)
 
 
@@ -121,36 +123,21 @@ def _emit(doc, args) -> None:
     else:
         sys.stdout.write(doc.to_json())
     if args.csv:
-        path = _resolve(args.csv)
-        with open(path, "w") as fh:
-            fh.write(trials_csv(doc))
-        print(f"wrote {path}", file=sys.stderr)
+        _write(args.csv, trials_csv(doc))
     print(f"wall clock: {doc.wall_clock_s:.3f}s", file=sys.stderr)
 
 
 def _cmd_run(args, kind: str) -> int:
-    config = _config_from_args(args, kind)
-    if kind == "prepare" and args.save_circuit:
-        rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
-        circuit = random_doped_circuit(config.n, config.t, config.kappa, rng)
-        path = _resolve(args.save_circuit)
-        with open(path, "w") as fh:
-            fh.write(circuit_dumps(circuit))
-        print(f"wrote {path}", file=sys.stderr)
-    doc = run(config)
-    if kind == "learn" and getattr(args, "save_state", None):
-        from .harness import _fixture, _learn_budget  # reuse the run's fixture recipe
-        from .learner import learn as _learn
-
-        rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(config.trials)[0])
-        psi, _ = _fixture(config, rng)
-        learned = _learn(psi, config.n, config._learn_t(),
-                         _learn_budget(config, config._learn_t()), mode=config.mode, rng=rng)
-        path = _resolve(args.save_state)
-        with open(path, "w") as fh:
-            fh.write(learned.dumps())
-        print(f"wrote {path}", file=sys.stderr)
+    doc = run(_config_from_args(args, kind))
     _emit(doc, args)
+    if kind == "prepare" and args.save_circuit:
+        _write(args.save_circuit, circuit_dumps(doc.artifacts["circuit"]))
+    if kind == "learn" and args.save_state:
+        if "learned" not in doc.artifacts:
+            print(f"error: trial 0 learned no state ({doc.records[0]['boosting_failure']}); "
+                  "nothing written to --save-state", file=sys.stderr)
+            return EXIT_STATISTICAL
+        _write(args.save_state, doc.artifacts["learned"].dumps())
     return EXIT_OK if doc.summary["acceptance_ok"] else EXIT_STATISTICAL
 
 

@@ -2,10 +2,10 @@
 
 Every run derives one RNG stream per trial from the config seed via
 SeedSequence.spawn, so serial and parallel execution agree and a repeated
-run writes a byte-identical document.  Wall-clock time is kept on the
-in-memory document and reported on stderr, never in the serialized
-payload; re-running with the same config + seed reproduces the file
-exactly.
+run writes a byte-identical document.  Wall-clock time and trial 0's
+artifacts (its doped circuit and learned state) are kept on the in-memory
+document, never in the serialized payload; re-running with the same
+config + seed reproduces the file exactly.
 """
 
 from __future__ import annotations
@@ -97,6 +97,10 @@ class ExperimentConfig:
     def _learn_t(self) -> int:
         return self.t if self.fixture == "compressible" else min(self.kappa * self.t, self.n)
 
+    def _gaussian_floor(self) -> int:
+        """Least Gaussian dimension a doped state with these parameters has."""
+        return max(self.n - self.kappa * self.t, 0)
+
 
 @dataclass
 class ResultDocument:
@@ -106,9 +110,11 @@ class ResultDocument:
     records: list
     summary: dict
     wall_clock_s: float = field(default=0.0, compare=False)
+    # trial 0's objects: "circuit" (doped fixture), "learned" (learn kind, unless it failed)
+    artifacts: dict = field(default_factory=dict, compare=False, repr=False)
 
     def payload(self) -> dict:
-        # wall clock stays out so identical config + seed => identical bytes
+        # wall clock and artifacts stay out so identical config + seed => identical bytes
         return {
             "config": self.config,
             "seed": self.seed,
@@ -184,18 +190,17 @@ def _fixture(config: ExperimentConfig, rng):
 
 def _trial_prepare(config, rng):
     psi, meta = _fixture(config, rng)
-    lambdas = ortho.normal_eigenvalues(metrology.correlation_exact(psi))
-    gdim = int(np.sum(lambdas >= 1.0 - 1e-6))
+    c = metrology.correlation_exact(psi)
+    gdim = metrology.gaussian_dimension(c)
     counts = report_gate_counts(meta["circuit"])
-    floor = max(config.n - config.kappa * config.t, 0)
     return {
         "gaussian_dimension": gdim,
-        "lambdas": [float(x) for x in lambdas],
+        "lambdas": [float(x) for x in ortho.normal_eigenvalues(c)],
         "rotations": counts.rotations,
         "reflections": counts.reflections,
         "non_gaussian_terms": counts.non_gaussian_terms,
-        "ok": gdim >= floor,
-    }
+        "ok": gdim >= config._gaussian_floor(),
+    }, meta
 
 
 def _trial_compress(config, rng):
@@ -204,16 +209,14 @@ def _trial_compress(config, rng):
     rotated = form.G.adjoint().apply(psi)
     block = rotated.amps.reshape(2**form.core_qubits, -1)
     tail_weight = float(1.0 - np.linalg.norm(block[:, 0]) ** 2)
-    lambdas = ortho.normal_eigenvalues(metrology.correlation_exact(psi))
-    gdim = int(np.sum(lambdas >= 1.0 - 1e-6))
-    floor = max(config.n - config.kappa * config.t, 0)
+    gdim = metrology.gaussian_dimension(metrology.correlation_exact(psi))
     return {
         "core_qubits": form.core_qubits,
         "tail_weight": tail_weight,
         "reassembly_fidelity": fidelity(form.reassemble(), psi),
         "gaussian_dimension": gdim,
-        "ok": tail_weight <= 1e-8 and gdim >= floor,
-    }
+        "ok": tail_weight <= 1e-8 and gdim >= config._gaussian_floor(),
+    }, meta
 
 
 def _learn_budget(config: ExperimentConfig, t_learn: int):
@@ -225,14 +228,14 @@ def _learn_budget(config: ExperimentConfig, t_learn: int):
 
 
 def _trial_learn(config, rng):
-    psi, _ = _fixture(config, rng)
+    psi, meta = _fixture(config, rng)
     t_learn = config._learn_t()
     budget = _learn_budget(config, t_learn)
     threshold = 1e-6 if config.mode == "exact" else config.eps
     try:
         learned = learn(psi, config.n, t_learn, budget, mode=config.mode, rng=rng)
     except BoostingFailureError as exc:
-        return {"t_learn": t_learn, "boosting_failure": str(exc), "ok": False}
+        return {"t_learn": t_learn, "boosting_failure": str(exc), "ok": False}, meta
     report = verify(learned, psi)
     return {
         "t_learn": t_learn,
@@ -244,11 +247,11 @@ def _trial_learn(config, rng):
         "copies_correlation": budget.N_corr,
         "copies_loop": budget.N_loop,
         "ok": report.trace_distance <= threshold,
-    }
+    }, {**meta, "learned": learned}
 
 
 def _trial_test(config, rng):
-    psi, _ = _fixture(config, rng)
+    psi, meta = _fixture(config, rng)
     expected = "far" if config.fixture == "tplus" else "close"
     scheme = "exact" if config.mode == "exact" else "grouped"
     result = metrology.test_gaussian_dimension(
@@ -267,9 +270,10 @@ def _trial_test(config, rng):
         "lambda_t1": result.lambda_t1,
         "copies": result.copies,
         "ok": result.verdict == expected,
-    }
+    }, meta
 
 
+# each trial returns (record, artifacts): the fixture's metadata plus what it built
 _TRIALS = {
     "prepare": _trial_prepare,
     "compress": _trial_compress,
@@ -316,7 +320,9 @@ def run(config: ExperimentConfig) -> ResultDocument:
     records = []
     for i, stream in enumerate(streams):
         rng = np.random.default_rng(stream)
-        record = _TRIALS[config.kind](config, rng)
+        record, built = _TRIALS[config.kind](config, rng)
+        if i == 0:
+            artifacts = built
         record["trial"] = i
         records.append(_jsonable(record))
     summary = _jsonable(_summarize(config, records))
@@ -327,6 +333,7 @@ def run(config: ExperimentConfig) -> ResultDocument:
         records=records,
         summary=summary,
         wall_clock_s=time.perf_counter() - start,
+        artifacts=artifacts,
     )
     validate_document(doc.payload())
     return doc

@@ -30,6 +30,7 @@ from .states import (
     embed_with_zero_tail,
     expectation,
     fidelity,
+    fresh_copy,
     postselect_zero_tail,
     trace_distance,
 )
@@ -221,10 +222,6 @@ class LearnedState:
         return cls(O_hat=np.array(rows), phi_hat=StateVector(t, np.array(amps)), t=t)
 
 
-def _fresh_copy(state_source) -> StateVector:
-    return state_source() if callable(state_source) else state_source
-
-
 def learn(state_source, n: int, t: int, budget: LearnBudget, mode: str = "sampled", rng=None) -> LearnedState:
     """Learn a t-compressible state from a copy oracle.
 
@@ -235,7 +232,7 @@ def learn(state_source, n: int, t: int, budget: LearnBudget, mode: str = "sample
     """
     if mode not in ("exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
-    psi = _fresh_copy(state_source)
+    psi = fresh_copy(state_source)
     if psi.n != n:
         raise ValueError(f"copy has {psi.n} qubits, expected {n}")
     if not 0 <= t <= n:
@@ -251,10 +248,10 @@ def learn(state_source, n: int, t: int, budget: LearnBudget, mode: str = "sample
             c_hat = correlation_exact(psi)
         else:
             per_group = max(1, math.ceil(budget.N_corr / (2 * n - 1)))
-            c_hat = correlation_sampled(_fresh_copy(state_source), per_group, "grouped", rng).C_hat
+            c_hat = correlation_sampled(fresh_copy(state_source), per_group, "grouped", rng).C_hat
         o_hat = ortho.normal_form(c_hat).O
         g_hat = GaussianUnitary(o_hat, check=False)
-        rotated = g_hat.adjoint().apply(_fresh_copy(state_source))
+        rotated = g_hat.adjoint().apply(fresh_copy(state_source))
 
     if t < n and mode == "sampled":
         # every iteration is i.i.d., so the success count is one binomial draw

@@ -27,6 +27,7 @@ from .states import (
     StateVector,
     apply_pauli,
     embed_with_zero_tail,
+    fresh_copy,
     postselect_zero_tail,
     trace_distance,
 )
@@ -197,10 +198,6 @@ def dimension_verdict(lambda_t1: float, eps_test: float) -> str:
     return "close" if lambda_t1 >= 1.0 - eps_test else "far"
 
 
-def _fresh_copy(state_source) -> StateVector:
-    return state_source() if callable(state_source) else state_source
-
-
 def test_gaussian_dimension(
     state_source,
     t: int,
@@ -220,7 +217,7 @@ def test_gaussian_dimension(
     ceil(16 n^3 / eps_corr^2 * log(4 n^2 / delta)); shot_override replaces
     it for desk-scale runs.
     """
-    psi = _fresh_copy(state_source)
+    psi = fresh_copy(state_source)
     n = psi.n
     if not 0 <= t < n:
         raise ValueError(f"t must be in [0, {n - 1}], got {t}")

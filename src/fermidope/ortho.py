@@ -114,43 +114,22 @@ def normal_form(c: np.ndarray, zero_tol: float = 1e-10) -> NormalForm:
     s, w = np.linalg.eigh(1j * c)
     lambdas = np.maximum(s[n:], 0.0)
 
-    columns: list = []
-    deferred: list = []
-    for j in range(n):
-        if lambdas[j] > zero_tol:
-            vec = w[:, n + j]
-            columns.append(np.sqrt(2.0) * vec.imag)  # o_{2j-1}
-            columns.append(np.sqrt(2.0) * vec.real)  # o_{2j}
-            deferred.append(None)
-        else:
-            columns.append(None)
-            columns.append(None)
-            deferred.append(j)
+    o = np.empty((d, d))
+    planes = lambdas > zero_tol
+    for j in np.flatnonzero(planes):
+        vec = w[:, n + j]
+        o[:, 2 * j] = np.sqrt(2.0) * vec.imag  # o_{2j-1}
+        o[:, 2 * j + 1] = np.sqrt(2.0) * vec.real  # o_{2j}
+    if not planes.all():
+        kept = np.repeat(planes, 2)
+        q, _ = np.linalg.qr(o[:, kept], mode="complete")
+        o[:, ~kept] = q[:, np.count_nonzero(kept):]  # orthonormal complement of the kept planes
+    if opnorm(o.T @ o - np.eye(d)) > 1e-9:
+        # a lambda just above zero_tol splits its +/-lambda pair only to ~eps/lambda, which
+        # skews its plane's basis; the plane itself is accurate, so re-orthonormalize
+        q, r = np.linalg.qr(o)
+        o = q * np.sign(np.diag(r))
 
-    missing = [i for i, col in enumerate(columns) if col is None]
-    if missing:
-        present = [col for col in columns if col is not None]
-        # candidates spanning the kernel: real/imag parts of small-eigenvalue
-        # eigenvectors, with canonical vectors as a fallback
-        candidates = []
-        for j in range(d):
-            if abs(s[j]) <= zero_tol:
-                candidates.append(w[:, j].real)
-                candidates.append(w[:, j].imag)
-        candidates.extend(np.eye(d))
-        fills: list = []
-        for cand in candidates:
-            if len(fills) == len(missing):
-                break
-            v = _orthonormalize_against(cand, present + fills, accept=0.3)
-            if v is not None:
-                fills.append(v)
-        if len(fills) < len(missing):
-            raise np.linalg.LinAlgError("could not complete the zero-eigenvalue planes")
-        for i, v in zip(missing, fills):
-            columns[i] = v
-
-    o = np.column_stack(columns)
     nf = NormalForm(O=o, lambdas=lambdas)
     if opnorm(o.T @ o - np.eye(d)) > 1e-9:
         raise np.linalg.LinAlgError("normal form produced a non-orthogonal basis")

@@ -3,6 +3,8 @@
 import json
 
 from fermidope.cli import EXIT_OK, EXIT_PRECONDITION, EXIT_STATISTICAL, main
+from fermidope.doped import circuit_dumps
+from fermidope.harness import ExperimentConfig, run
 
 
 def test_prepare_writes_document_and_circuit(tmp_path, capsys):
@@ -14,6 +16,25 @@ def test_prepare_writes_document_and_circuit(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["config"]["kind"] == "prepare"
     assert circuit.read_text().startswith("doped-circuit v1")
+
+
+def test_save_circuit_is_trial_zeros_circuit(tmp_path):
+    circuit = tmp_path / "circuit.txt"
+    assert main(["prepare", "--n", "6", "--t", "2", "--kappa", "3", "--seed", "8", "--trials", "3",
+                 "--out", str(tmp_path / "p.json"), "--save-circuit", str(circuit)]) == EXIT_OK
+    cfg = ExperimentConfig(kind="prepare", n=6, t=2, kappa=3, seed=8, trials=3)
+    assert circuit.read_text() == circuit_dumps(run(cfg).artifacts["circuit"])
+
+
+def test_save_state_after_boosting_failure_exits_statistical(tmp_path, capsys):
+    out, state = tmp_path / "l.json", tmp_path / "s.txt"
+    code = main(["learn", "--n", "6", "--t", "1", "--kappa", "4", "--mode", "sampled",
+                 "--fixture", "compressible", "--shots-override", "11", "--seed", "1",
+                 "--save-state", str(state), "--out", str(out)])
+    assert code == EXIT_STATISTICAL
+    assert "boosting_failure" in json.loads(out.read_text())["records"][0]
+    assert not state.exists()
+    assert "error:" in capsys.readouterr().err
 
 
 def test_compress_stdout(capsys):

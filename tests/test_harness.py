@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from fermidope.doped import prepare
 from fermidope.harness import (
     ConfigError,
     ExperimentConfig,
@@ -11,6 +12,7 @@ from fermidope.harness import (
     sweep,
     trials_csv,
 )
+from fermidope.learner import verify
 
 
 def test_config_validation():
@@ -85,6 +87,17 @@ def test_determinism_byte_identical(tmp_path):
     # wall clock is reported in memory but never serialized
     assert "wall_clock" not in a.to_json()
     assert a.wall_clock_s > 0
+
+
+def test_artifacts_are_trial_zeros_and_stay_out_of_the_document():
+    cfg = ExperimentConfig(kind="learn", n=4, t=1, kappa=3, seed=5, mode="exact", trials=2)
+    doc = run(cfg)
+    assert set(doc.artifacts) == {"circuit", "learned"}
+    assert set(json.loads(doc.to_json())) == {"config", "seed", "version", "records", "summary"}
+    assert "artifacts" not in doc.to_json()
+    assert doc.to_json() == run(cfg).to_json()
+    report = verify(doc.artifacts["learned"], prepare(doc.artifacts["circuit"]))
+    assert report.trace_distance == doc.records[0]["trace_distance"]
 
 
 def test_different_seeds_differ():

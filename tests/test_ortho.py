@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fermidope import ortho
@@ -56,6 +58,28 @@ def test_normal_form_degenerate_spectrum(rng):
     nf = ortho.normal_form(c)
     assert_allclose(nf.lambdas, lams, atol=1e-10)
     assert ortho.opnorm(nf.reconstruct() - c) <= 1e-9
+
+
+ZERO_TOL = 1e-10  # normal_form's default
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lams=st.lists(st.sampled_from([0.0, ZERO_TOL / 10, 10 * ZERO_TOL, 0.5, 1.0]),
+                  min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_normal_form_planted_spectra_at_zero_tol(lams, seed):
+    # exact zeros, values either side of zero_tol and repeated values under a random O(2n)
+    dim = 2 * len(lams)
+    q = ortho.random_orthogonal(dim, np.random.default_rng(seed))
+    c = q @ np.kron(np.diag(lams), np.array([[0.0, 1.0], [-1.0, 0.0]])) @ q.T
+    nf = ortho.normal_form(c, zero_tol=ZERO_TOL)
+    assert ortho.opnorm(nf.O.T @ nf.O - np.eye(dim)) <= 1e-9
+    assert ortho.opnorm(nf.reconstruct() - c) <= 1e-9
+    oracle = np.linalg.eigvalsh(1j * c)[dim // 2 :]
+    assert_allclose(nf.lambdas, np.maximum(oracle, 0.0), atol=1e-12)
+    assert_allclose(nf.lambdas, np.sort(lams), atol=1e-12)
 
 
 def test_normal_form_idempotent_on_lambdas(rng):
