@@ -255,40 +255,23 @@ def circuit_dumps(circuit: DopedCircuit) -> str:
 
 
 def circuit_loads(text: str) -> DopedCircuit:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "doped-circuit v1":
-        raise ValueError("not a doped-circuit v1 document")
-    header = {}
-    pos = 1
-    for key in ("n", "kappa", "t"):
-        name, value = lines[pos].split()
-        if name != key:
-            raise ValueError(f"expected {key!r} header, got {lines[pos]!r}")
-        header[key] = int(value)
-        pos += 1
-    n, kappa, t = header["n"], header["kappa"], header["t"]
+    lines = ortho.LineReader(text)
+    lines.keyword("doped-circuit v1")
+    n, kappa, t = (lines.count(key) for key in ("n", "kappa", "t"))
 
     gaussians, gates = [], []
     for i in range(t + 1):
-        if lines[pos] != f"gaussian {i}":
-            raise ValueError(f"expected 'gaussian {i}', got {lines[pos]!r}")
-        pos += 1
-        rows = [[float(x) for x in lines[pos + r].split()] for r in range(2 * n)]
-        pos += 2 * n
-        gaussians.append(GaussianUnitary(np.array(rows)))
+        lines.keyword(f"gaussian {i}")
+        gaussians.append(GaussianUnitary(lines.matrix(2 * n, 2 * n)))
         if i < t:
-            head = lines[pos].split()
-            if head[:1] != ["gate"] or head[2] != "terms":
-                raise ValueError(f"expected gate header, got {lines[pos]!r}")
-            n_terms = int(head[3])
-            pos += 1
             terms = []
-            for _ in range(n_terms):
-                parts = lines[pos].split()
-                if parts[0] != "term" or "theta" not in parts:
-                    raise ValueError(f"malformed term line {lines[pos]!r}")
-                cut = parts.index("theta")
-                terms.append((tuple(int(x) for x in parts[1:cut]), float(parts[cut + 1])))
-                pos += 1
+            for _ in range(lines.count("gate", str(i + 1), "terms")):
+                expected = "'term <indices> theta <angle>'"
+                parts = lines.fields(expected)
+                if parts[0] != "term" or parts[-2:-1] != ["theta"]:
+                    raise lines.error(expected)
+                indices = lines.convert(parts[1:-2], int, expected)
+                (theta,) = lines.convert(parts[-1:], float, expected)
+                terms.append((tuple(indices), theta))
             gates.append(NonGaussianGate(tuple(terms)))
     return DopedCircuit(n=n, kappa=kappa, gaussians=tuple(gaussians), gates=tuple(gates))

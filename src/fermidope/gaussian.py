@@ -8,9 +8,9 @@ Heisenberg action on Majorana operators,
 and composes as G_{O1} G_{O2} = G_{O1 @ O2}.  Compilation factors O into
 plane rotations; the rotation in plane (mu, nu) by angle theta is realized
 as exp(i * theta/2 * P) with P the Hermitian form of -i gamma_mu gamma_nu,
-and a det = -1 factor is realized by applying gamma_1 as a gate.  The
-angle/sign convention is verified once at first use against the Heisenberg
-identity on a dense two-qubit check.
+and a det = -1 factor is realized by applying gamma_1 as a gate.  The test
+suite checks the angle/sign convention against the Heisenberg identity on
+dense matrices (see ``heisenberg_matrix``).
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ import numpy as np
 from . import ortho
 from .pauli import PauliString, majorana, pauli_mul
 from .states import StateVector, apply_pauli, apply_pauli_rotation, operator_matrix, zero_state
-
-_convention_verified = False
 
 
 def rotation_generator(mu: int, nu: int, n: int) -> PauliString:
@@ -70,7 +68,6 @@ class GaussianUnitary:
     def apply(self, psi: StateVector) -> StateVector:
         if psi.n != self.n:
             raise ValueError(f"state has {psi.n} qubits, unitary expects {self.n}")
-        _verify_convention_once()
         prog = self.program
         if prog.reflect_first:
             psi = apply_pauli(psi, majorana(1, self.n))
@@ -115,19 +112,3 @@ def heisenberg_matrix(g: GaussianUnitary) -> np.ndarray:
         for nu in range(2 * n):
             out[mu, nu] = (np.trace(gammas[nu] @ conj) / dim).real
     return out
-
-
-def _verify_convention_once():
-    """One-time dense check that compiled rotations match the Heisenberg identity."""
-    global _convention_verified
-    if _convention_verified:
-        return
-    _convention_verified = True  # set first; the check itself applies gates
-    n = 2
-    o = ortho.plane_rotation(2 * n, 1, 3, 0.537) @ ortho.plane_rotation(2 * n, 2, 4, -1.13)
-    residual = ortho.opnorm(heisenberg_matrix(GaussianUnitary(o)) - o)
-    if residual > 1e-9:
-        _convention_verified = False
-        raise AssertionError(
-            f"Gaussian gate sign convention violates the Heisenberg identity (residual {residual:.2e})"
-        )

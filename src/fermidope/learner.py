@@ -204,22 +204,14 @@ class LearnedState:
 
     @classmethod
     def loads(cls, text: str) -> "LearnedState":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0] != "learned-state v1":
-            raise ValueError("not a learned-state v1 document")
-        n = int(lines[1].split()[1])
-        t = int(lines[2].split()[1])
-        if lines[3] != "O":
-            raise ValueError("malformed learned-state document")
-        rows = [[float(x) for x in lines[4 + r].split()] for r in range(2 * n)]
-        pos = 4 + 2 * n
-        if lines[pos] != "phi":
-            raise ValueError("malformed learned-state document")
-        amps = []
-        for r in range(2**t):
-            re, im = lines[pos + 1 + r].split()
-            amps.append(float(re) + 1j * float(im))
-        return cls(O_hat=np.array(rows), phi_hat=StateVector(t, np.array(amps)), t=t)
+        lines = ortho.LineReader(text)
+        lines.keyword("learned-state v1")
+        n, t = lines.count("n"), lines.count("t")
+        lines.keyword("O")
+        o_hat = lines.matrix(2 * n, 2 * n)
+        lines.keyword("phi")
+        amps = lines.matrix(2**t, 2).view(complex).ravel()  # (re, im) rows, bit-exact
+        return cls(O_hat=o_hat, phi_hat=StateVector(t, amps), t=t)
 
 
 def learn(state_source, n: int, t: int, budget: LearnBudget, mode: str = "sampled", rng=None) -> LearnedState:

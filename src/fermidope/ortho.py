@@ -86,18 +86,6 @@ class NormalForm:
         return self.O @ self.lambda_matrix() @ self.O.T
 
 
-def _orthonormalize_against(v: np.ndarray, basis: list, accept: float) -> np.ndarray | None:
-    """Two-pass modified Gram-Schmidt; None when v lies in span(basis)."""
-    v = np.array(v)
-    for _ in range(2):
-        for b in basis:
-            v = v - b * (np.conj(b) @ v)
-    norm = np.linalg.norm(v)
-    if norm < accept:
-        return None
-    return v / norm
-
-
 def normal_form(c: np.ndarray, zero_tol: float = 1e-10) -> NormalForm:
     """Decompose an antisymmetric matrix via the Hermitian eigenproblem of iC.
 
@@ -173,6 +161,11 @@ def compression_rotation(vectors, n: int | None = None, symplectic: bool = True)
     every j and every i > 2M (symplectic=True, requires M <= n) or i > M
     (symplectic=False, requires M <= 2n).  The symplectic variant preserves
     the form Omega; it is built through the unitary side of the isomorphism.
+
+    The basis is one complete QR of the matrix whose columns are the inputs
+    (their complex pairings in C^n for the symplectic variant): its leading M
+    columns span every input, so dependent inputs, duplicates included, are
+    allowed and only shrink the span.
     """
     vectors = [np.asarray(v, dtype=float) for v in vectors]
     if n is None:
@@ -191,29 +184,12 @@ def compression_rotation(vectors, n: int | None = None, symplectic: bool = True)
             raise ValueError("vectors must have unit norm")
 
     if symplectic:
-        dim, cand_pool = n, [real_to_complex(v) for v in vectors]
+        dim, columns = n, [real_to_complex(v) for v in vectors]
     else:
-        dim, cand_pool = d, list(vectors)
-
-    basis: list = []
-    for v in cand_pool:
-        u = _orthonormalize_against(v, basis, accept=1e-9)
-        if u is not None:  # dependent vectors shrink the span, which is allowed
-            basis.append(u)
-    for cand in np.eye(dim):
-        if len(basis) == dim:
-            break
-        u = _orthonormalize_against(cand, basis, accept=0.3)
-        if u is not None:
-            basis.append(u)
-    if len(basis) != dim:
-        raise np.linalg.LinAlgError("basis completion failed")
-    g = np.column_stack(basis)
-
-    if symplectic:
-        o = symplectic_from_unitary(g.conj().T)
-    else:
-        o = g.T
+        dim, columns = d, vectors
+    a = np.column_stack(columns) if columns else np.zeros((dim, 0))
+    q, _ = np.linalg.qr(a, mode="complete")  # A = QR: q[:, :M] spans every input
+    o = symplectic_from_unitary(q.conj().T) if symplectic else q.T
     span = 2 * m if symplectic else m
     for v in vectors:
         mapped = o @ v
@@ -317,8 +293,68 @@ def matrix_to_text(a: np.ndarray) -> str:
     return "\n".join(" ".join(repr(float(x)) for x in row) for row in np.asarray(a)) + "\n"
 
 
+class LineReader:
+    """The non-blank lines of a text document, read in order.
+
+    Every read checks that the line is there and has the expected shape;
+    otherwise it raises ValueError("line k: expected ...") with k the 1-based
+    line number in the text.
+    """
+
+    def __init__(self, text: str):
+        raw = text.splitlines()
+        self._lines = [(k, ln.split()) for k, ln in enumerate(raw, 1) if ln.strip()]
+        self._end = len(raw) + 1
+        self._pos = 0
+
+    def done(self) -> bool:
+        return self._pos == len(self._lines)
+
+    def error(self, expected: str) -> ValueError:
+        """The error for the line read last."""
+        return ValueError(f"line {self._lines[self._pos - 1][0]}: expected {expected}")
+
+    def fields(self, expected: str) -> list:
+        """Whitespace-separated fields of the next line."""
+        if self.done():
+            raise ValueError(f"line {self._end}: expected {expected}, got end of document")
+        self._pos += 1
+        return self._lines[self._pos - 1][1]
+
+    def convert(self, tokens, cast, expected: str) -> list:
+        try:
+            return [cast(x) for x in tokens]
+        except ValueError:
+            raise self.error(expected) from None
+
+    def keyword(self, line: str) -> None:
+        if self.fields(repr(line)) != line.split():
+            raise self.error(repr(line))
+
+    def count(self, *words: str) -> int:
+        """The nonnegative integer ending a line that starts with ``words``."""
+        expected = repr(" ".join(words) + " <count>")
+        f = self.fields(expected)
+        if f[:-1] != list(words) or not f[-1].isdecimal():
+            raise self.error(expected)
+        return int(f[-1])
+
+    def row(self, width: int) -> list:
+        """A line of exactly ``width`` floats."""
+        expected = f"a matrix row of {width} numbers"
+        f = self.fields(expected)
+        if len(f) != width:
+            raise self.error(expected)
+        return self.convert(f, float, expected)
+
+    def matrix(self, rows: int, cols: int) -> np.ndarray:
+        return np.array([self.row(cols) for _ in range(rows)]).reshape(rows, cols)
+
+
 def matrix_from_text(text: str) -> np.ndarray:
-    rows = [[float(x) for x in line.split()] for line in text.splitlines() if line.strip()]
-    if not rows or any(len(r) != len(rows[0]) for r in rows):
-        raise ValueError("malformed matrix text")
+    """Inverse of matrix_to_text; every row must be as wide as the first."""
+    lines = LineReader(text)
+    rows = [lines.convert(lines.fields("a matrix row"), float, "a matrix row")]
+    while not lines.done():
+        rows.append(lines.row(len(rows[0])))
     return np.array(rows)

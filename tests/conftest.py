@@ -1,10 +1,22 @@
 """Shared fixtures: dense single-qubit matrices and common state builders."""
 
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from fermidope import GaussianUnitary, ortho
 from fermidope.states import StateVector, embed_with_zero_tail, product, random_state
+
+# same examples on every run, and no example database written to disk
+settings.register_profile("repeatable", derandomize=True, database=None)
+settings.load_profile("repeatable")
+# hypothesis also caches the constants it mines from local source files; keep that cache
+# in a directory removed at exit instead of .hypothesis/ in the working directory
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -36,6 +48,36 @@ def compressible_fixture(n: int, t: int, seed: int):
     g = GaussianUnitary(ortho.random_orthogonal(2 * n, rng))
     phi = random_state(t, rng)
     return g.apply(embed_with_zero_tail(phi, n)), g, phi
+
+
+def planted_complement(n: int, symplectic: bool) -> list:
+    """Unit vectors in R^2n spanning all but the uniform direction.
+
+    For symplectic=True their complex pairings are the n - 1 non-constant
+    Fourier vectors of C^n; otherwise they are 2n - 1 orthonormal vectors of
+    R^2n orthogonal to the all-ones vector.  Every canonical basis vector then
+    has a residual of only 1/sqrt(n) (resp. 1/sqrt(2n)) against their span.
+    """
+    if symplectic:
+        k = np.arange(n)
+        fourier = np.exp(2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
+        out = []
+        for b in fourier.T[1:]:
+            w = np.empty(2 * n)
+            w[0::2], w[1::2] = b.real, -b.imag  # real_to_complex(w) == b
+            out.append(w)
+        return out
+    q, _ = np.linalg.qr(np.column_stack([np.ones(2 * n), np.eye(2 * n)[:, :-1]]))
+    return list(q.T[1:])
+
+
+def text_prefixes(text: str):
+    """(prefix, at_line_boundary): every line boundary and each line's midpoint."""
+    pos = 0
+    for line in text.splitlines(keepends=True):
+        yield text[:pos], True
+        yield text[: pos + len(line) // 2], False
+        pos += len(line)
 
 
 def doped_sweep_cells():

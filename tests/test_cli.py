@@ -60,6 +60,17 @@ def test_learn_then_verify_round_trip(tmp_path):
                  "--eps", "-1"]) == EXIT_STATISTICAL
 
 
+def test_verify_truncated_state_is_precondition_error(tmp_path, capsys):
+    circuit, state = tmp_path / "circuit.txt", tmp_path / "learned.txt"
+    assert main(["prepare", "--n", "4", "--t", "1", "--kappa", "3", "--seed", "5",
+                 "--out", str(tmp_path / "p.json"), "--save-circuit", str(circuit)]) == EXIT_OK
+    assert main(["learn", "--n", "4", "--t", "1", "--kappa", "3", "--seed", "5", "--mode", "exact",
+                 "--out", str(tmp_path / "l.json"), "--save-state", str(state)]) == EXIT_OK
+    state.write_bytes(state.read_bytes()[:200])
+    assert main(["verify", "--learned", str(state), "--circuit", str(circuit)]) == EXIT_PRECONDITION
+    assert "error: line " in capsys.readouterr().err
+
+
 def test_precondition_exit_code(capsys):
     assert main(["compress", "--n", "3", "--t", "1", "--kappa", "4"]) == EXIT_PRECONDITION
     assert "error:" in capsys.readouterr().err

@@ -24,11 +24,12 @@ from fermidope.states import (
     born_probability,
     expectation,
     fidelity,
+    postselect_zero_tail,
     random_state,
     zero_state,
 )
 
-from conftest import doped_sweep_cells
+from conftest import doped_sweep_cells, planted_complement, text_prefixes
 
 
 def test_gate_support_and_validation():
@@ -132,6 +133,23 @@ def test_compression_sweep_reassembly():
         assert fidelity(form.reassemble(), psi) >= 1.0 - 1e-9
 
 
+def test_compress_state_planted_complement_of_uniform():
+    # n = 12, kappa = 11, t = 1: G_0's rows 1..11 realify a basis of the complement of
+    # the uniform vector in C^12, so no canonical vector completes it by much
+    rows = np.array(planted_complement(12, True))
+    q, _ = np.linalg.qr(rows.T, mode="complete")
+    g0 = GaussianUnitary(np.vstack([rows, q[:, 11:].T]))
+    g1 = GaussianUnitary(ortho.random_orthogonal(24, np.random.default_rng(15)))
+    c = DopedCircuit(n=12, kappa=11, gaussians=(g0, g1),
+                     gates=(NonGaussianGate.monomial(range(1, 12), 0.7),))
+    psi = prepare(c)
+    form = compress_state(c)
+    assert form.core_qubits == 11
+    prob, _ = postselect_zero_tail(form.G.adjoint().apply(psi), 11)
+    assert 1.0 - prob <= 1e-8
+    assert fidelity(form.reassemble(), psi) >= 1.0 - 1e-9
+
+
 def test_doped_states_keep_gaussian_dimension_floor():
     # Gaussian dimension >= n - kappa*t across seeds
     n, kappa, t = 8, 4, 1
@@ -222,5 +240,26 @@ def test_serialization_round_trip():
 
 
 def test_serialization_rejects_garbage():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^line 1: expected 'doped-circuit v1'$"):
         circuit_loads("not a circuit\n")
+
+
+def test_serialization_rejects_every_truncation():
+    text = circuit_dumps(random_doped_circuit(3, 2, 3, np.random.default_rng(16)))
+    for prefix, at_line_boundary in text_prefixes(text):
+        try:
+            circuit_loads(prefix)
+        except ValueError as exc:
+            assert not at_line_boundary or str(exc).endswith("got end of document")
+        else:
+            assert not at_line_boundary  # a whole-line prefix always misses a line
+
+
+def test_serialization_rejects_incomplete_gate_lines():
+    lines = circuit_dumps(random_doped_circuit(3, 1, 3, np.random.default_rng(17))).splitlines()
+    assert lines[11].startswith("gate 1 terms ") and lines[12].startswith("term ")
+    for k, bad, expected in ((11, "gate 1 terms", "'gate 1 terms <count>'"),
+                             (12, "term 1 2 3 theta", "'term <indices> theta <angle>'")):
+        with pytest.raises(ValueError) as info:
+            circuit_loads("\n".join(lines[:k] + [bad] + lines[k + 1 :]) + "\n")
+        assert str(info.value) == f"line {k + 1}: expected {expected}"

@@ -40,6 +40,12 @@ def test_reflection_gate_conjugation_dense():
             assert_allclose(u.conj().T @ m @ u, sign * m, atol=1e-10)
 
 
+def test_heisenberg_sign_convention_two_planes():
+    # compiled rotation angles and signs against the dense conjugation action
+    o = ortho.plane_rotation(4, 1, 3, 0.537) @ ortho.plane_rotation(4, 2, 4, -1.13)
+    assert ortho.opnorm(heisenberg_matrix(GaussianUnitary(o)) - o) <= 1e-9
+
+
 def test_heisenberg_identity_random(rng):
     for n in (2, 3, 4):
         for _ in range(7 if n < 4 else 6):

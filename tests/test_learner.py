@@ -29,7 +29,7 @@ from fermidope.states import (
     zero_state,
 )
 
-from conftest import compressible_fixture, doped_sweep_cells
+from conftest import compressible_fixture, doped_sweep_cells, text_prefixes
 
 
 def test_budget_formula_fixture():
@@ -131,6 +131,18 @@ def test_learned_state_serialization(rng):
     assert trace_distance(back.reassemble(), psi) <= 1e-7
     # verify() accepts the serialized form directly
     assert verify(text, psi).trace_distance <= 1e-7
+
+
+def test_learned_state_loads_rejects_every_truncation():
+    psi, _, _ = compressible_fixture(3, 2, seed=4)
+    text = learn(psi, 3, 2, plan_budget(3, 2, 0.25, 1 / 3), mode="exact").dumps()
+    for prefix, at_line_boundary in text_prefixes(text):
+        try:
+            LearnedState.loads(prefix)
+        except ValueError as exc:
+            assert not at_line_boundary or str(exc).endswith("got end of document")
+        else:
+            assert not at_line_boundary  # a whole-line prefix always misses a line
 
 
 def test_tomography_exact_mode(rng):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -11,7 +11,7 @@ from fermidope.metrology import correlation_exact
 from fermidope.pauli import PauliString
 from fermidope.states import expectation
 
-from conftest import tplus_state
+from conftest import planted_complement, tplus_state
 
 
 def test_omega_layout():
@@ -177,6 +177,46 @@ def test_compression_rotation_input_validation(rng):
         ortho.compression_rotation(too_many, symplectic=True)  # M > n
 
 
+@st.composite
+def compression_inputs(draw):
+    """Unit vectors up to the limit, mixing fresh ones with exact and sign-flipped copies."""
+    n = draw(st.integers(1, 8))
+    symplectic = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vectors = []
+    for _ in range(draw(st.integers(0, n if symplectic else 2 * n))):
+        kind = draw(st.sampled_from(["fresh", "copy", "flip"] if vectors else ["fresh"]))
+        if kind == "fresh":
+            v = rng.normal(size=2 * n)
+            vectors.append(v / np.linalg.norm(v))
+        else:
+            v = vectors[draw(st.integers(0, len(vectors) - 1))]
+            vectors.append(v.copy() if kind == "copy" else -v)
+    return vectors, n, symplectic
+
+
+@settings(max_examples=200, deadline=None)
+@given(compression_inputs())
+@example((planted_complement(12, True), 12, True))
+@example((planted_complement(12, False), 12, False))
+def test_compression_rotation_any_unit_vectors(case):
+    vectors, n, symplectic = case
+    o = ortho.compression_rotation(vectors, n=n, symplectic=symplectic)
+    assert ortho.is_orthogonal(o)
+    assert not symplectic or ortho.is_symplectic(o)
+    span = 2 * len(vectors) if symplectic else len(vectors)
+    for v in vectors:
+        assert np.max(np.abs((o @ v)[span:]), initial=0.0) <= 1e-9
+
+
+def test_compression_rotation_n_minus_one_random_vectors(rng):
+    # a basis missing one direction leaves canonical vectors with residuals near 1/sqrt(n)
+    for _ in range(20):
+        vs = [v / np.linalg.norm(v) for v in rng.normal(size=(63, 128))]
+        o = ortho.compression_rotation(vs, n=64, symplectic=True)
+        assert ortho.is_orthogonal(o) and ortho.is_symplectic(o)
+
+
 def test_givens_identity_is_empty():
     prog = ortho.givens_decompose(np.eye(6))
     assert prog.rotations == () and not prog.reflect_first
@@ -247,5 +287,9 @@ def test_matrix_text_round_trip(rng):
     back = ortho.matrix_from_text(text)
     assert np.array_equal(back, o)  # bit-exact at the precision written
     assert ortho.matrix_to_text(back) == text
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^line 2: expected a matrix row of 2 numbers$"):
         ortho.matrix_from_text("1.0 2.0\n3.0\n")
+    with pytest.raises(ValueError, match="^line 1: expected a matrix row, got end of document$"):
+        ortho.matrix_from_text("")
+    with pytest.raises(ValueError, match="^line 3: expected a matrix row of 2 numbers$"):
+        ortho.matrix_from_text("1.0 2.0\n\n3.0 x\n")
