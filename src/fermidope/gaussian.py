@@ -8,20 +8,25 @@ Heisenberg action on Majorana operators,
 and composes as G_{O1} G_{O2} = G_{O1 @ O2}.  Compilation factors O into
 plane rotations; the rotation in plane (mu, nu) by angle theta is realized
 as exp(i * theta/2 * P) with P the Hermitian form of -i gamma_mu gamma_nu,
-and a det = -1 factor is realized by applying gamma_1 as a gate.  The test
-suite checks the angle/sign convention against the Heisenberg identity on
-dense matrices (see ``heisenberg_matrix``).
+and a det = -1 factor is realized by applying gamma_1 = X_1 as a gate.  The
+test suite checks the angle/sign convention against the Heisenberg identity
+on dense matrices (see ``heisenberg_matrix``).
+
+Under Jordan-Wigner, P is a two-qubit gate dressed by a Z-string (Jozsa &
+Miyake 2008), so ``rotate_plane`` applies it in place on a reshaped view
+of the amplitudes; ``rotation_generator`` and ``apply_pauli_rotation`` give
+the same rotation on the dense Pauli path, the oracle the tests hold it to.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
 from . import ortho
 from .pauli import PauliString, majorana, pauli_mul
-from .states import StateVector, apply_pauli, apply_pauli_rotation, operator_matrix, zero_state
+from .states import StateVector, apply_pauli_rotation, operator_matrix, zero_state  # noqa: F401
 
 
 def rotation_generator(mu: int, nu: int, n: int) -> PauliString:
@@ -33,6 +38,41 @@ def rotation_generator(mu: int, nu: int, n: int) -> PauliString:
     if not p.is_hermitian:
         raise AssertionError("rotation generator failed to be Hermitian")
     return p
+
+
+@cache
+def _parity_signs(n: int) -> np.ndarray:
+    """(-1)^popcount(m) for m < 2^(n-2): the sign of a Z-string on the middle bits m."""
+    signs = np.ones(1)
+    for _ in range(n - 2):
+        signs = np.concatenate([signs, -signs])
+    signs.setflags(write=False)
+    return signs
+
+
+def rotate_plane(amps: np.ndarray, n: int, mu: int, nu: int, phi: float) -> None:
+    """amps <- exp(i * phi * P) amps in place, P = -i gamma_mu gamma_nu, mu < nu.
+
+    With k = ceil(mu/2) and l = ceil(nu/2), P = Z_k when k = l; otherwise
+    P = (-Y_k if mu is odd else X_k) Z_{k+1..l-1} (X_l if nu is odd else Y_l),
+    which flips bits k and l and multiplies by edge factors of the output
+    bits and the Z-string parity of the bits between them.
+    """
+    k, l = (mu + 1) // 2, (nu + 1) // 2
+    if k == l:
+        v = amps.reshape(2 ** (k - 1), 2, 2 ** (n - k))
+        v[:, 0] *= np.exp(1j * phi)
+        v[:, 1] *= np.exp(-1j * phi)
+        return
+    middle = 2 ** (l - k - 1)
+    v = amps.reshape(2 ** (k - 1), 2, middle, 2, 2 ** (n - l))
+    y_edge = np.array([-1j, 1j])  # <b| Y |1-b> = -i (-1)^b
+    left = -y_edge if mu % 2 else np.ones(2)
+    right = np.ones(2) if nu % 2 else y_edge
+    coef = (1j * np.sin(phi)) * left[:, None, None] * _parity_signs(n)[:middle, None] * right
+    flipped = coef[..., None] * v[:, ::-1, :, ::-1, :]
+    v *= np.cos(phi)
+    v += flipped
 
 
 class GaussianUnitary:
@@ -69,11 +109,12 @@ class GaussianUnitary:
         if psi.n != self.n:
             raise ValueError(f"state has {psi.n} qubits, unitary expects {self.n}")
         prog = self.program
-        if prog.reflect_first:
-            psi = apply_pauli(psi, majorana(1, self.n))
+        # the one copy; the reflection gamma_1 = X_1 swaps the halves on qubit 1
+        source = psi.amps.reshape(2, -1)[::-1] if prog.reflect_first else psi.amps
+        amps = source.copy().reshape(-1)
         for mu, nu, theta in prog.rotations:
-            psi = apply_pauli_rotation(psi, rotation_generator(mu, nu, self.n), theta / 2.0)
-        return psi
+            rotate_plane(amps, self.n, mu, nu, theta / 2.0)
+        return StateVector(self.n, amps)
 
     def matrix(self) -> np.ndarray:
         """Dense 2^n x 2^n unitary; for oracle checks at small n."""

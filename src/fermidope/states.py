@@ -156,8 +156,12 @@ def fidelity(a: StateVector, b: StateVector) -> float:
 
 
 def trace_distance(a: StateVector, b: StateVector) -> float:
-    """Pure-state trace distance sqrt(1 - |<a|b>|^2)."""
-    return float(np.sqrt(max(0.0, 1.0 - fidelity(a, b))))
+    """Pure-state trace distance sqrt(1 - |<a|b>|^2).
+
+    Computed as |b - <a|b> a|, which equals it for unit vectors and, unlike
+    the square root of 1 - F, stays accurate below sqrt(eps).
+    """
+    return float(np.linalg.norm(b.amps - overlap(a, b) * a.amps))
 
 
 def marginal_probabilities(psi: StateVector, qubits) -> np.ndarray:

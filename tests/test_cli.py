@@ -71,6 +71,17 @@ def test_verify_truncated_state_is_precondition_error(tmp_path, capsys):
     assert "error: line " in capsys.readouterr().err
 
 
+def test_verify_missing_state_file_is_precondition_error(tmp_path, capsys):
+    circuit = tmp_path / "circuit.txt"
+    assert main(["prepare", "--n", "4", "--t", "1", "--kappa", "3", "--seed", "5",
+                 "--out", str(tmp_path / "p.json"), "--save-circuit", str(circuit)]) == EXIT_OK
+    capsys.readouterr()
+    missing = tmp_path / "missing.txt"
+    assert main(["verify", "--learned", str(missing), "--circuit", str(circuit)]) == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing.txt" in err and "Traceback" not in err
+
+
 def test_precondition_exit_code(capsys):
     assert main(["compress", "--n", "3", "--t", "1", "--kappa", "4"]) == EXIT_PRECONDITION
     assert "error:" in capsys.readouterr().err

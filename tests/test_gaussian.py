@@ -2,19 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fermidope import ortho
 from fermidope.gaussian import (
     GaussianUnitary,
+    apply_pauli_rotation,
     heisenberg_matrix,
     identity_gaussian,
     preserves_vacuum,
+    rotate_plane,
     rotation_generator,
 )
 from fermidope.metrology import correlation_exact
 from fermidope.pauli import majorana
-from fermidope.states import fidelity, random_state, zero_state
+from fermidope.states import fidelity, overlap, random_state, zero_state
 
 
 def test_identity_program_is_empty():
@@ -127,3 +131,48 @@ def test_program_text_dump(rng):
     text = g.program_text()
     assert text.startswith("gaussian n=2")
     assert "rotate plane=" in text
+
+
+def test_plane_kernel_matches_pauli_rotation_oracle():
+    # every plane: k = l (Z_k), adjacent qubits, and the widest Z-string
+    rng = np.random.default_rng(31)
+    for n in range(1, 7):
+        psi = random_state(n, rng)
+        for mu in range(1, 2 * n + 1):
+            for nu in range(mu + 1, 2 * n + 1):
+                phi = rng.uniform(-np.pi, np.pi)
+                amps = psi.amps.copy()
+                rotate_plane(amps, n, mu, nu, phi)
+                oracle = apply_pauli_rotation(psi, rotation_generator(mu, nu, n), phi)
+                assert np.abs(amps - oracle.amps).max() <= 1e-13, (n, mu, nu)
+
+
+def _with_det(o: np.ndarray, negative: bool) -> np.ndarray:
+    return o @ ortho.reflection_matrix(o.shape[0]) if negative else o
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), negative=st.tuples(st.booleans(), st.booleans()))
+def test_composition_matches_matrix_product(n, seed, negative):
+    # G_{O1} G_{O2} = G_{O1 O2} up to a global phase, det = +-1 for each factor
+    rng = np.random.default_rng(seed)
+    o1, o2 = (_with_det(ortho.random_orthogonal(2 * n, rng, haar=False), f) for f in negative)
+    psi = random_state(n, rng)
+    via_product = GaussianUnitary(o1).apply(GaussianUnitary(o2).apply(psi))
+    direct = GaussianUnitary(o1 @ o2).apply(psi)
+    phase = overlap(via_product, direct)
+    assert abs(phase) == pytest.approx(1.0, abs=1e-10)
+    assert_allclose(phase * via_product.amps, direct.amps, atol=1e-10)
+
+
+def test_apply_leaves_input_unchanged_and_read_only(rng):
+    n = 4
+    psi = random_state(n, rng)
+    before = psi.amps.copy()
+    for negative in (False, True):
+        g = GaussianUnitary(_with_det(ortho.random_orthogonal(2 * n, rng, haar=False), negative))
+        assert g.program.reflect_first == negative
+        out = g.apply(psi)
+        assert out is not psi and not np.shares_memory(out.amps, psi.amps)
+        assert np.array_equal(psi.amps, before)
+        assert not psi.amps.flags.writeable and not out.amps.flags.writeable

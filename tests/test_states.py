@@ -204,6 +204,13 @@ def test_trace_distance_fixtures():
     assert trace_distance(zero_state(1), plus) == pytest.approx(1 / np.sqrt(2))
 
 
+def test_trace_distance_accurate_near_zero():
+    # sqrt(1 - F) loses everything below sqrt(eps) ~ 1.5e-8
+    for eps in (1e-9, 1e-7, 1e-5):
+        tilted = StateVector(1, np.array([np.cos(eps), np.sin(eps)]))
+        assert trace_distance(zero_state(1), tilted) == pytest.approx(np.sin(eps), rel=1e-6)
+
+
 def test_trace_distance_matches_eigenvalue_oracle():
     # closed form equals (1/2)||rho - sigma||_1 from a dense eigensolver
     rng = np.random.default_rng(13)
