@@ -24,11 +24,10 @@ import numpy as np
 from . import ortho
 from .gaussian import GaussianUnitary, identity_gaussian
 from .metrology import correlation_exact, correlation_sampled
-from .pauli import PauliString
+from .pauli import LETTERS, PauliString
 from .states import (
     StateVector,
     embed_with_zero_tail,
-    expectation,
     fidelity,
     fresh_copy,
     postselect_zero_tail,
@@ -36,6 +35,8 @@ from .states import (
 )
 
 TOMOGRAPHY_LIMIT = 6
+# how far from 1 the norm of a normalized amplitude vector can round
+_UNIT_TOL = 1e-14
 
 
 class BoostingFailureError(RuntimeError):
@@ -130,10 +131,13 @@ def pauli_strings(t: int):
     if t == 0:
         return
     for letters in itertools.product("IXYZ", repeat=t):
-        p = PauliString.identity(t)
-        for k, letter in enumerate(letters, start=1):
-            p = p * PauliString.single(t, k, letter)
-        yield letters, p
+        x = z = phase = 0
+        for k, letter in enumerate(letters):
+            bx, bz, bp = LETTERS[letter]
+            x |= bx << k
+            z |= bz << k
+            phase += bp
+        yield letters, PauliString(t, x, z, phase)
 
 
 def tomography_t_qubits(cores, mode: str = "sampled", shots: int | None = None, rng=None) -> StateVector:
@@ -158,6 +162,8 @@ def tomography_t_qubits(cores, mode: str = "sampled", shots: int | None = None, 
         return core
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
+    if rng is None:
+        raise ValueError("sampled mode needs an rng")
     if t > TOMOGRAPHY_LIMIT:
         raise ValueError(f"tomography limited to {TOMOGRAPHY_LIMIT} qubits, got {t}")
     if copies is None or copies < 4**t - 1:
@@ -166,13 +172,13 @@ def tomography_t_qubits(cores, mode: str = "sampled", shots: int | None = None, 
     shots_per_pauli = copies // (4**t - 1)
     dim = 2**t
     rho = np.eye(dim, dtype=complex) / dim
-    for letters, p in pauli_strings(t):
-        if all(letter == "I" for letter in letters):
-            continue
-        prob = np.clip((1.0 + expectation(core, p)) / 2.0, 0.0, 1.0)
+    # pauli_strings yields the identity first; its term is the eye(dim) / dim above
+    for _, p in itertools.islice(pauli_strings(t), 1, None):
+        m = p.to_matrix()
+        prob = np.clip((1.0 + np.vdot(core.amps, m @ core.amps).real) / 2.0, 0.0, 1.0)
         wins = rng.binomial(shots_per_pauli, prob)
         est = 2.0 * wins / shots_per_pauli - 1.0
-        rho += est * p.to_matrix() / dim
+        rho += est * m / dim
     _, vecs = np.linalg.eigh(rho)
     return StateVector(t, vecs[:, -1])
 
@@ -211,7 +217,12 @@ class LearnedState:
         o_hat = lines.matrix(2 * n, 2 * n)
         lines.keyword("phi")
         amps = lines.matrix(2**t, 2).view(complex).ravel()  # (re, im) rows, bit-exact
-        return cls(O_hat=o_hat, phi_hat=StateVector(t, amps), t=t)
+        phi_hat = StateVector(t, amps)  # checks the shape and the norm
+        if abs(np.linalg.norm(amps) - 1.0) <= _UNIT_TOL:
+            # a written unit vector loads as written: normalizing it again can move its last bit
+            amps.setflags(write=False)
+            object.__setattr__(phi_hat, "amps", amps)
+        return cls(O_hat=o_hat, phi_hat=phi_hat, t=t)
 
 
 def learn(state_source, n: int, t: int, budget: LearnBudget, mode: str = "sampled", rng=None) -> LearnedState:
@@ -224,6 +235,8 @@ def learn(state_source, n: int, t: int, budget: LearnBudget, mode: str = "sample
     """
     if mode not in ("exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == "sampled" and rng is None:
+        raise ValueError("sampled mode needs an rng")
     psi = fresh_copy(state_source)
     if psi.n != n:
         raise ValueError(f"copy has {psi.n} qubits, expected {n}")

@@ -107,6 +107,8 @@ def correlation_sampled(psi: StateVector, shots_per_entry: int, scheme: str, rng
     n = psi.n
     if scheme == "exact":
         return CorrelationEstimate(correlation_exact(psi), 0, "exact")
+    if rng is None:
+        raise ValueError("sampled mode needs an rng")
     if shots_per_entry < 1:
         raise ValueError("shots_per_entry must be >= 1")
 

@@ -18,19 +18,13 @@ computational basis index (see `fermidope.states`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 MAX_QUBITS = 32
 
-_I2 = np.eye(2, dtype=complex)
-_X2 = np.array([[0, 1], [1, 0]], dtype=complex)
-_Z2 = np.array([[1, 0], [0, -1]], dtype=complex)
-_XZ2 = _X2 @ _Z2  # equals -iY
-
-# (x bit, z bit) -> single-qubit factor, X-then-Z order
-_FACTOR = {(0, 0): _I2, (1, 0): _X2, (0, 1): _Z2, (1, 1): _XZ2}
+# letter -> (x bit, z bit, power of i) of the one-qubit factor; Y = i XZ
+LETTERS = {"I": (0, 0, 0), "X": (1, 0, 0), "Y": (1, 1, 1), "Z": (0, 1, 0)}
 
 _PHASES = (1.0, 1.0j, -1.0, -1.0j)
 _SIGN_LABEL = ("+", "+i", "-", "-i")
@@ -68,12 +62,11 @@ class PauliString:
         """The one-letter string ``letter`` in {I,X,Y,Z} acting on ``qubit``."""
         if not 1 <= qubit <= n:
             raise ValueError(f"qubit {qubit} out of range for n={n}")
-        bit = 1 << (qubit - 1)
         try:
-            x, z, p = {"I": (0, 0, 0), "X": (bit, 0, 0), "Y": (bit, bit, 1), "Z": (0, bit, 0)}[letter]
+            x, z, p = LETTERS[letter]
         except KeyError:
             raise ValueError(f"unknown Pauli letter {letter!r}") from None
-        return cls(n, x, z, p)
+        return cls(n, x << (qubit - 1), z << (qubit - 1), p)
 
     @classmethod
     def from_label(cls, label: str) -> "PauliString":
@@ -114,16 +107,27 @@ class PauliString:
     def __mul__(self, other: "PauliString") -> "PauliString":
         return pauli_mul(self, other)
 
+    def action(self) -> tuple[np.ndarray, np.ndarray]:
+        """The string as a signed permutation: (P psi)[b] = coef[b] * psi[src[b]].
+
+        With x and z the masks in basis-index bit order (qubit k is index bit
+        n - k), P|b> = phase * (-1)^|b & z| |b ^ x>, so src = b ^ x and
+        coef = phase * (-1)^|src & z|.
+        """
+        x, z = (int(f"{mask:0{self.n}b}"[::-1], 2) for mask in (self.x_mask, self.z_mask))
+        src = np.arange(2**self.n) ^ x
+        # bitwise_count is uint8, so the sign is formed in float (1 - 2*u8 would wrap)
+        coef = self.phase * (1.0 - 2.0 * (np.bitwise_count(src & z) & 1))
+        return src, coef
+
     def to_matrix(self) -> np.ndarray:
-        """Dense 2^n x 2^n matrix; intended for oracle checks at small n."""
+        """Dense 2^n x 2^n matrix: one entry coef[b] per row b, in column src[b]."""
         if self.n > 12:
             raise ValueError("dense matrix limited to n <= 12")
-        factors = [
-            _FACTOR[(self.x_mask >> k) & 1, (self.z_mask >> k) & 1]
-            for k in range(self.n)
-        ]
-        # qubit 1 is the most significant index bit, so it is the leftmost factor
-        return self.phase * reduce(np.kron, factors)
+        src, coef = self.action()
+        out = np.zeros((src.size, src.size), dtype=complex)
+        out[np.arange(src.size), src] = coef
+        return out
 
     def __str__(self):
         residual = (self.phase_exp - _popcount(self.x_mask & self.z_mask)) % 4

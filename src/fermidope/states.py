@@ -73,36 +73,12 @@ def product(a: StateVector, b: StateVector) -> StateVector:
     return StateVector(a.n + b.n, np.kron(a.amps, b.amps))
 
 
-def _index_mask(qubit_mask: int, n: int) -> int:
-    # mask bit k-1 refers to qubit k, which is basis-index bit n-k
-    out = 0
-    for k in range(n):
-        if (qubit_mask >> k) & 1:
-            out |= 1 << (n - 1 - k)
-    return out
-
-
-def _parity(values: np.ndarray) -> np.ndarray:
-    v = values.copy()
-    shift = 1
-    while shift < 64:
-        v ^= v >> shift
-        shift *= 2
-    return v & 1
-
-
 def apply_pauli(psi: StateVector, p: PauliString) -> StateVector:
     """P|psi> for an arbitrary Pauli string (not necessarily Hermitian)."""
     if p.n != psi.n:
         raise ValueError(f"qubit counts differ: {p.n} != {psi.n}")
-    n = psi.n
-    x_idx = _index_mask(p.x_mask, n)
-    z_idx = _index_mask(p.z_mask, n)
-    idx = np.arange(2**n, dtype=np.uint64)
-    src = idx ^ np.uint64(x_idx)
-    signs = 1.0 - 2.0 * _parity(src & np.uint64(z_idx)).astype(float)
-    amps = p.phase * signs * psi.amps[src]
-    return StateVector(n, amps)
+    src, coef = p.action()
+    return StateVector(psi.n, coef * psi.amps[src])
 
 
 def apply_pauli_rotation(psi: StateVector, p: PauliString, theta: float) -> StateVector:

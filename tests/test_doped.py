@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fermidope import ortho
@@ -237,6 +239,40 @@ def test_serialization_round_trip():
     back = circuit_loads(text)
     assert circuit_dumps(back) == text
     assert fidelity(prepare(back), prepare(c)) == pytest.approx(1.0, abs=1e-12)
+
+
+@st.composite
+def doped_circuits(draw):
+    """n <= 5, t <= 3; Haar or signed-permutation layers of det +-1; any finite angle."""
+    n, t = draw(st.integers(1, 5)), draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gaussians = []
+    for _ in range(t + 1):
+        if draw(st.booleans()):
+            o = ortho.random_orthogonal(2 * n, rng, haar=False)
+        else:  # entries 0.0 and -0.0 as well as +-1
+            o = np.eye(2 * n)[rng.permutation(2 * n)] * rng.choice([-1.0, 1.0], size=2 * n)
+        o[:, 0] *= draw(st.sampled_from([1.0, -1.0])) * np.sign(np.linalg.det(o))  # det = +-1
+        gaussians.append(GaussianUnitary(o))
+    term = st.tuples(
+        st.sets(st.integers(1, 2 * n), min_size=1).map(sorted).map(tuple),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    gates = [NonGaussianGate(tuple(draw(st.lists(term, min_size=1, max_size=3)))) for _ in range(t)]
+    kappa = draw(st.integers(max((len(w.support) for w in gates), default=0), 2 * n))
+    return DopedCircuit(n=n, kappa=kappa, gaussians=tuple(gaussians), gates=tuple(gates))
+
+
+@settings(max_examples=100, deadline=None)
+@given(doped_circuits())
+def test_serialization_round_trip_is_bit_exact(circuit):
+    back = circuit_loads(circuit_dumps(circuit))
+    assert (back.n, back.kappa, back.t) == (circuit.n, circuit.kappa, circuit.t)
+    for a, b in zip(back.gaussians, circuit.gaussians):
+        assert a.O.tobytes() == b.O.tobytes()
+    for a, b in zip(back.gates, circuit.gates):
+        bits = [[(s, theta.hex()) for s, theta in w.terms] for w in (a, b)]
+        assert bits[0] == bits[1]
 
 
 def test_serialization_rejects_garbage():

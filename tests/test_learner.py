@@ -1,9 +1,12 @@
 """Learning pipeline: budgets, exact/sampled runs, tomography, boosting."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermidope import ortho
 from fermidope.doped import prepare, random_doped_circuit
@@ -14,22 +17,25 @@ from fermidope.learner import (
     boosting_iterations,
     hoeffding_budget,
     learn,
+    pauli_strings,
     plan_budget,
     tomography_t_qubits,
     verify,
 )
 from fermidope.metrology import correlation_exact
+from fermidope.pauli import PauliString
 from fermidope.states import (
     StateVector,
     born_probability,
     embed_with_zero_tail,
+    expectation,
     postselect_zero_tail,
     random_state,
     trace_distance,
     zero_state,
 )
 
-from conftest import compressible_fixture, doped_sweep_cells, text_prefixes
+from conftest import compressible_fixture, doped_sweep_cells, kron_chain, text_prefixes
 
 
 def test_budget_formula_fixture():
@@ -133,6 +139,25 @@ def test_learned_state_serialization(rng):
     assert verify(text, psi).trace_distance <= 1e-7
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    t=st.integers(0, 3),
+    det=st.sampled_from([1, -1]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_learned_state_round_trip_is_bit_exact(n, t, det, seed):
+    rng = np.random.default_rng(seed)
+    t = min(t, n)
+    o_hat = ortho.random_orthogonal(2 * n, rng, haar=False)
+    o_hat[:, 0] *= det
+    learned = LearnedState(O_hat=o_hat, phi_hat=random_state(t, rng), t=t)
+    back = LearnedState.loads(learned.dumps())
+    assert back.t == t
+    assert back.O_hat.tobytes() == learned.O_hat.tobytes()
+    assert back.phi_hat.amps.tobytes() == learned.phi_hat.amps.tobytes()
+
+
 def test_learned_state_loads_rejects_every_truncation():
     psi, _, _ = compressible_fixture(3, 2, seed=4)
     text = learn(psi, 3, 2, plan_budget(3, 2, 0.25, 1 / 3), mode="exact").dumps()
@@ -143,6 +168,59 @@ def test_learned_state_loads_rejects_every_truncation():
             assert not at_line_boundary or str(exc).endswith("got end of document")
         else:
             assert not at_line_boundary  # a whole-line prefix always misses a line
+
+
+def test_pauli_strings_are_letter_products_identity_first():
+    assert list(pauli_strings(0)) == []
+    for t in (1, 2, 3, 4):
+        strings = list(pauli_strings(t))
+        assert len(strings) == 4**t
+        assert [letters for letters, _ in strings] == list(itertools.product("IXYZ", repeat=t))
+        assert strings[0][1] == PauliString.identity(t)
+        for letters, p in strings:
+            product = PauliString.identity(t)
+            for k, letter in enumerate(letters, start=1):
+                product = product * PauliString.single(t, k, letter)
+            assert p == product  # same n, masks and phase
+
+
+def kron_loop_tomography(core: StateVector, shots: int, rng) -> StateVector:
+    """Sampled tomography as one expectation and one Kronecker-product matrix per string."""
+    t, dim = core.n, 2**core.n
+    shots_per_pauli = shots // (4**t - 1)
+    rho = np.eye(dim, dtype=complex) / dim
+    for letters in itertools.product("IXYZ", repeat=t):
+        if set(letters) == {"I"}:
+            continue
+        p = PauliString.identity(t)
+        for k, letter in enumerate(letters, start=1):
+            p = p * PauliString.single(t, k, letter)
+        prob = np.clip((1.0 + expectation(core, p)) / 2.0, 0.0, 1.0)
+        wins = rng.binomial(shots_per_pauli, prob)
+        rho += (2.0 * wins / shots_per_pauli - 1.0) * kron_chain("".join(letters)) / dim
+    _, vecs = np.linalg.eigh(rho)
+    return StateVector(t, vecs[:, -1])
+
+
+def test_tomography_matches_the_kron_loop_bit_for_bit():
+    # same strings in the same order, one binomial draw each: the RNG stream is unchanged
+    core = random_state(3, np.random.default_rng(30))
+    got = tomography_t_qubits(core, shots=63 * 500, rng=np.random.default_rng(31))
+    want = kron_loop_tomography(core, 63 * 500, np.random.default_rng(31))
+    assert got.amps.tobytes() == want.amps.tobytes()
+
+
+def test_sampled_tomography_needs_an_rng(rng):
+    with pytest.raises(ValueError, match="^sampled mode needs an rng$"):
+        tomography_t_qubits(random_state(2, rng), shots=100)
+
+
+def test_sampled_learning_needs_an_rng():
+    copies = []
+    psi, _, _ = compressible_fixture(4, 1, seed=3)
+    with pytest.raises(ValueError, match="^sampled mode needs an rng$"):
+        learn(lambda: copies.append(psi) or psi, 4, 1, hoeffding_budget(4, 1, 0.25, 1 / 3))
+    assert copies == []  # rejected before the first copy is drawn
 
 
 def test_tomography_exact_mode(rng):

@@ -51,6 +51,12 @@ def test_unknown_scheme_rejected(rng):
         correlation_sampled(zero_state(2), 10, "shadow", rng)
 
 
+def test_sampled_schemes_need_an_rng():
+    for scheme in ("pauli_per_entry", "grouped"):
+        with pytest.raises(ValueError, match="^sampled mode needs an rng$"):
+            correlation_sampled(zero_state(2), 10, scheme, None)
+
+
 def test_commuting_groups_partition():
     for n in (2, 3, 4, 5):
         groups = commuting_groups(n)

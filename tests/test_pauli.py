@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from fermidope.pauli import PauliString, hermitize, majorana, majorana_monomial, pauli_mul
 
-from conftest import kron_chain
+from conftest import I2, X2, Z2, kron_chain
 
 
 def test_majorana_jordan_wigner_fixtures():
@@ -163,6 +163,23 @@ def test_dense_matches_letter_kron_everywhere():
             sign, letters = str(ps).split()
             scalar = {"+": 1, "+i": 1j, "-": -1, "-i": -1j}[sign]
             assert_allclose(ps.to_matrix(), scalar * kron_chain(letters), atol=1e-14)
+
+
+def kron_of_factors(ps: PauliString) -> np.ndarray:
+    """i^phase times the Kronecker product of X^x Z^z over qubits 1..n, qubit 1 leftmost."""
+    out = np.array([[1.0 + 0j]])
+    for k in range(ps.n):
+        x, z = (ps.x_mask >> k) & 1, (ps.z_mask >> k) & 1
+        out = np.kron(out, (X2 if x else I2) @ (Z2 if z else I2))
+    return (1, 1j, -1, -1j)[ps.phase_exp] * out
+
+
+def test_to_matrix_equals_kron_of_factors_exactly():
+    # the signed-permutation matrix of every string up to n = 4, every phase
+    for n in (1, 2, 3, 4):
+        for x, z, phase in itertools.product(range(2**n), range(2**n), range(4)):
+            ps = PauliString(n, x, z, phase)
+            assert np.array_equal(ps.to_matrix(), kron_of_factors(ps)), (n, x, z, phase)
 
 
 def test_label_round_trip():
