@@ -70,6 +70,8 @@ class ExperimentConfig:
             raise ConfigError(f"fixture must be one of {FIXTURES}, got {self.fixture!r}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.shots_override is not None and self.shots_override < 1:
+            raise ConfigError("shots_override must be >= 1")
         if self.budget not in ("default", "hoeffding"):
             raise ConfigError(f"budget must be default or hoeffding, got {self.budget!r}")
         if self.kind in ("prepare", "compress") and self.fixture != "doped":

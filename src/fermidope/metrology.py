@@ -100,7 +100,10 @@ def correlation_sampled(psi: StateVector, shots_per_entry: int, scheme: str, rng
     ``shots_per_entry`` +-1 draws with success probability (1 + <O>)/2.
     grouped: one joint computational-basis sample per shot per commuting
     group, after the compiled Gaussian basis change; ``shots_per_entry``
-    shots are spent on each of the 2n-1 groups.
+    shots are spent on each of the 2n-1 groups.  A group's n pair means are
+    read in one integer pass: the multinomial counts times the 2^n x n
+    outcome-bit table give each pair's number of -1 outcomes k, and the mean
+    is (shots - 2k) / shots, exact because the counts sum to ``shots``.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
@@ -121,16 +124,15 @@ def correlation_sampled(psi: StateVector, shots_per_entry: int, scheme: str, rng
                 wins = rng.binomial(shots_per_entry, p)
                 c_hat[j, k] = 2.0 * wins / shots_per_entry - 1.0
     else:
+        # bits[x, i] is qubit i + 1 of outcome x, so counts @ bits counts the -1 outcomes per pair
+        bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
         for pairs in commuting_groups(n):
             rotated = _group_basis_change(pairs, n).apply(psi)
             probs = np.abs(rotated.amps) ** 2
             probs = probs / probs.sum()
             counts = rng.multinomial(shots_per_entry, probs)
-            outcomes = np.arange(2**n)
-            for i, (a, b) in enumerate(pairs):
-                bit = (outcomes >> (n - 1 - i)) & 1
-                mean = np.sum(counts * (1.0 - 2.0 * bit)) / shots_per_entry
-                c_hat[a - 1, b - 1] = mean
+            rows, cols = (np.array(pairs) - 1).T
+            c_hat[rows, cols] = (shots_per_entry - 2 * (counts @ bits)) / shots_per_entry
     c_hat = c_hat - c_hat.T
     return CorrelationEstimate(c_hat, shots_per_entry, scheme)
 
@@ -229,6 +231,8 @@ def test_gaussian_dimension(
         raise ValueError(
             f"need eps_b > sqrt((n - t) * eps_a) = {math.sqrt((n - t) * eps_a):.4g}, got {eps_b}"
         )
+    if shot_override is not None and shot_override < 1:
+        raise ValueError(f"shot_override must be >= 1, got {shot_override}")
     eps_corr = eps_b**2 / (n - t) - eps_a
     eps_test = eps_b**2 / (n - t) + eps_a
 

@@ -238,7 +238,14 @@ def reflection_matrix(dim: int) -> np.ndarray:
 
 
 def givens_decompose(o: np.ndarray, tol: float = 1e-10) -> GivensProgram:
-    """Factor an orthogonal matrix into at most d(d-1)/2 plane rotations."""
+    """Factor an orthogonal matrix into at most d(d-1)/2 plane rotations.
+
+    Column by column, each below-diagonal entry a[i, j] is eliminated by a
+    rotation in the plane (j, i) through arctan2(a[i, j], a[j, j]).  An
+    elimination whose angle is exactly 0 (a zero entry over a non-negative
+    pivot, as in most columns of a permutation matrix) is a no-op: it is
+    not recorded, so no returned rotation has theta == 0.
+    """
     o = np.asarray(o, dtype=float)
     d = o.shape[0]
     if not is_orthogonal(o, tol):
@@ -252,6 +259,8 @@ def givens_decompose(o: np.ndarray, tol: float = 1e-10) -> GivensProgram:
             if abs(a[i, j]) < 1e-15 and a[j, j] > 0:
                 continue
             theta = np.arctan2(a[i, j], a[j, j])
+            if theta == 0.0:
+                continue
             c, s = np.cos(theta), np.sin(theta)
             rj, ri = a[j].copy(), a[i].copy()
             a[j] = c * rj + s * ri

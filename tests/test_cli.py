@@ -87,6 +87,14 @@ def test_precondition_exit_code(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_shots_override_below_one_is_precondition_error(capsys):
+    for args in (["test", "--n", "4", "--t", "1", "--mode", "sampled", "--shots-override", "-3"],
+                 ["test", "--n", "4", "--t", "1", "--mode", "sampled", "--shots-override", "0"],
+                 ["learn", "--n", "4", "--t", "1", "--mode", "sampled", "--shots-override", "-5"]):
+        assert main(args) == EXIT_PRECONDITION
+        assert "error: shots_override must be >= 1" in capsys.readouterr().err
+
+
 def test_test_subcommand(tmp_path):
     out = tmp_path / "t.json"
     code = main(["test", "--n", "4", "--t", "0", "--fixture", "tplus", "--mode", "sampled",

@@ -31,6 +31,15 @@ def test_config_validation():
     ExperimentConfig(kind="compress", n=6, t=1, kappa=4).validate()
 
 
+def test_config_rejects_shots_override_below_one():
+    for kind in ("test", "learn"):
+        for bad in (0, -3):
+            cfg = ExperimentConfig(kind=kind, t=0, mode="sampled", shots_override=bad)
+            with pytest.raises(ConfigError, match="^shots_override must be >= 1$"):
+                cfg.validate()
+    ExperimentConfig(kind="test", t=0, mode="sampled", shots_override=1).validate()
+
+
 def test_run_prepare_document():
     doc = run(ExperimentConfig(kind="prepare", n=4, t=1, kappa=3, seed=2, trials=3))
     assert doc.version and doc.seed == 2

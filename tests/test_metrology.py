@@ -57,6 +57,36 @@ def test_sampled_schemes_need_an_rng():
             correlation_sampled(zero_state(2), 10, scheme, None)
 
 
+def per_pair_grouped_readout(psi, shots, rng):
+    """Grouped correlation sampling with the per-pair readout loop it had before.
+
+    Test oracle only: one float shift/mask/multiply/sum pass per pair.
+    """
+    n = psi.n
+    c_hat = np.zeros((2 * n, 2 * n))
+    for pairs in commuting_groups(n):
+        rotated = metrology._group_basis_change(pairs, n).apply(psi)
+        probs = np.abs(rotated.amps) ** 2
+        probs = probs / probs.sum()
+        counts = rng.multinomial(shots, probs)
+        outcomes = np.arange(2**n)
+        for i, (a, b) in enumerate(pairs):
+            bit = (outcomes >> (n - 1 - i)) & 1
+            c_hat[a - 1, b - 1] = np.sum(counts * (1.0 - 2.0 * bit)) / shots
+    return c_hat - c_hat.T
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_grouped_readout_matches_per_pair_loop(n):
+    psi = prepare(random_doped_circuit(n, 1, min(n, 3), np.random.default_rng(n)))
+    for shots in (1, 7, 1000, 123_457):
+        new_rng, old_rng = np.random.default_rng(900 + n), np.random.default_rng(900 + n)
+        est = correlation_sampled(psi, shots, "grouped", new_rng)
+        expected = per_pair_grouped_readout(psi, shots, old_rng)
+        assert est.C_hat.tobytes() == expected.tobytes()
+        assert new_rng.random() == old_rng.random()  # same draws consumed
+
+
 def test_commuting_groups_partition():
     for n in (2, 3, 4, 5):
         groups = commuting_groups(n)
@@ -225,6 +255,13 @@ def test_tester_copy_oracle_and_callable(rng):
                                             shot_override=20_000)
     assert res.verdict == "close"
     assert res.copies == 20_000
+
+
+def test_tester_rejects_shot_override_below_one(rng):
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="^shot_override must be >= 1"):
+            metrology.test_gaussian_dimension(zero_state(4), 0, 0.0, 0.4, 1 / 3, rng=rng,
+                                              shot_override=bad)
 
 
 def test_tester_precondition(rng):

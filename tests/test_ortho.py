@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fermidope import ortho
-from fermidope.metrology import correlation_exact
+from fermidope.metrology import _group_basis_change, commuting_groups, correlation_exact
 from fermidope.pauli import PauliString
 from fermidope.states import expectation
 
@@ -244,6 +244,97 @@ def test_givens_random_reconstruction(rng):
         prog = ortho.givens_decompose(o)
         assert len(prog.rotations) <= dim * (dim - 1) // 2
         assert ortho.opnorm(prog.matrix() - o) <= 1e-10
+
+
+def givens_rotations_with_noops(o: np.ndarray):
+    """The elimination loop as it was before theta == 0 steps were skipped.
+
+    Returns (rotations, reflect_first) in program order; every no-op
+    rotation is still recorded.  Test oracle only.
+    """
+    d = o.shape[0]
+    reflect = np.linalg.det(o) < 0
+    a = (o @ ortho.reflection_matrix(d)) if reflect else o.copy()
+    eliminations = []
+    for j in range(d - 1):
+        for i in range(j + 1, d):
+            if abs(a[i, j]) < 1e-15 and a[j, j] > 0:
+                continue
+            theta = np.arctan2(a[i, j], a[j, j])
+            c, s = np.cos(theta), np.sin(theta)
+            rj, ri = a[j].copy(), a[i].copy()
+            a[j] = c * rj + s * ri
+            a[i] = -s * rj + c * ri
+            eliminations.append((j + 1, i + 1, theta))
+    return tuple((mu, nu, -theta) for mu, nu, theta in reversed(eliminations)), bool(reflect)
+
+
+def group_matrices(n_max: int):
+    for n in range(1, n_max + 1):
+        for pairs in commuting_groups(n):
+            yield _group_basis_change(pairs, n).O
+
+
+def block_haar(dim: int, rng) -> np.ndarray:
+    """Block-diagonal Haar blocks of even sizes, then rows and columns permuted."""
+    sizes = []
+    while sum(sizes) < dim:
+        sizes.append(int(rng.choice([s for s in (2, 4, 6) if s <= dim - sum(sizes)])))
+    o = np.zeros((dim, dim))
+    start = 0
+    for size in sizes:
+        o[start:start + size, start:start + size] = ortho.random_orthogonal(size, rng)
+        start += size
+    return o[rng.permutation(dim)][:, rng.permutation(dim)]
+
+
+def test_givens_keeps_exactly_the_nonzero_rotations_of_the_full_loop(rng):
+    inputs = list(group_matrices(12))
+    for _ in range(40):
+        dim = int(rng.choice([2, 4, 8, 12, 16]))
+        inputs.append(ortho.random_orthogonal(dim, rng))
+        inputs.append(np.eye(dim)[rng.permutation(dim)])
+        inputs.append(block_haar(dim, rng))
+    for o in inputs:
+        expected, reflect = givens_rotations_with_noops(o)
+        prog = ortho.givens_decompose(o)
+        assert prog.rotations == tuple(r for r in expected if r[2] != 0.0)
+        assert prog.reflect_first == reflect
+
+
+def test_givens_group_programs_at_n12_hold_478_rotations():
+    # the 23 basis changes of grouped sampling; 1652 when no-op rotations were recorded
+    total = sum(len(ortho.givens_decompose(_group_basis_change(pairs, 12).O).rotations)
+                for pairs in commuting_groups(12))
+    assert total == 478
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    half=st.integers(1, 8),
+    kind=st.sampled_from(["haar", "permutation", "signed", "signed_negative_zero"]),
+    flip=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_givens_round_trip(half, kind, flip, seed):
+    rng = np.random.default_rng(seed)
+    d = 2 * half
+    if kind == "haar":
+        o = ortho.random_orthogonal(d, rng)
+    else:
+        o = np.eye(d)[rng.permutation(d)]
+        signs = rng.choice([-1.0, 1.0], size=d)
+        if kind == "signed":
+            o = np.where(o != 0.0, o * signs[:, None], 0.0)
+        elif kind == "signed_negative_zero":
+            o = o * signs[:, None]  # zeros in the negated rows become -0.0
+    if flip:
+        o = o @ ortho.reflection_matrix(d)
+    prog = ortho.givens_decompose(o)
+    assert ortho.opnorm(prog.matrix() - o) <= 1e-12
+    assert len(prog.rotations) <= d * (d - 1) // 2
+    assert prog.reflect_first == (np.linalg.det(o) < 0)
+    assert all(theta != 0.0 for _, _, theta in prog.rotations)
 
 
 def test_givens_rejects_non_orthogonal():
