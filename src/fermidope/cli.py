@@ -4,7 +4,8 @@ Subcommands mirror the experiment kinds (prepare, compress, learn, test,
 sweep) plus `verify` for checking a saved learned state against a saved
 circuit.  Relative output paths resolve against $FERMIDOPE_OUT when it is
 set.  Exit codes: 0 success, 2 precondition/configuration error,
-3 statistical acceptance failure.
+3 statistical acceptance failure, 4 numerical failure (a compression that
+leaves weight outside its core).
 """
 
 from __future__ import annotations
@@ -13,13 +14,14 @@ import argparse
 import os
 import sys
 
-from .doped import circuit_dumps, circuit_loads, prepare
+from .doped import CompressionError, circuit_dumps, circuit_loads, prepare
 from .harness import ConfigError, ExperimentConfig, run, sweep, trials_csv
 from .learner import LearnedState
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
 EXIT_STATISTICAL = 3
+EXIT_NUMERICAL = 4
 
 OUT_DIR_ENV = "FERMIDOPE_OUT"
 
@@ -186,6 +188,9 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except CompressionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -16,17 +16,31 @@ Under Jordan-Wigner, P is a two-qubit gate dressed by a Z-string (Jozsa &
 Miyake 2008), so ``rotate_plane`` applies it in place on a reshaped view
 of the amplitudes; ``rotation_generator`` and ``apply_pauli_rotation`` give
 the same rotation on the dense Pauli path, the oracle the tests hold it to.
+
+The Givens chain of ``ortho.givens_decompose`` gives a dense O only
+adjacent planes (mu, mu + 1), i.e. gates on one or two neighbouring qubits
+(a nearest-neighbour matchgate circuit).  Compilation therefore fuses the
+rotations, moving those on disjoint qubits past each other, into dense
+2^m x 2^m blocks on windows of m <= FUSE_QUBITS adjacent qubits, and
+``apply`` runs each block as one matrix product over the amplitudes.  A
+plane wider than the window stays a single ``rotate_plane`` pass.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
+from dataclasses import dataclass
 from functools import cache, cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from . import ortho
 from .pauli import PauliString, majorana, pauli_mul
 from .states import StateVector, apply_pauli_rotation, operator_matrix, zero_state  # noqa: F401
+
+FUSE_QUBITS = 4  # widest window of adjacent qubits fused into one dense block
 
 
 def rotation_generator(mu: int, nu: int, n: int) -> PauliString:
@@ -56,23 +70,95 @@ def rotate_plane(amps: np.ndarray, n: int, mu: int, nu: int, phi: float) -> None
     With k = ceil(mu/2) and l = ceil(nu/2), P = Z_k when k = l; otherwise
     P = (-Y_k if mu is odd else X_k) Z_{k+1..l-1} (X_l if nu is odd else Y_l),
     which flips bits k and l and multiplies by edge factors of the output
-    bits and the Z-string parity of the bits between them.
+    bits and the Z-string parity of the bits between them.  An adjacent
+    plane (2k, 2k + 1) is X_k X_{k+1}: no Z-string and both edge factors 1.
     """
     k, l = (mu + 1) // 2, (nu + 1) // 2
     if k == l:
         v = amps.reshape(2 ** (k - 1), 2, 2 ** (n - k))
-        v[:, 0] *= np.exp(1j * phi)
-        v[:, 1] *= np.exp(-1j * phi)
+        phase = cmath.exp(1j * phi)
+        v[:, 0] *= phase
+        v[:, 1] *= phase.conjugate()
+        return
+    if nu == mu + 1:
+        v = amps.reshape(2 ** (k - 1), 2, 2, 2 ** (n - l))
+        flipped = v[:, ::-1, ::-1] * (1j * math.sin(phi))
+        v *= math.cos(phi)
+        v += flipped
         return
     middle = 2 ** (l - k - 1)
     v = amps.reshape(2 ** (k - 1), 2, middle, 2, 2 ** (n - l))
     y_edge = np.array([-1j, 1j])  # <b| Y |1-b> = -i (-1)^b
     left = -y_edge if mu % 2 else np.ones(2)
     right = np.ones(2) if nu % 2 else y_edge
-    coef = (1j * np.sin(phi)) * left[:, None, None] * _parity_signs(n)[:middle, None] * right
+    coef = (1j * math.sin(phi)) * left[:, None, None] * _parity_signs(n)[:middle, None] * right
     flipped = coef[..., None] * v[:, ::-1, :, ::-1, :]
-    v *= np.cos(phi)
+    v *= math.cos(phi)
     v += flipped
+
+
+class Block(NamedTuple):
+    """A dense 2^m x 2^m unitary on the adjacent qubits lo, ..., lo + m - 1."""
+
+    lo: int
+    u: np.ndarray
+
+
+@dataclass(frozen=True)
+class GateProgram:
+    """A compiled Gaussian unitary.
+
+    ``rotations`` and ``reflect_first`` are its Givens program (see
+    ``ortho.GivensProgram``).  ``ops`` runs the same rotations after the
+    reflection: each op is a ``Block`` or, for a plane spanning more than
+    FUSE_QUBITS qubits, one (mu, nu, theta) rotation.
+    """
+
+    rotations: tuple
+    reflect_first: bool
+    ops: tuple
+
+
+def _fuse(rotations: tuple, n: int) -> tuple:
+    """Group rotations into dense blocks on windows of <= FUSE_QUBITS adjacent qubits.
+
+    The plane (mu, nu) acts on the qubits ceil(mu/2) .. ceil(nu/2), Z-string
+    included.  Each rotation joins the last window that shares a qubit with
+    it, when the joint window still fits: it commutes with every window
+    after that one, so only rotations on disjoint qubits move past each
+    other.  Otherwise it opens a new window at the end.
+    """
+    windows = []  # [lo, hi, rotations]
+    last = [-1] * (n + 1)  # per qubit, the index of the last window covering it
+    for rot in rotations:
+        lo, hi = (rot[0] + 1) // 2, (rot[1] + 1) // 2
+        k = max(last[lo:hi + 1])
+        if k >= 0 and max(hi, windows[k][1]) - min(lo, windows[k][0]) < FUSE_QUBITS:
+            window = windows[k]
+            window[0], window[1] = min(lo, window[0]), max(hi, window[1])
+            window[2].append(rot)
+        else:
+            k = len(windows)
+            windows.append([lo, hi, [rot]])
+        last[lo:hi + 1] = [k] * (hi - lo + 1)
+    return tuple(
+        _block(lo, hi - lo + 1, rots) if hi - lo < FUSE_QUBITS else rots[0]
+        for lo, hi, rots in windows
+    )
+
+
+def _block(lo: int, m: int, rotations: list) -> Block:
+    """The product of the rotations on qubits lo .. lo + m - 1, as a dense 2^m x 2^m matrix.
+
+    The identity, flattened, is a 2m-qubit register whose leading m qubits
+    index the rows, so ``rotate_plane`` on those qubits left-multiplies it.
+    """
+    u = np.eye(2**m, dtype=complex).reshape(-1)
+    shift = 2 * (lo - 1)
+    for mu, nu, theta in rotations:
+        rotate_plane(u, 2 * m, mu - shift, nu - shift, theta / 2.0)
+    u.setflags(write=False)
+    return Block(lo, u.reshape(2**m, 2**m))
 
 
 class GaussianUnitary:
@@ -95,8 +181,9 @@ class GaussianUnitary:
         return self.O.shape[0] // 2
 
     @cached_property
-    def program(self) -> ortho.GivensProgram:
-        return ortho.givens_decompose(self.O)
+    def program(self) -> GateProgram:
+        givens = ortho.givens_decompose(self.O)
+        return GateProgram(givens.rotations, givens.reflect_first, _fuse(givens.rotations, self.n))
 
     def adjoint(self) -> "GaussianUnitary":
         return GaussianUnitary(self.O.T, check=False)
@@ -108,13 +195,27 @@ class GaussianUnitary:
     def apply(self, psi: StateVector) -> StateVector:
         if psi.n != self.n:
             raise ValueError(f"state has {psi.n} qubits, unitary expects {self.n}")
-        prog = self.program
+        n, prog = self.n, self.program
         # the one copy; the reflection gamma_1 = X_1 swaps the halves on qubit 1
         source = psi.amps.reshape(2, -1)[::-1] if prog.reflect_first else psi.amps
         amps = source.copy().reshape(-1)
-        for mu, nu, theta in prog.rotations:
-            rotate_plane(amps, self.n, mu, nu, theta / 2.0)
-        return StateVector(self.n, amps)
+        spare = np.empty_like(amps)
+        for op in prog.ops:
+            if not isinstance(op, Block):
+                rotate_plane(amps, n, op[0], op[1], op[2] / 2.0)
+                continue
+            # a window touching either end of the register is one GEMM
+            dim = len(op.u)
+            front = 2 ** (op.lo - 1)
+            if front == 1:
+                np.matmul(op.u, amps.reshape(dim, -1), out=spare.reshape(dim, -1))
+            elif front * dim == amps.size:
+                np.matmul(amps.reshape(-1, dim), op.u.T, out=spare.reshape(-1, dim))
+            else:
+                shape = (front, dim, -1)
+                np.matmul(op.u, amps.reshape(shape), out=spare.reshape(shape))
+            amps, spare = spare, amps
+        return StateVector(n, amps)
 
     def matrix(self) -> np.ndarray:
         """Dense 2^n x 2^n unitary; for oracle checks at small n."""

@@ -12,6 +12,7 @@ i.e. Majorana indices 2k-1, 2k sit in adjacent rows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -240,11 +241,16 @@ def reflection_matrix(dim: int) -> np.ndarray:
 def givens_decompose(o: np.ndarray, tol: float = 1e-10) -> GivensProgram:
     """Factor an orthogonal matrix into at most d(d-1)/2 plane rotations.
 
-    Column by column, each below-diagonal entry a[i, j] is eliminated by a
-    rotation in the plane (j, i) through arctan2(a[i, j], a[j, j]).  An
-    elimination whose angle is exactly 0 (a zero entry over a non-negative
-    pivot, as in most columns of a permutation matrix) is a no-op: it is
-    not recorded, so no returned rotation has theta == 0.
+    Column by column, the below-diagonal entries are eliminated along a
+    chain, bottom up: each nonzero entry a[i, j] (|a[i, j]| >= 1e-15) is
+    rotated into the next nonzero row p above it, in the plane (p, i)
+    through arctan2(a[i, j], a[p, j]), and the topmost into row j.  A dense
+    column (a Haar matrix, a compression rotation) therefore gives only
+    adjacent planes (mu, mu + 1), which act on one or two neighbouring
+    qubits under Jordan-Wigner, while a sparse one (a permutation) gives
+    one rotation per nonzero entry.  A column whose only nonzero entry is
+    -1 on the diagonal is fixed by a rotation through pi in the plane
+    (j, j + 1); no recorded rotation has theta == 0.
     """
     o = np.asarray(o, dtype=float)
     d = o.shape[0]
@@ -253,19 +259,21 @@ def givens_decompose(o: np.ndarray, tol: float = 1e-10) -> GivensProgram:
     reflect = np.linalg.det(o) < 0
     a = (o @ reflection_matrix(d)) if reflect else o.copy()
 
-    eliminations = []  # E_k ... E_1 A = I, each E = plane_rotation(j, i, theta)
+    eliminations = []  # E_k ... E_1 A = I, each E = plane_rotation(p, i, theta)
     for j in range(d - 1):
-        for i in range(j + 1, d):
-            if abs(a[i, j]) < 1e-15 and a[j, j] > 0:
-                continue
-            theta = np.arctan2(a[i, j], a[j, j])
-            if theta == 0.0:
-                continue
-            c, s = np.cos(theta), np.sin(theta)
-            rj, ri = a[j].copy(), a[i].copy()
-            a[j] = c * rj + s * ri
-            a[i] = -s * rj + c * ri
-            eliminations.append((j + 1, i + 1, theta))
+        below = (j + 1 + np.flatnonzero(np.abs(a[j + 1:, j]) >= 1e-15)).tolist()
+        if below:
+            chain = zip([j, *below[:-1]][::-1], below[::-1])  # planes (p, i), bottom up
+        elif a[j, j] < 0:
+            chain = [(j, j + 1)]  # the column is -e_j
+        else:
+            continue
+        for p, i in chain:
+            theta = math.atan2(a[i, j], a[p, j]) if below else math.pi
+            c, s = math.cos(theta), math.sin(theta)
+            pair = a[p:i + 1:i - p, j:]  # rows p and i; both vanish left of column j
+            pair[...] = np.array(((c, s), (-s, c))) @ pair
+            eliminations.append((p + 1, i + 1, theta))
     if opnorm(a - np.eye(d)) > 1e-8:
         raise np.linalg.LinAlgError("Givens elimination did not reach the identity")
     rotations = tuple((mu, nu, -theta) for mu, nu, theta in reversed(eliminations))

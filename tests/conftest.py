@@ -71,6 +71,11 @@ def planted_complement(n: int, symplectic: bool) -> list:
     return list(q.T[1:])
 
 
+def signed_permutation(dim: int, rng) -> np.ndarray:
+    """A random permutation matrix with random row signs (exact zeros elsewhere)."""
+    return np.eye(dim)[rng.permutation(dim)] * rng.choice([-1.0, 1.0], size=dim)[:, None]
+
+
 def text_prefixes(text: str):
     """(prefix, at_line_boundary): every line boundary and each line's midpoint."""
     pos = 0

@@ -2,8 +2,9 @@
 
 import json
 
-from fermidope.cli import EXIT_OK, EXIT_PRECONDITION, EXIT_STATISTICAL, main
-from fermidope.doped import circuit_dumps
+from fermidope import harness
+from fermidope.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_PRECONDITION, EXIT_STATISTICAL, main
+from fermidope.doped import CompressionError, circuit_dumps
 from fermidope.harness import ExperimentConfig, run
 
 
@@ -85,6 +86,17 @@ def test_verify_missing_state_file_is_precondition_error(tmp_path, capsys):
 def test_precondition_exit_code(capsys):
     assert main(["compress", "--n", "3", "--t", "1", "--kappa", "4"]) == EXIT_PRECONDITION
     assert "error:" in capsys.readouterr().err
+
+
+def test_compression_error_is_numerical_exit_code(monkeypatch, capsys):
+    message = "trailing qubits carry weight 1.000e-03 after compression (tol 1e-08)"
+
+    def leaky(circuit):
+        raise CompressionError(message)
+
+    monkeypatch.setattr(harness, "compress_state", leaky)
+    assert main(["compress", "--n", "4", "--t", "1", "--kappa", "3"]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_shots_override_below_one_is_precondition_error(capsys):

@@ -8,6 +8,8 @@ from numpy.testing import assert_allclose
 
 from fermidope import ortho
 from fermidope.gaussian import (
+    FUSE_QUBITS,
+    Block,
     GaussianUnitary,
     apply_pauli_rotation,
     heisenberg_matrix,
@@ -16,9 +18,11 @@ from fermidope.gaussian import (
     rotate_plane,
     rotation_generator,
 )
-from fermidope.metrology import correlation_exact
+from fermidope.metrology import _group_basis_change, commuting_groups, correlation_exact
 from fermidope.pauli import majorana
-from fermidope.states import fidelity, overlap, random_state, zero_state
+from fermidope.states import apply_pauli, fidelity, overlap, random_state, zero_state
+
+from conftest import signed_permutation
 
 
 def test_identity_program_is_empty():
@@ -176,3 +180,74 @@ def test_apply_leaves_input_unchanged_and_read_only(rng):
         assert out is not psi and not np.shares_memory(out.amps, psi.amps)
         assert np.array_equal(psi.amps, before)
         assert not psi.amps.flags.writeable and not out.amps.flags.writeable
+
+
+def _compile_input(kind: str, n: int, rng) -> np.ndarray:
+    d = 2 * n
+    if kind == "haar":
+        return ortho.random_orthogonal(d, rng)
+    if kind == "signed_permutation":
+        return signed_permutation(d, rng)  # exact zeros: long planes as well as adjacent ones
+    # Haar on some coordinates, a signed permutation on the rest, both scrambled
+    half = 2 * int(rng.integers(1, n)) if n > 1 else d
+    mix = np.zeros((d, d))
+    mix[:half, :half] = ortho.random_orthogonal(half, rng)
+    mix[half:, half:] = signed_permutation(d - half, rng)
+    return mix[rng.permutation(d)][:, rng.permutation(d)]
+
+
+def _givens_oracle(g: GaussianUnitary, psi):
+    """The compiled rotations, each as a dense Pauli rotation, X_1 first when reflected."""
+    n = g.n
+    if g.program.reflect_first:
+        psi = apply_pauli(psi, majorana(1, n))
+    for mu, nu, theta in g.program.rotations:
+        psi = apply_pauli_rotation(psi, rotation_generator(mu, nu, n), theta / 2.0)
+    return psi
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    kind=st.sampled_from(["haar", "signed_permutation", "mix"]),
+    negative=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fused_apply_matches_the_rotation_oracle(n, kind, negative, seed):
+    rng = np.random.default_rng(seed)
+    o = _with_det(_compile_input(kind, n, rng), negative)
+    assert ortho.is_orthogonal(o, 1e-12)
+    g = GaussianUnitary(o)
+    psi = random_state(n, rng)
+    assert np.abs(g.apply(psi).amps - _givens_oracle(g, psi).amps).max() <= 1e-12
+    assert ortho.opnorm(heisenberg_matrix(g) - o) <= 1e-9
+
+
+def _fused_unitaries():
+    rng = np.random.default_rng(12)
+    yield GaussianUnitary(ortho.random_orthogonal(24, rng))
+    for pairs in commuting_groups(12):
+        yield _group_basis_change(pairs, 12)
+    for kind in ("signed_permutation", "mix"):
+        for n in (5, 8, 12):
+            yield GaussianUnitary(_compile_input(kind, n, rng))
+
+
+def test_fused_blocks_span_at_most_four_qubits_and_are_unitary():
+    for g in _fused_unitaries():
+        for op in g.program.ops:
+            if isinstance(op, Block):
+                dim = len(op.u)
+                assert dim <= 2**FUSE_QUBITS == 16
+                assert 1 <= op.lo and op.lo - 1 + dim.bit_length() - 1 <= g.n
+                assert ortho.opnorm(op.u.conj().T @ op.u - np.eye(dim)) <= 1e-12
+            else:  # a plane left unfused spans more qubits than a block may
+                mu, nu, _ = op
+                assert (nu + 1) // 2 - (mu + 1) // 2 + 1 > FUSE_QUBITS
+
+
+def test_haar_layer_at_n12_compiles_to_276_adjacent_planes():
+    o = ortho.random_orthogonal(24, np.random.default_rng(3))
+    rotations = GaussianUnitary(o).program.rotations
+    assert len(rotations) == 12 * 23
+    assert all(nu == mu + 1 for mu, nu, _ in rotations)

@@ -11,7 +11,7 @@ from fermidope.metrology import _group_basis_change, commuting_groups, correlati
 from fermidope.pauli import PauliString
 from fermidope.states import expectation
 
-from conftest import planted_complement, tplus_state
+from conftest import planted_complement, signed_permutation, tplus_state
 
 
 def test_omega_layout():
@@ -246,26 +246,23 @@ def test_givens_random_reconstruction(rng):
         assert ortho.opnorm(prog.matrix() - o) <= 1e-10
 
 
-def givens_rotations_with_noops(o: np.ndarray):
-    """The elimination loop as it was before theta == 0 steps were skipped.
+def nearest_neighbour_rotations(o: np.ndarray):
+    """Plain nearest-neighbour elimination: every column bottom up in planes (i - 1, i).
 
-    Returns (rotations, reflect_first) in program order; every no-op
-    rotation is still recorded.  Test oracle only.
+    Returns (rotations, reflect_first) in program order.  Test oracle only.
     """
     d = o.shape[0]
     reflect = np.linalg.det(o) < 0
     a = (o @ ortho.reflection_matrix(d)) if reflect else o.copy()
     eliminations = []
     for j in range(d - 1):
-        for i in range(j + 1, d):
-            if abs(a[i, j]) < 1e-15 and a[j, j] > 0:
-                continue
-            theta = np.arctan2(a[i, j], a[j, j])
+        for i in range(d - 1, j, -1):
+            theta = np.arctan2(a[i, j], a[i - 1, j])
             c, s = np.cos(theta), np.sin(theta)
-            rj, ri = a[j].copy(), a[i].copy()
-            a[j] = c * rj + s * ri
-            a[i] = -s * rj + c * ri
-            eliminations.append((j + 1, i + 1, theta))
+            rp, ri = a[i - 1].copy(), a[i].copy()
+            a[i - 1] = c * rp + s * ri
+            a[i] = -s * rp + c * ri
+            eliminations.append((i, i + 1, theta))
     return tuple((mu, nu, -theta) for mu, nu, theta in reversed(eliminations)), bool(reflect)
 
 
@@ -275,38 +272,36 @@ def group_matrices(n_max: int):
             yield _group_basis_change(pairs, n).O
 
 
-def block_haar(dim: int, rng) -> np.ndarray:
-    """Block-diagonal Haar blocks of even sizes, then rows and columns permuted."""
-    sizes = []
-    while sum(sizes) < dim:
-        sizes.append(int(rng.choice([s for s in (2, 4, 6) if s <= dim - sum(sizes)])))
-    o = np.zeros((dim, dim))
-    start = 0
-    for size in sizes:
-        o[start:start + size, start:start + size] = ortho.random_orthogonal(size, rng)
-        start += size
-    return o[rng.permutation(dim)][:, rng.permutation(dim)]
-
-
-def test_givens_keeps_exactly_the_nonzero_rotations_of_the_full_loop(rng):
-    inputs = list(group_matrices(12))
+def test_givens_chain_is_the_nearest_neighbour_loop_on_dense_inputs(rng):
+    # no exact zeros: every entry is in the chain, so every plane is (i - 1, i)
     for _ in range(40):
         dim = int(rng.choice([2, 4, 8, 12, 16]))
-        inputs.append(ortho.random_orthogonal(dim, rng))
-        inputs.append(np.eye(dim)[rng.permutation(dim)])
-        inputs.append(block_haar(dim, rng))
-    for o in inputs:
-        expected, reflect = givens_rotations_with_noops(o)
+        o = ortho.random_orthogonal(dim, rng)
+        expected, reflect = nearest_neighbour_rotations(o)
         prog = ortho.givens_decompose(o)
-        assert prog.rotations == tuple(r for r in expected if r[2] != 0.0)
+        assert [r[:2] for r in prog.rotations] == [r[:2] for r in expected]
+        # the program rotates row pairs with a 2 x 2 product, the oracle elementwise
+        angles = [r[2] for r in prog.rotations]
+        assert_allclose(angles, [r[2] for r in expected], rtol=0, atol=1e-12)
         assert prog.reflect_first == reflect
 
 
-def test_givens_group_programs_at_n12_hold_478_rotations():
-    # the 23 basis changes of grouped sampling; 1652 when no-op rotations were recorded
+def test_givens_chain_adds_at_most_one_rotation_per_signed_permutation_column(rng):
+    inputs = list(group_matrices(12))
+    inputs += [signed_permutation(int(rng.choice([2, 4, 8, 12, 16])), rng) for _ in range(60)]
+    for o in inputs:
+        prog = ortho.givens_decompose(o)
+        columns = [mu for mu, _, _ in prog.rotations]  # column j is eliminated in planes (j, .)
+        assert len(columns) == len(set(columns))
+        assert ortho.opnorm(prog.matrix() - o) <= 1e-12
+
+
+def test_givens_group_programs_at_n12_hold_471_rotations():
+    # the 23 basis changes of grouped sampling; 1652 when no-op rotations were recorded,
+    # 478 under the fan elimination (pivot row j against every row below it)
     total = sum(len(ortho.givens_decompose(_group_basis_change(pairs, 12).O).rotations)
                 for pairs in commuting_groups(12))
-    assert total == 478
+    assert total == 471
 
 
 @settings(max_examples=200, deadline=None)
