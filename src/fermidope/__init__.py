@@ -21,7 +21,7 @@ from .doped import (
     random_doped_circuit,
     report_gate_counts,
 )
-from .gaussian import GaussianUnitary, identity_gaussian, preserves_vacuum
+from .gaussian import GaussianUnitary, identity_gaussian
 from .harness import ExperimentConfig, ResultDocument, run, sweep
 from .learner import (
     BoostingFailureError,
@@ -35,7 +35,6 @@ from .learner import (
     verify,
 )
 from .metrology import (
-    CorrelationEstimate,
     DimensionTestResult,
     DistanceBounds,
     commuting_groups,
@@ -43,7 +42,6 @@ from .metrology import (
     correlation_sampled,
     distance_bounds,
     gaussian_dimension,
-    hoeffding_shots,
     nearest_compressible,
     test_gaussian_dimension,
 )
@@ -53,7 +51,6 @@ from .ortho import (
     compression_rotation,
     givens_decompose,
     is_symplectic,
-    matrix_from_text,
     matrix_to_text,
     normal_eigenvalues,
     normal_form,
@@ -61,11 +58,9 @@ from .ortho import (
     random_orthogonal,
     random_unitary,
     symplectic_from_unitary,
-    unitary_from_symplectic,
 )
 from .pauli import PauliString, hermitize, majorana, majorana_monomial, pauli_mul
 from .states import (
-    MeasurementRecord,
     StateVector,
     ZeroProbabilityError,
     apply_dense_unitary,
@@ -75,7 +70,6 @@ from .states import (
     born_probability,
     expectation,
     fidelity,
-    measure_computational,
     random_state,
     trace_distance,
     zero_state,

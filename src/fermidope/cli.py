@@ -4,8 +4,9 @@ Subcommands mirror the experiment kinds (prepare, compress, learn, test,
 sweep) plus `verify` for checking a saved learned state against a saved
 circuit.  Relative output paths resolve against $FERMIDOPE_OUT when it is
 set.  Exit codes: 0 success, 2 precondition/configuration error,
-3 statistical acceptance failure, 4 numerical failure (a compression that
-leaves weight outside its core).
+3 statistical acceptance failure, 4 numerical failure or violated promise
+(a compression that leaves weight outside its core, a failed linear-algebra
+check, a post-selection outcome of zero probability).
 """
 
 from __future__ import annotations
@@ -14,9 +15,12 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from .doped import CompressionError, circuit_dumps, circuit_loads, prepare
 from .harness import ConfigError, ExperimentConfig, run, sweep, trials_csv
 from .learner import LearnedState
+from .states import ZeroProbabilityError
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
@@ -185,12 +189,13 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_run(args, args.command)
+    # LinAlgError and ZeroProbabilityError subclass ValueError, so they are caught first
+    except (CompressionError, np.linalg.LinAlgError, ZeroProbabilityError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except CompressionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

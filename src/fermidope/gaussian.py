@@ -38,7 +38,7 @@ import numpy as np
 
 from . import ortho
 from .pauli import PauliString, majorana, pauli_mul
-from .states import StateVector, apply_pauli_rotation, operator_matrix, zero_state  # noqa: F401
+from .states import StateVector, apply_pauli_rotation, operator_matrix  # noqa: F401
 
 FUSE_QUBITS = 4  # widest window of adjacent qubits fused into one dense block
 
@@ -221,25 +221,9 @@ class GaussianUnitary:
         """Dense 2^n x 2^n unitary; for oracle checks at small n."""
         return operator_matrix(self.apply, self.n)
 
-    def program_text(self) -> str:
-        """Readable dump of the compiled gate sequence."""
-        lines = [f"gaussian n={self.n} rotations={len(self.program.rotations)}"]
-        if self.program.reflect_first:
-            lines.append("reflect gamma_1")
-        lines.extend(
-            f"rotate plane=({mu},{nu}) angle={theta!r}" for mu, nu, theta in self.program.rotations
-        )
-        return "\n".join(lines)
-
 
 def identity_gaussian(n: int) -> GaussianUnitary:
     return GaussianUnitary(np.eye(2 * n), check=False)
-
-
-def preserves_vacuum(g: GaussianUnitary, tol: float = 1e-9) -> bool:
-    """True iff |<0^n| G |0^n>| = 1 within tolerance."""
-    amp = g.apply(zero_state(g.n)).amps[0]
-    return bool(abs(abs(amp) - 1.0) <= tol)
 
 
 def heisenberg_matrix(g: GaussianUnitary) -> np.ndarray:

@@ -140,23 +140,15 @@ def pauli_strings(t: int):
         yield letters, PauliString(t, x, z, phase)
 
 
-def tomography_t_qubits(cores, mode: str = "sampled", shots: int | None = None, rng=None) -> StateVector:
-    """Estimate a t-qubit pure state from copies.
+def tomography_t_qubits(
+    core: StateVector, mode: str = "sampled", shots: int | None = None, rng=None
+) -> StateVector:
+    """Estimate a t-qubit pure state from ``shots`` copies of ``core``.
 
-    ``cores`` is a StateVector (with ``shots`` copies available) or a list
-    of identical StateVectors (one copy each).  Sampled mode estimates all
-    4^t Pauli expectations, splitting the copies evenly, assembles
-    rho_hat = 2^-t * sum <P> P, and returns its top eigenvector.
+    Sampled mode estimates all 4^t Pauli expectations, splitting the copies
+    evenly, assembles rho_hat = 2^-t * sum <P> P, and returns its top
+    eigenvector.
     """
-    if isinstance(cores, StateVector):
-        core = cores
-        copies = shots
-    else:
-        cores = list(cores)
-        if not cores:
-            raise ValueError("no cores supplied")
-        core = cores[0]
-        copies = len(cores) if shots is None else shots
     t = core.n
     if mode == "exact" or t == 0:
         return core
@@ -166,10 +158,10 @@ def tomography_t_qubits(cores, mode: str = "sampled", shots: int | None = None, 
         raise ValueError("sampled mode needs an rng")
     if t > TOMOGRAPHY_LIMIT:
         raise ValueError(f"tomography limited to {TOMOGRAPHY_LIMIT} qubits, got {t}")
-    if copies is None or copies < 4**t - 1:
-        raise ValueError(f"need at least {4**t - 1} copies for {t}-qubit tomography, got {copies}")
+    if shots is None or shots < 4**t - 1:
+        raise ValueError(f"need at least {4**t - 1} copies for {t}-qubit tomography, got {shots}")
 
-    shots_per_pauli = copies // (4**t - 1)
+    shots_per_pauli = shots // (4**t - 1)
     dim = 2**t
     rho = np.eye(dim, dtype=complex) / dim
     # pauli_strings yields the identity first; its term is the eye(dim) / dim above
@@ -252,8 +244,7 @@ def learn(state_source, n: int, t: int, budget: LearnBudget, mode: str = "sample
         if mode == "exact":
             c_hat = correlation_exact(psi)
         else:
-            per_group = max(1, math.ceil(budget.N_corr / (2 * n - 1)))
-            c_hat = correlation_sampled(fresh_copy(state_source), per_group, "grouped", rng).C_hat
+            c_hat = correlation_sampled(fresh_copy(state_source), budget.N_corr, rng)
         o_hat = ortho.normal_form(c_hat).O
         g_hat = GaussianUnitary(o_hat, check=False)
         rotated = g_hat.adjoint().apply(fresh_copy(state_source))

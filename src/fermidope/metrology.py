@@ -7,10 +7,9 @@ trace-distance sandwich derived from the normal eigenvalues, the nearest
 exactly-compressible witness state, and the close/far property tester for
 the Gaussian dimension.
 
-Shot-based estimators draw from the exact outcome distributions (binomial
-for a single +-1 observable, multinomial over joint bitstrings for a
-commuting group), which is statistically identical to simulating the shots
-one at a time.
+The shot-based estimator draws each commuting group's joint bitstrings
+from the exact outcome distribution (one multinomial), which is
+statistically identical to simulating the shots one at a time.
 """
 
 from __future__ import annotations
@@ -32,16 +31,6 @@ from .states import (
     trace_distance,
 )
 
-SCHEMES = ("exact", "pauli_per_entry", "grouped")
-
-
-@dataclass(frozen=True)
-class CorrelationEstimate:
-    C_hat: np.ndarray
-    shots_per_entry: int
-    scheme: str
-
-
 def correlation_exact(psi: StateVector) -> np.ndarray:
     """Exact antisymmetric correlation matrix of a pure state."""
     n = psi.n
@@ -55,13 +44,6 @@ def correlation_exact(psi: StateVector) -> np.ndarray:
             c[j, k] = value.real
             c[k, j] = -value.real
     return c
-
-
-def hoeffding_shots(eps: float, delta: float, n_observables: int) -> int:
-    """Per-observable shots so all n_observables means land within eps w.p. 1-delta."""
-    if eps <= 0 or not 0 < delta <= 1:
-        raise ValueError("need eps > 0 and delta in (0, 1]")
-    return math.ceil((2.0 / eps**2) * math.log(2.0 * n_observables / delta))
 
 
 def commuting_groups(n: int):
@@ -93,48 +75,34 @@ def _group_basis_change(pairs, n: int) -> GaussianUnitary:
     return GaussianUnitary(p, check=False)
 
 
-def correlation_sampled(psi: StateVector, shots_per_entry: int, scheme: str, rng) -> CorrelationEstimate:
-    """Estimate the correlation matrix from measurement shots.
+def correlation_sampled(psi: StateVector, copies: int, rng) -> np.ndarray:
+    """Estimate the correlation matrix from about ``copies`` single-copy shots.
 
-    pauli_per_entry: each upper-triangle entry is the mean of
-    ``shots_per_entry`` +-1 draws with success probability (1 + <O>)/2.
-    grouped: one joint computational-basis sample per shot per commuting
-    group, after the compiled Gaussian basis change; ``shots_per_entry``
-    shots are spent on each of the 2n-1 groups.  A group's n pair means are
-    read in one integer pass: the multinomial counts times the 2^n x n
-    outcome-bit table give each pair's number of -1 outcomes k, and the mean
-    is (shots - 2k) / shots, exact because the counts sum to ``shots``.
+    Each of the 2n-1 commuting groups gets ceil(copies / (2n-1)) shots:
+    one joint computational-basis sample per shot after the group's
+    compiled Gaussian basis change.  Rounding up can spend up to 2n-2 copies
+    more than ``copies``.  A group's n pair means are read in one integer
+    pass: the multinomial counts times the 2^n x n outcome-bit table give
+    each pair's number of -1 outcomes k, and the mean is (shots - 2k) /
+    shots, exact because the counts sum to ``shots``.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
-    n = psi.n
-    if scheme == "exact":
-        return CorrelationEstimate(correlation_exact(psi), 0, "exact")
     if rng is None:
         raise ValueError("sampled mode needs an rng")
-    if shots_per_entry < 1:
-        raise ValueError("shots_per_entry must be >= 1")
-
+    if copies < 1:
+        raise ValueError(f"copies must be >= 1, got {copies}")
+    n = psi.n
+    shots = math.ceil(copies / (2 * n - 1))
     c_hat = np.zeros((2 * n, 2 * n))
-    if scheme == "pauli_per_entry":
-        exact = correlation_exact(psi)
-        for j in range(2 * n):
-            for k in range(j + 1, 2 * n):
-                p = np.clip((1.0 + exact[j, k]) / 2.0, 0.0, 1.0)
-                wins = rng.binomial(shots_per_entry, p)
-                c_hat[j, k] = 2.0 * wins / shots_per_entry - 1.0
-    else:
-        # bits[x, i] is qubit i + 1 of outcome x, so counts @ bits counts the -1 outcomes per pair
-        bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
-        for pairs in commuting_groups(n):
-            rotated = _group_basis_change(pairs, n).apply(psi)
-            probs = np.abs(rotated.amps) ** 2
-            probs = probs / probs.sum()
-            counts = rng.multinomial(shots_per_entry, probs)
-            rows, cols = (np.array(pairs) - 1).T
-            c_hat[rows, cols] = (shots_per_entry - 2 * (counts @ bits)) / shots_per_entry
-    c_hat = c_hat - c_hat.T
-    return CorrelationEstimate(c_hat, shots_per_entry, scheme)
+    # bits[x, i] is qubit i + 1 of outcome x, so counts @ bits counts the -1 outcomes per pair
+    bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    for pairs in commuting_groups(n):
+        rotated = _group_basis_change(pairs, n).apply(psi)
+        probs = np.abs(rotated.amps) ** 2
+        probs = probs / probs.sum()
+        counts = rng.multinomial(shots, probs)
+        rows, cols = (np.array(pairs) - 1).T
+        c_hat[rows, cols] = (shots - 2 * (counts @ bits)) / shots
+    return c_hat - c_hat.T
 
 
 def gaussian_dimension(c: np.ndarray, tol: float = 1e-6) -> int:
@@ -233,20 +201,21 @@ def test_gaussian_dimension(
         )
     if shot_override is not None and shot_override < 1:
         raise ValueError(f"shot_override must be >= 1, got {shot_override}")
+    if scheme not in ("exact", "grouped"):
+        raise ValueError(f"unknown scheme {scheme!r}, expected 'exact' or 'grouped'")
     eps_corr = eps_b**2 / (n - t) - eps_a
     eps_test = eps_b**2 / (n - t) + eps_a
 
     if scheme == "exact":
         copies = 0
-        estimate = correlation_sampled(psi, 0, "exact", rng)
+        c_hat = correlation_exact(psi)
     else:
         copies = shot_override if shot_override is not None else math.ceil(
             16.0 * n**3 / eps_corr**2 * math.log(4.0 * n**2 / delta)
         )
-        per_group = max(1, math.ceil(copies / (2 * n - 1)))
-        estimate = correlation_sampled(psi, per_group, scheme, rng)
+        c_hat = correlation_sampled(psi, copies, rng)
 
-    lambdas = ortho.normal_eigenvalues(estimate.C_hat)
+    lambdas = ortho.normal_eigenvalues(c_hat)
     lam = float(lambdas[t])
     verdict = dimension_verdict(lam, eps_test)
     return DimensionTestResult(

@@ -1,8 +1,8 @@
 """Real-matrix toolkit for the Majorana picture.
 
 Covers the antisymmetric normal form C = O (sum_j lambda_j iY) O^T, the
-orthogonal/symplectic predicates, the unitary <-> symplectic-orthogonal
-isomorphism, plane-rotation (Givens) decompositions of O(2n), and the
+orthogonal/symplectic predicates, the embedding of U(n) as symplectic
+orthogonal matrices, plane-rotation (Givens) decompositions of O(2n), and the
 rotation that maps a given set of vectors into the span of the leading
 canonical basis vectors.
 
@@ -136,15 +136,6 @@ def symplectic_from_unitary(u: np.ndarray) -> np.ndarray:
     return np.kron(u.real, np.eye(2)) + np.kron(u.imag, _IY2)
 
 
-def unitary_from_symplectic(o: np.ndarray) -> np.ndarray:
-    """Inverse of symplectic_from_unitary."""
-    o = np.asarray(o, dtype=float)
-    if not is_orthogonal(o) or not is_symplectic(o):
-        raise ValueError("input is not symplectic orthogonal within tolerance")
-    u = o[0::2, 0::2] + 1j * o[0::2, 1::2]
-    return u
-
-
 def real_to_complex(w: np.ndarray) -> np.ndarray:
     """Pair the coordinates of w in R^2n as (w1 - i*w2, w3 - i*w4, ...).
 
@@ -161,7 +152,7 @@ def compression_rotation(vectors, n: int | None = None, symplectic: bool = True)
     With M input vectors in R^(2n), the output satisfies e_i^T O v_j = 0 for
     every j and every i > 2M (symplectic=True, requires M <= n) or i > M
     (symplectic=False, requires M <= 2n).  The symplectic variant preserves
-    the form Omega; it is built through the unitary side of the isomorphism.
+    the form Omega; it is built through the unitary side of the embedding.
 
     The basis is one complete QR of the matrix whose columns are the inputs
     (their complex pairings in C^n for the symplectic variant): its leading M
@@ -324,16 +315,13 @@ class LineReader:
         self._end = len(raw) + 1
         self._pos = 0
 
-    def done(self) -> bool:
-        return self._pos == len(self._lines)
-
     def error(self, expected: str) -> ValueError:
         """The error for the line read last."""
         return ValueError(f"line {self._lines[self._pos - 1][0]}: expected {expected}")
 
     def fields(self, expected: str) -> list:
         """Whitespace-separated fields of the next line."""
-        if self.done():
+        if self._pos == len(self._lines):
             raise ValueError(f"line {self._end}: expected {expected}, got end of document")
         self._pos += 1
         return self._lines[self._pos - 1][1]
@@ -366,12 +354,3 @@ class LineReader:
 
     def matrix(self, rows: int, cols: int) -> np.ndarray:
         return np.array([self.row(cols) for _ in range(rows)]).reshape(rows, cols)
-
-
-def matrix_from_text(text: str) -> np.ndarray:
-    """Inverse of matrix_to_text; every row must be as wide as the first."""
-    lines = LineReader(text)
-    rows = [lines.convert(lines.fields("a matrix row"), float, "a matrix row")]
-    while not lines.done():
-        rows.append(lines.row(len(rows[0])))
-    return np.array(rows)

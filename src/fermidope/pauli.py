@@ -68,18 +68,6 @@ class PauliString:
             raise ValueError(f"unknown Pauli letter {letter!r}") from None
         return cls(n, x << (qubit - 1), z << (qubit - 1), p)
 
-    @classmethod
-    def from_label(cls, label: str) -> "PauliString":
-        """Parse the rendering produced by ``str()``, e.g. ``"+i XZYI"``."""
-        sign, _, letters = label.strip().partition(" ")
-        if sign not in _SIGN_LABEL or not letters:
-            raise ValueError(f"malformed Pauli label {label!r}")
-        n = len(letters)
-        out = cls.identity(n)
-        for k, letter in enumerate(letters, start=1):
-            out = pauli_mul(out, cls.single(n, k, letter))
-        return cls(n, out.x_mask, out.z_mask, out.phase_exp + _SIGN_LABEL.index(sign))
-
     @property
     def phase(self) -> complex:
         return _PHASES[self.phase_exp]
@@ -88,21 +76,6 @@ class PauliString:
     def is_hermitian(self) -> bool:
         # conjugating X^x Z^z on one qubit flips the sign iff both bits are set
         return (self.phase_exp - _popcount(self.x_mask & self.z_mask)) % 2 == 0
-
-    @property
-    def weight(self) -> int:
-        """Number of qubits acted on non-trivially."""
-        return _popcount(self.x_mask | self.z_mask)
-
-    def dagger(self) -> "PauliString":
-        flips = _popcount(self.x_mask & self.z_mask)
-        return PauliString(self.n, self.x_mask, self.z_mask, -self.phase_exp + 2 * flips)
-
-    def commutes_with(self, other: "PauliString") -> bool:
-        if self.n != other.n:
-            raise ValueError("qubit counts differ")
-        anti = _popcount(self.x_mask & other.z_mask) + _popcount(self.z_mask & other.x_mask)
-        return anti % 2 == 0
 
     def __mul__(self, other: "PauliString") -> "PauliString":
         return pauli_mul(self, other)

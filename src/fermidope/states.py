@@ -1,4 +1,4 @@
-"""Dense statevector engine: gates, expectations, measurement, distances.
+"""Dense statevector engine: gates, expectations, Born probabilities, post-selection, distances.
 
 Index convention: a basis index b encodes qubit values as
 b = sum_k x_k 2^(n-k), i.e. qubit 1 is the most significant bit.  All
@@ -41,13 +41,6 @@ class StateVector:
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
-
-
-@dataclass(frozen=True)
-class MeasurementRecord:
-    qubits: tuple
-    outcomes: tuple
-    probability: float
 
 
 def zero_state(n: int) -> StateVector:
@@ -162,43 +155,8 @@ def born_probability(psi: StateVector, qubits, outcomes) -> float:
     return float(probs[pos])
 
 
-def project_outcome(psi: StateVector, qubits, outcomes):
-    """Post-select the listed qubits on the given outcome bits.
-
-    Returns (probability, normalized post-measurement state).  Raises
-    ZeroProbabilityError when the projection annihilates the state.
-    """
-    qubits, outcomes = list(qubits), list(outcomes)
-    t = psi.amps.reshape([2] * psi.n).copy()
-    sel = [slice(None)] * psi.n
-    for q, bit in zip(qubits, outcomes):
-        keep = [slice(None)] * psi.n
-        keep[q - 1] = 1 - int(bit)
-        t[tuple(keep)] = 0.0
-    amps = t.reshape(-1)
-    prob = float(np.linalg.norm(amps) ** 2)
-    if prob < 1e-28:
-        raise ZeroProbabilityError(f"outcome {outcomes} on qubits {qubits} has probability {prob}")
-    return prob, StateVector(psi.n, amps / np.sqrt(prob))
-
-
 class ZeroProbabilityError(ValueError):
     """A requested post-selection outcome has (numerically) zero probability."""
-
-
-def measure_computational(psi: StateVector, qubits, rng):
-    """Sample a joint computational-basis outcome for the listed qubits.
-
-    The k-bit outcome is drawn in one shot from the exact marginal; the
-    returned state is the normalized post-measurement state.
-    """
-    qubits = list(qubits)
-    probs = marginal_probabilities(psi, qubits)
-    drawn = int(rng.choice(len(probs), p=probs / probs.sum()))
-    outcomes = tuple((drawn >> (len(qubits) - 1 - i)) & 1 for i in range(len(qubits)))
-    prob, post = project_outcome(psi, qubits, outcomes)
-    record = MeasurementRecord(tuple(qubits), outcomes, prob)
-    return record, post
 
 
 def postselect_zero_tail(psi: StateVector, core_qubits: int):

@@ -2,10 +2,13 @@
 
 import json
 
+import numpy as np
+
 from fermidope import harness
 from fermidope.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_PRECONDITION, EXIT_STATISTICAL, main
 from fermidope.doped import CompressionError, circuit_dumps
 from fermidope.harness import ExperimentConfig, run
+from fermidope.states import ZeroProbabilityError
 
 
 def test_prepare_writes_document_and_circuit(tmp_path, capsys):
@@ -96,6 +99,28 @@ def test_compression_error_is_numerical_exit_code(monkeypatch, capsys):
 
     monkeypatch.setattr(harness, "compress_state", leaky)
     assert main(["compress", "--n", "4", "--t", "1", "--kappa", "3"]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_linalg_error_is_numerical_exit_code(monkeypatch, capsys):
+    message = "compression rotation left residual outside the span"
+
+    def unstable(circuit):
+        raise np.linalg.LinAlgError(message)
+
+    monkeypatch.setattr(harness, "compress_state", unstable)
+    assert main(["compress", "--n", "4", "--t", "1", "--kappa", "3"]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_zero_probability_error_is_numerical_exit_code(monkeypatch, capsys):
+    message = "all-zero tail outcome has probability 0.0"
+
+    def violated(*args, **kwargs):
+        raise ZeroProbabilityError(message)
+
+    monkeypatch.setattr(harness, "learn", violated)
+    assert main(["learn", "--n", "4", "--t", "1", "--kappa", "3"]) == EXIT_NUMERICAL
     assert capsys.readouterr().err == f"error: {message}\n"
 
 

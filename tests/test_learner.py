@@ -257,12 +257,6 @@ def test_tomography_two_qubit_monte_carlo(rng):
     assert hits >= 47
 
 
-def test_tomography_accepts_core_list(rng):
-    core = random_state(1, rng)
-    est = tomography_t_qubits([core] * (3 * 2000), rng=rng)
-    assert trace_distance(est, core) <= 0.1
-
-
 def test_sampled_learning_contract(rng):
     # n = 4, t = 1 compressed fixtures at eps = 1/4, delta = 1/3 with the
     # Hoeffding-sized budget: per-trial failures should be rare

@@ -1,5 +1,7 @@
 """Correlation estimators, distance sandwich, and the dimension tester."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,13 +9,13 @@ from numpy.testing import assert_allclose
 from fermidope import metrology, ortho
 from fermidope.doped import prepare, random_doped_circuit
 from fermidope.gaussian import GaussianUnitary
+from fermidope.learner import hoeffding_budget
 from fermidope.metrology import (
     commuting_groups,
     correlation_exact,
     correlation_sampled,
     distance_bounds,
     gaussian_dimension,
-    hoeffding_shots,
     nearest_compressible,
 )
 from fermidope.states import StateVector, basis_state, product, zero_state
@@ -40,21 +42,28 @@ def test_correlation_transport_of_gaussian(rng):
 
 
 def test_exact_scheme_identical_to_exact(rng):
+    # the tester's exact scheme reads lambda_{t+1} off the exact correlation matrix
     psi = prepare(random_doped_circuit(3, 1, 3, rng))
-    est = correlation_sampled(psi, 10, "exact", rng)
-    assert_allclose(est.C_hat, correlation_exact(psi))
-    assert est.scheme == "exact"
+    res = metrology.test_gaussian_dimension(psi, 1, 0.0, 0.5, 1 / 3, scheme="exact")
+    assert res.lambda_t1 == ortho.normal_eigenvalues(correlation_exact(psi))[1]
+    assert res.copies == 0
 
 
 def test_unknown_scheme_rejected(rng):
-    with pytest.raises(ValueError):
-        correlation_sampled(zero_state(2), 10, "shadow", rng)
+    with pytest.raises(ValueError, match="^unknown scheme 'shadow'"):
+        metrology.test_gaussian_dimension(zero_state(2), 0, 0.0, 0.4, 1 / 3, rng=rng,
+                                          scheme="shadow")
 
 
 def test_sampled_schemes_need_an_rng():
-    for scheme in ("pauli_per_entry", "grouped"):
-        with pytest.raises(ValueError, match="^sampled mode needs an rng$"):
-            correlation_sampled(zero_state(2), 10, scheme, None)
+    with pytest.raises(ValueError, match="^sampled mode needs an rng$"):
+        correlation_sampled(zero_state(2), 10, None)
+
+
+def test_correlation_sampled_rejects_copies_below_one(rng):
+    for bad in (0, -4):
+        with pytest.raises(ValueError, match="^copies must be >= 1"):
+            correlation_sampled(zero_state(2), bad, rng)
 
 
 def per_pair_grouped_readout(psi, shots, rng):
@@ -81,10 +90,22 @@ def test_grouped_readout_matches_per_pair_loop(n):
     psi = prepare(random_doped_circuit(n, 1, min(n, 3), np.random.default_rng(n)))
     for shots in (1, 7, 1000, 123_457):
         new_rng, old_rng = np.random.default_rng(900 + n), np.random.default_rng(900 + n)
-        est = correlation_sampled(psi, shots, "grouped", new_rng)
+        est = correlation_sampled(psi, shots * (2 * n - 1), new_rng)
         expected = per_pair_grouped_readout(psi, shots, old_rng)
-        assert est.C_hat.tobytes() == expected.tobytes()
+        assert est.tobytes() == expected.tobytes()
         assert new_rng.random() == old_rng.random()  # same draws consumed
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_copy_split_rounds_up_per_group(n):
+    # correlation_sampled alone splits a copy count: max(1, ceil(copies / (2n - 1))) per group
+    psi = prepare(random_doped_circuit(n, 1, min(n, 3), np.random.default_rng(40 + n)))
+    for copies in (1, 2 * n - 2, 2 * n - 1, 2 * n + 1):
+        new_rng, old_rng = np.random.default_rng(950 + n), np.random.default_rng(950 + n)
+        est = correlation_sampled(psi, copies, new_rng)
+        shots = max(1, math.ceil(copies / (2 * n - 1)))
+        assert est.tobytes() == per_pair_grouped_readout(psi, shots, old_rng).tobytes(), copies
+        assert new_rng.random() == old_rng.random()
 
 
 def test_commuting_groups_partition():
@@ -108,16 +129,15 @@ def test_grouped_observables_commute():
         gens = [rotation_generator(a, b, n) for a, b in pairs]
         for i, p in enumerate(gens):
             for q in gens[i + 1 :]:
-                assert p.commutes_with(q)
+                assert p * q == q * p
 
 
 def test_sampled_estimates_concentrate(rng):
-    # 1e5 shots on |0^2>: operator-norm error well inside 0.05, every trial
-    for scheme in ("pauli_per_entry", "grouped"):
-        for _ in range(25):
-            est = correlation_sampled(zero_state(2), 100_000, scheme, rng)
-            err = ortho.opnorm(est.C_hat - ortho.omega(2))
-            assert err <= 0.05, (scheme, err)
+    # 1e5 shots per group on |0^2>: operator-norm error well inside 0.05, every trial
+    for _ in range(25):
+        est = correlation_sampled(zero_state(2), 3 * 100_000, rng)
+        err = ortho.opnorm(est - ortho.omega(2))
+        assert err <= 0.05, err
 
 
 def test_estimator_unbiased(rng):
@@ -125,34 +145,34 @@ def test_estimator_unbiased(rng):
     psi = prepare(random_doped_circuit(2, 1, 3, rng))
     exact = correlation_exact(psi)
     shots, reps = 400, 300
-    for scheme in ("pauli_per_entry", "grouped"):
-        acc = np.zeros_like(exact)
-        for _ in range(reps):
-            acc += correlation_sampled(psi, shots, scheme, rng).C_hat
-        mean = acc / reps
-        sigma = 1.0 / np.sqrt(shots * reps)  # bound on the sd of each averaged entry
-        assert np.max(np.abs(mean - exact)) <= 4 * sigma + 1e-9
+    acc = np.zeros_like(exact)
+    for _ in range(reps):
+        acc += correlation_sampled(psi, 3 * shots, rng)
+    mean = acc / reps
+    sigma = 1.0 / np.sqrt(shots * reps)  # bound on the sd of each averaged entry
+    assert np.max(np.abs(mean - exact)) <= 4 * sigma + 1e-9
 
 
 def test_hoeffding_budget_reaches_entry_accuracy(rng):
-    # N' = ceil((2/eps^2) log(2M/delta)) per entry gives max-entry error < eps
-    # in at least a 1 - delta fraction of trials
-    n, eps, delta = 2, 0.1, 0.1
-    m = n * (2 * n - 1)
-    shots = hoeffding_shots(eps, delta, m)
-    psi = prepare(random_doped_circuit(n, 1, 3, rng))
-    exact = correlation_exact(psi)
-    trials, hits = 200, 0
-    for _ in range(trials):
-        est = correlation_sampled(psi, shots, "pauli_per_entry", rng)
-        hits += np.max(np.abs(est.C_hat - exact)) < eps
-    assert hits >= (1 - delta) * trials
+    # N_corr copies put every entry within eps_c / (2n) except w.p. delta/3 (Hoeffding
+    # and a union bound over the n(2n-1) entries), so the operator-norm error, at most
+    # 2n times the largest entry error, stays below eps_c
+    eps, delta = 0.5, 1 / 3
+    for n in (2, 3):
+        budget = hoeffding_budget(n, 1, eps, delta)
+        psi = prepare(random_doped_circuit(n, 1, 3, rng))
+        exact = correlation_exact(psi)
+        trials, hits = 150, 0
+        for _ in range(trials):
+            est = correlation_sampled(psi, budget.N_corr, rng)
+            hits += np.max(np.abs(est - exact)) < budget.eps_c / (2 * n)
+        assert hits >= (1 - delta / 3) * trials, n
 
 
 def test_entries_stay_in_range(rng):
-    est = correlation_sampled(zero_state(3), 3, "grouped", rng)
-    assert np.max(np.abs(est.C_hat)) <= 1.0 + 1e-12
-    assert_allclose(est.C_hat, -est.C_hat.T)
+    est = correlation_sampled(zero_state(3), 5 * 3, rng)
+    assert np.max(np.abs(est)) <= 1.0 + 1e-12
+    assert_allclose(est, -est.T)
 
 
 def test_gaussian_dimension_fixtures(rng):

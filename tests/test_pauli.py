@@ -180,15 +180,3 @@ def test_to_matrix_equals_kron_of_factors_exactly():
         for x, z, phase in itertools.product(range(2**n), range(2**n), range(4)):
             ps = PauliString(n, x, z, phase)
             assert np.array_equal(ps.to_matrix(), kron_of_factors(ps)), (n, x, z, phase)
-
-
-def test_label_round_trip():
-    for label in ("+ XZYI", "-i YYYY", "+i IZXY", "- IIII"):
-        assert str(PauliString.from_label(label)) == label
-
-
-def test_dagger_matches_dense():
-    rng = np.random.default_rng(9)
-    for _ in range(20):
-        ps = PauliString(2, int(rng.integers(4)), int(rng.integers(4)), int(rng.integers(4)))
-        assert_allclose(ps.dagger().to_matrix(), ps.to_matrix().conj().T, atol=1e-14)

@@ -12,14 +12,11 @@ from fermidope.states import (
     apply_pauli,
     apply_pauli_rotation,
     basis_state,
-    born_probability,
     expectation,
     fidelity,
     marginal_probabilities,
-    measure_computational,
     postselect_zero_tail,
     product,
-    project_outcome,
     random_state,
     trace_distance,
     zero_state,
@@ -65,8 +62,9 @@ def test_rotation_rejects_non_hermitian():
 def test_swap_gate_identity():
     # SWAP = e^{-i pi/4} exp(i pi/4 (XX + YY + ZZ)) maps |01> to |10>
     psi = basis_state(2, 0b01)
-    for label in ("+ XX", "+ YY", "+ ZZ"):
-        psi = apply_pauli_rotation(psi, PauliString.from_label(label), np.pi / 4)
+    # XX, YY = i^2 (XZ)(XZ), ZZ as (x mask, z mask, power of i)
+    for x, z, phase in ((0b11, 0, 0), (0b11, 0b11, 2), (0, 0b11, 0)):
+        psi = apply_pauli_rotation(psi, PauliString(2, x, z, phase), np.pi / 4)
     psi = StateVector(2, np.exp(-1j * np.pi / 4) * psi.amps)
     assert_allclose(psi.amps, basis_state(2, 0b10).amps, atol=1e-12)
 
@@ -133,29 +131,6 @@ def test_expectation_matches_dense_contraction():
     assert expectation(psi, q) == pytest.approx(dense_q, abs=1e-12)
 
 
-def test_measure_all_zero_state():
-    rng = np.random.default_rng(6)
-    record, post = measure_computational(zero_state(3), [1, 2, 3], rng)
-    assert record.outcomes == (0, 0, 0)
-    assert record.probability == pytest.approx(1.0)
-    assert fidelity(post, zero_state(3)) == pytest.approx(1.0)
-
-
-def test_measure_rejects_empty_list():
-    with pytest.raises(ValueError):
-        measure_computational(zero_state(2), [], np.random.default_rng(0))
-
-
-def test_measure_uniform_frequencies():
-    # measuring qubit 1 of |+> is a fair coin: 3 sigma band over 10^4 trials
-    rng = np.random.default_rng(7)
-    plus = StateVector(1, np.array([1, 1]) / np.sqrt(2))
-    trials = 10_000
-    ones = sum(measure_computational(plus, [1], rng)[0].outcomes[0] for _ in range(trials))
-    sigma = np.sqrt(trials * 0.25)
-    assert abs(ones - trials / 2) <= 3 * sigma
-
-
 def test_born_consistency_small_registers():
     # empirical frequencies track exact probabilities within 4 sigma (n <= 4)
     rng = np.random.default_rng(8)
@@ -169,22 +144,21 @@ def test_born_consistency_small_registers():
             assert abs(counts[b] - shots * probs[b]) <= 4 * sigma + 3
 
 
-def test_measurement_record_probability_matches_projector():
-    rng = np.random.default_rng(9)
-    psi = random_state(4, rng)
-    record, _ = measure_computational(psi, [2, 4], rng)
-    direct = born_probability(psi, [2, 4], record.outcomes)
-    assert record.probability == pytest.approx(direct, abs=1e-10)
-
-
 def test_marginal_sums_to_one():
     psi = random_state(4, np.random.default_rng(10))
     assert marginal_probabilities(psi, [1, 3]).sum() == pytest.approx(1.0)
 
 
-def test_project_outcome_zero_probability_raises():
+def test_marginal_rejects_empty_and_duplicate_qubits():
+    with pytest.raises(ValueError, match="^qubit list is empty$"):
+        marginal_probabilities(zero_state(2), [])
+    with pytest.raises(ValueError, match="^duplicate qubit indices"):
+        marginal_probabilities(zero_state(2), [1, 1])
+
+
+def test_postselect_zero_tail_zero_probability_raises():
     with pytest.raises(ZeroProbabilityError):
-        project_outcome(zero_state(2), [1], [1])
+        postselect_zero_tail(basis_state(2, 0b01), 1)
 
 
 def test_postselect_zero_tail_round_trip():
