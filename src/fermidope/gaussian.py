@@ -23,7 +23,12 @@ adjacent planes (mu, mu + 1), i.e. gates on one or two neighbouring qubits
 rotations, moving those on disjoint qubits past each other, into dense
 2^m x 2^m blocks on windows of m <= FUSE_QUBITS adjacent qubits, and
 ``apply`` runs each block as one matrix product over the amplitudes.  A
-plane wider than the window stays a single ``rotate_plane`` pass.
+plane wider than the window stays a single ``rotate_plane`` pass.  The
+window assignment depends only on the plane sequence, which repeats (every
+dense O at one n has the same staircase), so it is planned once per
+sequence and cached; the blocks of one size are then built together.
+G and G^dag come in pairs (rotate by G^dag, reassemble with G), and the
+second of the two derives its program from the first's.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -41,6 +46,7 @@ from .pauli import PauliString, majorana, pauli_mul
 from .states import StateVector, apply_pauli_rotation, operator_matrix  # noqa: F401
 
 FUSE_QUBITS = 4  # widest window of adjacent qubits fused into one dense block
+FUSION_PLANS = 64  # plane sequences whose fusion plan stays cached
 
 
 def rotation_generator(mu: int, nu: int, n: int) -> PauliString:
@@ -119,8 +125,38 @@ class GateProgram:
     ops: tuple
 
 
-def _fuse(rotations: tuple, n: int) -> tuple:
-    """Group rotations into dense blocks on windows of <= FUSE_QUBITS adjacent qubits.
+@cache
+def _window_generators(m: int) -> tuple:
+    """Every plane (mu, nu) of an m-qubit register as a signed permutation.
+
+    Returns (ids, src, coef): ids maps the plane to its row of the stacked
+    (src, coef) of ``rotation_generator(mu, nu, m).action()``.
+    """
+    planes = [(mu, nu) for mu in range(1, 2 * m + 1) for nu in range(mu + 1, 2 * m + 1)]
+    actions = [rotation_generator(mu, nu, m).action() for mu, nu in planes]
+    src, coef = (np.array([action[i] for action in actions]) for i in (0, 1))
+    src.setflags(write=False)
+    coef.setflags(write=False)
+    return {plane: i for i, plane in enumerate(planes)}, src, coef
+
+
+class _FusionPlan(NamedTuple):
+    """How ``_fuse`` groups one plane sequence; angles are not part of it.
+
+    ``order`` lists the ops: (m, lo, row) for the block of size m on qubits
+    lo .. lo + m - 1, built in row ``row`` of its size's stack, or (0, k, 0)
+    for the unfused rotation k.  ``sizes`` holds per block size m the rows'
+    rotation indices and window-relative generator ids, step by step, rows
+    ordered longest window first; ``active[s]`` rows have a step s.
+    """
+
+    order: tuple
+    sizes: tuple  # (m, rotation indices (B, S), generator ids (B, S), active (S,)) per size
+
+
+@lru_cache(maxsize=FUSION_PLANS)
+def _fusion_plan(planes: tuple, n: int) -> _FusionPlan:
+    """Group planes into windows of <= FUSE_QUBITS adjacent qubits.
 
     The plane (mu, nu) acts on the qubits ceil(mu/2) .. ceil(nu/2), Z-string
     included.  Each rotation joins the last window that shares a qubit with
@@ -128,43 +164,112 @@ def _fuse(rotations: tuple, n: int) -> tuple:
     after that one, so only rotations on disjoint qubits move past each
     other.  Otherwise it opens a new window at the end.
     """
-    windows = []  # [lo, hi, rotations]
+    windows = []  # [lo, hi, rotation indices]
     last = [-1] * (n + 1)  # per qubit, the index of the last window covering it
-    for rot in rotations:
-        lo, hi = (rot[0] + 1) // 2, (rot[1] + 1) // 2
+    for index, (mu, nu) in enumerate(planes):
+        lo, hi = (mu + 1) // 2, (nu + 1) // 2
         k = max(last[lo:hi + 1])
         if k >= 0 and max(hi, windows[k][1]) - min(lo, windows[k][0]) < FUSE_QUBITS:
             window = windows[k]
             window[0], window[1] = min(lo, window[0]), max(hi, window[1])
-            window[2].append(rot)
+            window[2].append(index)
         else:
             k = len(windows)
-            windows.append([lo, hi, [rot]])
+            windows.append([lo, hi, [index]])
         last[lo:hi + 1] = [k] * (hi - lo + 1)
+
+    by_size = {}  # m -> the windows of that size, in op order
+    for w, (lo, hi, _) in enumerate(windows):
+        if hi - lo < FUSE_QUBITS:
+            by_size.setdefault(hi - lo + 1, []).append(w)
+    rows, sizes = {}, []
+    for m, members in sorted(by_size.items()):
+        ids = _window_generators(m)[0]
+        members.sort(key=lambda w: -len(windows[w][2]))
+        table = np.zeros((2, len(members), len(windows[members[0]][2])), dtype=np.intp)
+        for row, w in enumerate(members):
+            lo, _, indices = windows[w]
+            shift = 2 * (lo - 1)
+            gens = [ids[planes[i][0] - shift, planes[i][1] - shift] for i in indices]
+            table[:, row, :len(indices)] = indices, gens
+            rows[w] = row
+        lengths = np.array([len(windows[w][2]) for w in members])
+        active = tuple((lengths[:, None] > np.arange(table.shape[2])).sum(axis=0).tolist())
+        table.setflags(write=False)
+        sizes.append((m, table[0], table[1], active))
+    order = tuple(
+        (hi - lo + 1, lo, rows[w]) if w in rows else (0, indices[0], 0)
+        for w, (lo, hi, indices) in enumerate(windows)
+    )
+    return _FusionPlan(order, tuple(sizes))
+
+
+def _fuse(rotations: tuple, n: int) -> tuple:
+    """The ops of a program: dense blocks on windows of adjacent qubits, and wide planes.
+
+    All blocks of one size m are built together from the identity, one
+    vectorised step per rotation of the longest window: u <- cos(phi) u +
+    i sin(phi) P u over the blocks that still have a rotation, with P u the
+    signed row permutation of the window-relative generator.
+    """
+    plan = _fusion_plan(tuple((mu, nu) for mu, nu, _ in rotations), n)
+    phis = np.array([theta / 2.0 for *_, theta in rotations])
+    blocks = {}
+    for m, indices, gens, active in plan.sizes:
+        _, src, coef = _window_generators(m)
+        cos, isin = np.cos(phis[indices]), 1j * np.sin(phis[indices])
+        u = np.tile(np.eye(2**m, dtype=complex), (len(indices), 1, 1))
+        rows = np.arange(len(indices))[:, None]
+        for step, count in enumerate(active):
+            v, g = u[:count], gens[:count, step]
+            flipped = v[rows[:count], src[g]]  # (P u)[r] = coef[r] u[src[r]], per block
+            flipped *= (isin[:count, step, None] * coef[g])[..., None]
+            v *= cos[:count, step, None, None]
+            v += flipped
+        u.setflags(write=False)
+        blocks[m] = u
     return tuple(
-        _block(lo, hi - lo + 1, rots) if hi - lo < FUSE_QUBITS else rots[0]
-        for lo, hi, rots in windows
+        Block(lo, blocks[m][row]) if m else rotations[lo] for m, lo, row in plan.order
     )
 
 
-def _block(lo: int, m: int, rotations: list) -> Block:
-    """The product of the rotations on qubits lo .. lo + m - 1, as a dense 2^m x 2^m matrix.
+def _adjoint_program(prog: GateProgram) -> GateProgram:
+    """The program of G^dag from the program of G.
 
-    The identity, flattened, is a 2m-qubit register whose leading m qubits
-    index the rows, so ``rotate_plane`` on those qubits left-multiplies it.
+    G = ops X_1^r, so G^dag = X_1^r ops^dag: the ops reversed, each block
+    u -> u^dag and each angle negated.  With the reflection, G^dag =
+    (X_1 ops^dag X_1) X_1, and conjugating by X_1 = gamma_1 negates the
+    angle of a plane with mu = 1 once more and flips the leading qubit of
+    a block on qubit 1.
     """
-    u = np.eye(2**m, dtype=complex).reshape(-1)
-    shift = 2 * (lo - 1)
-    for mu, nu, theta in rotations:
-        rotate_plane(u, 2 * m, mu - shift, nu - shift, theta / 2.0)
-    u.setflags(write=False)
-    return Block(lo, u.reshape(2**m, 2**m))
+    flip = prog.reflect_first
+
+    def inverse(mu, nu, theta):
+        return mu, nu, theta if flip and mu == 1 else -theta
+
+    ops = []
+    for op in reversed(prog.ops):
+        if not isinstance(op, Block):
+            ops.append(inverse(*op))
+            continue
+        u = op.u.conj().T
+        if flip and op.lo == 1:
+            half = np.arange(len(u)) ^ (len(u) // 2)
+            u = u[half][:, half]
+        u = np.ascontiguousarray(u)
+        u.setflags(write=False)
+        ops.append(Block(op.lo, u))
+    rotations = tuple(inverse(*rot) for rot in reversed(prog.rotations))
+    return GateProgram(rotations, flip, tuple(ops))
 
 
 class GaussianUnitary:
     """A Gaussian unitary, built from its orthogonal matrix.
 
     The gate program is compiled lazily and cached; instances are immutable.
+    An ``adjoint()`` shares a cell [program of G, program of G^dag] with its
+    source, so whichever of the two compiles second derives its program
+    from the other's instead of compiling again.
     """
 
     def __init__(self, o: np.ndarray, check: bool = True):
@@ -175,6 +280,7 @@ class GaussianUnitary:
             raise ValueError("matrix is not orthogonal within tolerance")
         o.setflags(write=False)
         self.O = o
+        self._programs, self._side = [None, None], 0
 
     @property
     def n(self) -> int:
@@ -182,11 +288,20 @@ class GaussianUnitary:
 
     @cached_property
     def program(self) -> GateProgram:
-        givens = ortho.givens_decompose(self.O)
-        return GateProgram(givens.rotations, givens.reflect_first, _fuse(givens.rotations, self.n))
+        programs, side = self._programs, self._side
+        if programs[side] is None:
+            if programs[1 - side] is not None:
+                programs[side] = _adjoint_program(programs[1 - side])
+            else:
+                givens = ortho.givens_decompose(self.O)
+                ops = _fuse(givens.rotations, self.n)
+                programs[side] = GateProgram(givens.rotations, givens.reflect_first, ops)
+        return programs[side]
 
     def adjoint(self) -> "GaussianUnitary":
-        return GaussianUnitary(self.O.T, check=False)
+        out = GaussianUnitary(self.O.T, check=False)
+        out._programs, out._side = self._programs, 1 - self._side
+        return out
 
     def __matmul__(self, other: "GaussianUnitary") -> "GaussianUnitary":
         """Composition: (self @ other) applies ``other`` first."""

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -167,7 +168,7 @@ def tomography_t_qubits(
     # pauli_strings yields the identity first; its term is the eye(dim) / dim above
     for _, p in itertools.islice(pauli_strings(t), 1, None):
         m = p.to_matrix()
-        prob = np.clip((1.0 + np.vdot(core.amps, m @ core.amps).real) / 2.0, 0.0, 1.0)
+        prob = min(max((1.0 + np.vdot(core.amps, m @ core.amps).real) / 2.0, 0.0), 1.0)
         wins = rng.binomial(shots_per_pauli, prob)
         est = 2.0 * wins / shots_per_pauli - 1.0
         rho += est * m / dim
@@ -187,11 +188,13 @@ class LearnedState:
     def n(self) -> int:
         return self.O_hat.shape[0] // 2
 
+    @cached_property
     def gaussian(self) -> GaussianUnitary:
+        """G_hat, built once: ``verify``'s reassembly and its adjoint share one compile."""
         return GaussianUnitary(self.O_hat, check=False)
 
     def reassemble(self) -> StateVector:
-        return self.gaussian().apply(embed_with_zero_tail(self.phi_hat, self.n))
+        return self.gaussian.apply(embed_with_zero_tail(self.phi_hat, self.n))
 
     def dumps(self) -> str:
         lines = ["learned-state v1", f"n {self.n}", f"t {self.t}", "O"]
@@ -288,7 +291,7 @@ def verify(learned, psi_true: StateVector) -> LearnReport:
         learned = LearnedState.loads(learned)
     psi_hat = learned.reassemble()
     d_total = trace_distance(psi_hat, psi_true)
-    g_hat = learned.gaussian()
+    g_hat = learned.gaussian
     rotated = g_hat.adjoint().apply(psi_true)
     rate, core = postselect_zero_tail(rotated, learned.t)
     term_tom = trace_distance(learned.phi_hat, core)

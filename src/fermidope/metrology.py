@@ -32,18 +32,24 @@ from .states import (
 )
 
 def correlation_exact(psi: StateVector) -> np.ndarray:
-    """Exact antisymmetric correlation matrix of a pure state."""
+    """Exact antisymmetric correlation matrix of a pure state.
+
+    With gamma_mu psi = a_mu + i b_mu (rows of a and b), the entry
+    C[j, k] = -i <gamma_j psi, gamma_k psi> is (a b^T - b a^T)[j, k]; its
+    imaginary part, -(a a^T + b b^T)[j, k], must vanish for j != k.
+    """
     n = psi.n
-    rotated = [apply_pauli(psi, majorana(mu, n)).amps for mu in range(1, 2 * n + 1)]
-    c = np.zeros((2 * n, 2 * n))
-    for j in range(2 * n):
-        for k in range(j + 1, 2 * n):
-            value = -1j * np.vdot(rotated[j], rotated[k])
-            if abs(value.imag) > 1e-10:
-                raise AssertionError(f"correlation entry not real: {value}")
-            c[j, k] = value.real
-            c[k, j] = -value.real
-    return c
+    re, im = np.empty((2, 2 * n, 2**n))
+    for mu in range(2 * n):
+        amps = apply_pauli(psi, majorana(mu + 1, n)).amps
+        re[mu], im[mu] = amps.real, amps.imag
+    cross = re @ im.T
+    imag = -np.triu(re @ re.T + im @ im.T, 1)  # imaginary parts of the entries j < k
+    if np.abs(imag).max(initial=0.0) > 1e-10:
+        j, k = np.unravel_index(np.argmax(np.abs(imag)), imag.shape)
+        value = complex(cross[j, k] - cross[k, j], imag[j, k])
+        raise AssertionError(f"correlation entry not real: {value}")
+    return cross - cross.T
 
 
 def commuting_groups(n: int):

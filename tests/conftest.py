@@ -99,3 +99,11 @@ def doped_sweep_cells():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240815)
+
+
+@pytest.fixture
+def givens_calls(monkeypatch) -> list:
+    """The input of every ortho.givens_decompose call made during the test."""
+    calls, original = [], ortho.givens_decompose
+    monkeypatch.setattr(ortho, "givens_decompose", lambda o, *args: calls.append(o) or original(o, *args))
+    return calls

@@ -248,3 +248,76 @@ def test_haar_layer_at_n12_compiles_to_276_adjacent_planes():
     rotations = GaussianUnitary(o).program.rotations
     assert len(rotations) == 12 * 23
     assert all(nu == mu + 1 for mu, nu, _ in rotations)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    kind=st.sampled_from(["haar", "signed_permutation", "mix"]),
+    negative=st.booleans(),
+    source_first=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_derived_adjoint_applies_like_a_fresh_compile(n, kind, negative, source_first, seed):
+    # the second of G, G^dag to compile derives its program from the first's
+    rng = np.random.default_rng(seed)
+    o = _with_det(_compile_input(kind, n, rng), negative)
+    g = GaussianUnitary(o)
+    g_dag = g.adjoint()
+    compiled, derived = (g, g_dag) if source_first else (g_dag, g)
+    compiled.program  # noqa: B018 - compile the first of the pair
+    fresh = GaussianUnitary(derived.O)
+    prog = derived.program
+    assert prog.reflect_first == (np.linalg.det(o) < 0)
+    assert len(prog.rotations) == len(compiled.program.rotations)
+    givens = ortho.GivensProgram(2 * n, prog.rotations, prog.reflect_first)
+    assert ortho.opnorm(givens.matrix() - derived.O) <= 1e-12
+    psi = random_state(n, rng)
+    assert 1.0 - fidelity(derived.apply(psi), fresh.apply(psi)) <= 1e-12
+    assert 1.0 - fidelity(g_dag.apply(g.apply(psi)), psi) <= 1e-12
+    # an adjoint of the adjoint shares the same cell and compiles nothing
+    assert g_dag.adjoint().program is g.program
+
+
+def _sequential_blocks(rotations: tuple, n: int) -> list:
+    """Oracle for the fused ops: each window's product, one rotate_plane at a time on its identity.
+
+    Windows follow the same rule as compilation: a rotation joins the last
+    window sharing a qubit with it if the joint window spans <= FUSE_QUBITS
+    qubits, else opens a new one.
+    """
+    windows = []  # [lo, hi, rotations]
+    for rot in rotations:
+        lo, hi = (rot[0] + 1) // 2, (rot[1] + 1) // 2
+        sharing = [w for w in windows if w[0] <= hi and lo <= w[1]]
+        w = sharing[-1] if sharing else None
+        if w is not None and max(hi, w[1]) - min(lo, w[0]) < FUSE_QUBITS:
+            w[0], w[1] = min(lo, w[0]), max(hi, w[1])
+            w[2].append(rot)
+        else:
+            windows.append([lo, hi, [rot]])
+    ops = []
+    for lo, hi, rots in windows:
+        m = hi - lo + 1
+        if m > FUSE_QUBITS:
+            ops.append(rots[0])
+            continue
+        # the flattened identity is a 2m-qubit register whose leading m qubits index the rows
+        u = np.eye(2**m, dtype=complex).reshape(-1)
+        for mu, nu, theta in rots:
+            rotate_plane(u, 2 * m, mu - 2 * (lo - 1), nu - 2 * (lo - 1), theta / 2.0)
+        ops.append(Block(lo, u.reshape(2**m, 2**m)))
+    return ops
+
+
+def test_batched_blocks_equal_the_sequential_oracle():
+    for g in _fused_unitaries():
+        ops = g.program.ops
+        oracle = _sequential_blocks(g.program.rotations, g.n)
+        assert len(ops) == len(oracle)
+        for op, expected in zip(ops, oracle):
+            if isinstance(expected, Block):
+                assert isinstance(op, Block) and op.lo == expected.lo
+                assert np.abs(op.u - expected.u).max() <= 1e-14
+            else:
+                assert op == expected

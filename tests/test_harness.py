@@ -60,6 +60,14 @@ def test_run_compress_document():
     assert doc.summary["acceptance_ok"]
 
 
+def test_compress_trial_decomposes_four_gaussians(givens_calls):
+    # 3 layers, plus G^dag of the compression: compress_state's adjoint, the trial's
+    # adjoint and reassemble's G share that one decomposition
+    doc = run(ExperimentConfig(kind="compress", n=12, t=2, kappa=4, seed=11))
+    assert doc.summary["acceptance_ok"]
+    assert len(givens_calls) == 4
+
+
 def test_run_learn_exact_document():
     doc = run(ExperimentConfig(kind="learn", n=6, t=1, kappa=4, seed=7, mode="exact", trials=2))
     assert all(r["trace_distance"] <= 1e-6 for r in doc.records)

@@ -111,6 +111,15 @@ def test_exact_learning_on_gaussian_state(rng):
     assert verify(learned, psi).trace_distance <= 1e-7
 
 
+def test_verify_decomposes_the_learned_gaussian_once(rng, givens_calls):
+    # reassemble's G_hat and the adjoint that rotates the true state share one compile
+    psi = prepare(random_doped_circuit(6, 1, 3, rng))
+    learned = learn(psi, 6, 3, plan_budget(6, 3, 0.25, 1 / 3), mode="exact")
+    givens_calls.clear()
+    assert verify(learned, psi).trace_distance <= 1e-6
+    assert len(givens_calls) == 1 and np.array_equal(givens_calls[0], learned.O_hat)
+
+
 def test_exact_learning_sweep():
     for n, kappa, t in doped_sweep_cells():
         psi = prepare(random_doped_circuit(n, t, kappa, np.random.default_rng(7 * n + t)))

@@ -18,7 +18,15 @@ from fermidope.metrology import (
     gaussian_dimension,
     nearest_compressible,
 )
-from fermidope.states import StateVector, basis_state, product, zero_state
+from fermidope.pauli import PauliString, majorana
+from fermidope.states import (
+    StateVector,
+    apply_pauli,
+    basis_state,
+    product,
+    random_state,
+    zero_state,
+)
 
 from conftest import compressible_fixture, tplus_state
 
@@ -26,6 +34,40 @@ from conftest import compressible_fixture, tplus_state
 def test_correlation_of_vacuum_is_omega():
     for n in (1, 2, 3):
         assert_allclose(correlation_exact(zero_state(n)), ortho.omega(n), atol=1e-12)
+
+
+def _correlation_loop(psi):
+    """Oracle: C[j, k] = -i <gamma_j psi, gamma_k psi>, one vdot per pair j < k."""
+    n = psi.n
+    rotated = [apply_pauli(psi, majorana(mu, n)).amps for mu in range(1, 2 * n + 1)]
+    c = np.zeros((2 * n, 2 * n))
+    for j in range(2 * n):
+        for k in range(j + 1, 2 * n):
+            value = -1j * np.vdot(rotated[j], rotated[k])
+            assert abs(value.imag) <= 1e-10
+            c[j, k], c[k, j] = value.real, -value.real
+    return c
+
+
+def test_correlation_gram_product_matches_the_pair_loop(rng):
+    for n in (1, 2, 5, 8, 10):
+        for psi in (random_state(n, rng), prepare(random_doped_circuit(n, 1, min(4, 2 * n), rng))):
+            c = correlation_exact(psi)
+            assert np.abs(c - _correlation_loop(psi)).max() <= 1e-15
+            assert np.array_equal(c, -c.T)
+    assert correlation_exact(StateVector(0, np.ones(1))).shape == (0, 0)
+
+
+def test_correlation_with_a_corrupted_majorana_is_not_real(monkeypatch):
+    # gamma_3 times i makes every entry in its row and column imaginary
+    def corrupted(mu, n):
+        p = majorana(mu, n)
+        return PauliString(n, p.x_mask, p.z_mask, p.phase_exp + (mu == 3))
+
+    monkeypatch.setattr(metrology, "majorana", corrupted)
+    psi = random_state(3, np.random.default_rng(4))
+    with pytest.raises(AssertionError, match="correlation entry not real"):
+        correlation_exact(psi)
 
 
 def test_correlation_of_basis_state_flips_blocks():
