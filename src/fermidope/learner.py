@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -127,10 +127,18 @@ def hoeffding_budget(n: int, t: int, eps: float, delta: float, c_tom: float = 1.
     return replace(base, N_corr=n_corr, source="hoeffding")
 
 
-def pauli_strings(t: int):
-    """All 4^t Pauli strings on t qubits, identity first."""
+@cache
+def pauli_strings(t: int) -> tuple:
+    """All 4^t Pauli strings on t qubits as (letters, string) pairs, identity first.
+
+    Built once per t and shared by every call, so each string computes its
+    action once; t is limited to TOMOGRAPHY_LIMIT, which bounds the cache.
+    """
+    if not 0 <= t <= TOMOGRAPHY_LIMIT:
+        raise ValueError(f"tomography limited to {TOMOGRAPHY_LIMIT} qubits, got {t}")
     if t == 0:
-        return
+        return ()
+    strings = []
     for letters in itertools.product("IXYZ", repeat=t):
         x = z = phase = 0
         for k, letter in enumerate(letters):
@@ -138,7 +146,8 @@ def pauli_strings(t: int):
             x |= bx << k
             z |= bz << k
             phase += bp
-        yield letters, PauliString(t, x, z, phase)
+        strings.append((letters, PauliString(t, x, z, phase)))
+    return tuple(strings)
 
 
 def tomography_t_qubits(
@@ -157,21 +166,22 @@ def tomography_t_qubits(
         raise ValueError(f"unknown mode {mode!r}")
     if rng is None:
         raise ValueError("sampled mode needs an rng")
-    if t > TOMOGRAPHY_LIMIT:
-        raise ValueError(f"tomography limited to {TOMOGRAPHY_LIMIT} qubits, got {t}")
+    strings = pauli_strings(t)
     if shots is None or shots < 4**t - 1:
         raise ValueError(f"need at least {4**t - 1} copies for {t}-qubit tomography, got {shots}")
 
     shots_per_pauli = shots // (4**t - 1)
     dim = 2**t
     rho = np.eye(dim, dtype=complex) / dim
-    # pauli_strings yields the identity first; its term is the eye(dim) / dim above
-    for _, p in itertools.islice(pauli_strings(t), 1, None):
+    # the identity comes first; its term is the eye(dim) / dim above
+    for _, p in strings[1:]:
         m = p.to_matrix()
         prob = min(max((1.0 + np.vdot(core.amps, m @ core.amps).real) / 2.0, 0.0), 1.0)
         wins = rng.binomial(shots_per_pauli, prob)
         est = 2.0 * wins / shots_per_pauli - 1.0
-        rho += est * m / dim
+        # exact: m holds only 0, +-1 and +-i, and dim is a power of two
+        m *= est / dim
+        rho += m
     _, vecs = np.linalg.eigh(rho)
     return StateVector(t, vecs[:, -1])
 

@@ -327,10 +327,14 @@ class LineReader:
         return self._lines[self._pos - 1][1]
 
     def convert(self, tokens, cast, expected: str) -> list:
+        """``cast`` of each token; NaN and infinities are rejected like any other non-number."""
         try:
-            return [cast(x) for x in tokens]
+            values = [cast(x) for x in tokens]
         except ValueError:
             raise self.error(expected) from None
+        if not all(map(math.isfinite, values)):
+            raise self.error(expected)
+        return values
 
     def keyword(self, line: str) -> None:
         if self.fields(repr(line)) != line.split():
@@ -345,7 +349,7 @@ class LineReader:
         return int(f[-1])
 
     def row(self, width: int) -> list:
-        """A line of exactly ``width`` floats."""
+        """A line of exactly ``width`` finite floats."""
         expected = f"a matrix row of {width} numbers"
         f = self.fields(expected)
         if len(f) != width:

@@ -18,6 +18,7 @@ computational basis index (see `fermidope.states`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -32,6 +33,14 @@ _SIGN_LABEL = ("+", "+i", "-", "-i")
 
 def _popcount(v: int) -> int:
     return bin(v).count("1")
+
+
+@cache
+def _basis(n: int) -> np.ndarray:
+    """The basis indices arange(2^n), read-only and shared by every string on n qubits."""
+    b = np.arange(2**n)
+    b.setflags(write=False)
+    return b
 
 
 @dataclass(frozen=True)
@@ -85,21 +94,28 @@ class PauliString:
 
         With x and z the masks in basis-index bit order (qubit k is index bit
         n - k), P|b> = phase * (-1)^|b & z| |b ^ x>, so src = b ^ x and
-        coef = phase * (-1)^|src & z|.
+        coef = phase * (-1)^|src & z|.  Computed once per string; both arrays
+        are read-only.
         """
+        return self._action
+
+    @cached_property
+    def _action(self) -> tuple[np.ndarray, np.ndarray]:
         x, z = (int(f"{mask:0{self.n}b}"[::-1], 2) for mask in (self.x_mask, self.z_mask))
-        src = np.arange(2**self.n) ^ x
+        src = _basis(self.n) ^ x
         # bitwise_count is uint8, so the sign is formed in float (1 - 2*u8 would wrap)
         coef = self.phase * (1.0 - 2.0 * (np.bitwise_count(src & z) & 1))
+        src.setflags(write=False)
+        coef.setflags(write=False)
         return src, coef
 
     def to_matrix(self) -> np.ndarray:
-        """Dense 2^n x 2^n matrix: one entry coef[b] per row b, in column src[b]."""
+        """Dense 2^n x 2^n matrix, new on each call: coef[b] in row b, column src[b]."""
         if self.n > 12:
             raise ValueError("dense matrix limited to n <= 12")
         src, coef = self.action()
         out = np.zeros((src.size, src.size), dtype=complex)
-        out[np.arange(src.size), src] = coef
+        out[_basis(self.n), src] = coef
         return out
 
     def __str__(self):

@@ -32,7 +32,8 @@ class StateVector:
         if amps.shape != (2**self.n,):
             raise ValueError(f"expected {2**self.n} amplitudes, got shape {amps.shape}")
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > _NORM_TOL:
+        # written as "not <=" so that the NaN or infinite norm of a non-finite amplitude fails too
+        if not abs(norm - 1.0) <= _NORM_TOL:
             raise ValueError(f"state not normalized: |amps| = {norm}")
         amps = amps / norm
         amps.setflags(write=False)

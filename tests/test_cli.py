@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, and artifact round trips."""
 
 import json
+import warnings
 
 import numpy as np
 
@@ -84,6 +85,45 @@ def test_verify_missing_state_file_is_precondition_error(tmp_path, capsys):
     assert main(["verify", "--learned", str(missing), "--circuit", str(circuit)]) == EXIT_PRECONDITION
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "missing.txt" in err and "Traceback" not in err
+
+
+def test_verify_non_finite_input_is_precondition_error(tmp_path, capfd):
+    circuit, state = tmp_path / "circuit.txt", tmp_path / "learned.txt"
+    assert main(["prepare", "--n", "4", "--t", "1", "--kappa", "3", "--seed", "5",
+                 "--out", str(tmp_path / "p.json"), "--save-circuit", str(circuit)]) == EXIT_OK
+    assert main(["learn", "--n", "4", "--t", "1", "--kappa", "3", "--seed", "5", "--mode", "exact",
+                 "--out", str(tmp_path / "l.json"), "--save-state", str(state)]) == EXIT_OK
+    capfd.readouterr()
+
+    def corrupt(path, after, token, value):
+        """A copy of ``path``: field ``token`` of the line after ``after...`` is ``value``."""
+        lines = path.read_text().splitlines()
+        k = next(i for i, ln in enumerate(lines) if ln.startswith(after)) + 1
+        fields = lines[k].split()
+        fields[token] = value
+        lines[k] = " ".join(fields)
+        bad = tmp_path / f"bad-{len(list(tmp_path.iterdir()))}.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        return str(bad), k + 1
+
+    rows_of = "a matrix row of {} numbers".format
+    phi, phi_line = corrupt(state, "phi", 0, "nan")
+    o_hat, o_line = corrupt(state, "O", 0, "nan")
+    theta, theta_line = corrupt(circuit, "gate 1 terms", -1, "nan")
+    gaussian, gaussian_line = corrupt(circuit, "gaussian 0", 0, "inf")
+    cases = (  # (--learned, --circuit, line of the error, what it expected)
+        (phi, str(circuit), phi_line, rows_of(2)),
+        (o_hat, str(circuit), o_line, rows_of(8)),
+        (str(state), theta, theta_line, "'term <indices> theta <angle>'"),
+        (str(state), gaussian, gaussian_line, rows_of(8)),
+    )
+    for learned, circuit_path, line, expected in cases:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["verify", "--learned", learned, "--circuit", circuit_path])
+        assert code == EXIT_PRECONDITION and caught == [], (learned, circuit_path)
+        # capfd reads the stderr descriptor, so LAPACK messages written past sys.stderr show too
+        assert capfd.readouterr() == ("", f"error: line {line}: expected {expected}\n")
 
 
 def test_precondition_exit_code(capsys):

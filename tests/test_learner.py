@@ -12,6 +12,7 @@ from fermidope import ortho
 from fermidope.doped import prepare, random_doped_circuit
 from fermidope.gaussian import GaussianUnitary
 from fermidope.learner import (
+    TOMOGRAPHY_LIMIT,
     BoostingFailureError,
     LearnedState,
     boosting_iterations,
@@ -213,10 +214,28 @@ def kron_loop_tomography(core: StateVector, shots: int, rng) -> StateVector:
 
 def test_tomography_matches_the_kron_loop_bit_for_bit():
     # same strings in the same order, one binomial draw each: the RNG stream is unchanged
-    core = random_state(3, np.random.default_rng(30))
-    got = tomography_t_qubits(core, shots=63 * 500, rng=np.random.default_rng(31))
-    want = kron_loop_tomography(core, 63 * 500, np.random.default_rng(31))
-    assert got.amps.tobytes() == want.amps.tobytes()
+    for t in (1, 3, 5):  # 5 is the benchmark's t
+        core = random_state(t, np.random.default_rng(30 + t))
+        shots = (4**t - 1) * 500
+        got = tomography_t_qubits(core, shots=shots, rng=np.random.default_rng(31))
+        want = kron_loop_tomography(core, shots, np.random.default_rng(31))
+        assert got.amps.tobytes() == want.amps.tobytes(), t
+
+
+def test_pauli_strings_are_built_once_per_t():
+    table = pauli_strings(3)
+    assert isinstance(table, tuple) and pauli_strings(3) is table
+    core = random_state(3, np.random.default_rng(5))
+    tomography_t_qubits(core, shots=63 * 10, rng=np.random.default_rng(6))
+    # tomography reads the same strings, so each one's action is computed once for all calls
+    actions = [p.action() for _, p in table]
+    tomography_t_qubits(core, shots=63 * 10, rng=np.random.default_rng(7))
+    assert pauli_strings(3) is table
+    assert all(p.action() is a for (_, p), a in zip(table, actions))
+    too_many = TOMOGRAPHY_LIMIT + 1  # rejected before any table is built, so the cache is bounded
+    limited = f"^tomography limited to {TOMOGRAPHY_LIMIT} qubits, got {too_many}$"
+    with pytest.raises(ValueError, match=limited):
+        pauli_strings(too_many)
 
 
 def test_sampled_tomography_needs_an_rng(rng):

@@ -375,3 +375,6 @@ def test_matrix_text_round_trip(rng):
         ortho.LineReader("").matrix(1, 2)
     with pytest.raises(ValueError, match="^line 3: expected a matrix row of 2 numbers$"):
         ortho.LineReader("1.0 2.0\n\n3.0 x\n").matrix(2, 2)
+    for bad in ("nan", "inf", "-inf", "NaN", "Infinity"):
+        with pytest.raises(ValueError, match="^line 2: expected a matrix row of 2 numbers$"):
+            ortho.LineReader(f"1.0 2.0\n3.0 {bad}\n").matrix(2, 2)

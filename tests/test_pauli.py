@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fermidope.pauli import PauliString, hermitize, majorana, majorana_monomial, pauli_mul
@@ -180,3 +182,43 @@ def test_to_matrix_equals_kron_of_factors_exactly():
         for x, z, phase in itertools.product(range(2**n), range(2**n), range(4)):
             ps = PauliString(n, x, z, phase)
             assert np.array_equal(ps.to_matrix(), kron_of_factors(ps)), (n, x, z, phase)
+
+
+def uncached_action(ps: PauliString) -> tuple:
+    """(src, coef) straight from the masks on every call: the reference for ``action()``."""
+    x, z = (int(f"{mask:0{ps.n}b}"[::-1], 2) for mask in (ps.x_mask, ps.z_mask))
+    src = np.arange(2**ps.n) ^ x
+    coef = ps.phase * (1.0 - 2.0 * (np.bitwise_count(src & z) & 1))
+    return src, coef
+
+
+@st.composite
+def pauli_strings_up_to_8(draw):
+    n = draw(st.integers(1, 8))
+    masks = st.integers(0, 2**n - 1)
+    return PauliString(n, draw(masks), draw(masks), draw(st.integers(0, 3)))
+
+
+@given(pauli_strings_up_to_8())
+def test_cached_action_equals_the_uncached_formula(ps):
+    for got, want in zip(ps.action(), uncached_action(ps)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_action_is_computed_once_and_read_only():
+    ps = PauliString(3, 0b101, 0b110, 1)
+    src, coef = ps.action()
+    assert ps.action()[0] is src and ps.action()[1] is coef
+    for arr in (src, coef):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+
+
+def test_to_matrix_is_a_fresh_writable_matrix_on_every_call():
+    ps = PauliString(2, 0b01, 0b11, 0)
+    first, second = ps.to_matrix(), ps.to_matrix()
+    assert first is not second and first.flags.writeable
+    first *= 3.0  # the caller owns it: the next matrix and the action are untouched
+    assert np.array_equal(second, kron_of_factors(ps))
+    assert np.array_equal(ps.to_matrix(), kron_of_factors(ps))

@@ -28,6 +28,10 @@ from conftest import kron_chain
 def test_norm_enforced():
     with pytest.raises(ValueError):
         StateVector(1, np.array([1.0, 1.0]))
+    # a NaN or infinite amplitude has no norm near 1 either
+    for bad in ([np.nan, 0.0], [1.0, np.nan * 1j], [np.inf, 0.0], [1.0, -np.inf]):
+        with pytest.raises(ValueError, match="^state not normalized"):
+            StateVector(1, np.array(bad))
 
 
 def test_apply_pauli_matches_dense():
