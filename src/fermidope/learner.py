@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
-from functools import cache, cached_property
+from dataclasses import dataclass, field, replace
+from functools import cache
 
 import numpy as np
 
@@ -188,20 +188,26 @@ def tomography_t_qubits(
 
 @dataclass(frozen=True)
 class LearnedState:
-    """Output representation: rotation O_hat plus the t-qubit core phi_hat."""
+    """Output representation: rotation O_hat plus the t-qubit core phi_hat.
+
+    ``gaussian`` is G_hat, the Gaussian unitary of O_hat, built from O_hat
+    when not given.  ``learn`` passes its own, whose adjoint it has already
+    compiled, so G_hat and every adjoint of it derive their programs from
+    that one compile.
+    """
 
     O_hat: np.ndarray
     phi_hat: StateVector
     t: int
+    gaussian: GaussianUnitary | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.gaussian is None:
+            object.__setattr__(self, "gaussian", GaussianUnitary(self.O_hat, check=False))
 
     @property
     def n(self) -> int:
         return self.O_hat.shape[0] // 2
-
-    @cached_property
-    def gaussian(self) -> GaussianUnitary:
-        """G_hat, built once: ``verify``'s reassembly and its adjoint share one compile."""
-        return GaussianUnitary(self.O_hat, check=False)
 
     def reassemble(self) -> StateVector:
         return self.gaussian.apply(embed_with_zero_tail(self.phi_hat, self.n))
@@ -250,7 +256,6 @@ def learn(state_source, n: int, t: int, budget: LearnBudget, mode: str = "sample
 
     if budget.pure_tomography or t == n:
         g_hat = identity_gaussian(n)
-        o_hat = g_hat.O
         rotated = psi
         successes = budget.N_loop
     else:
@@ -258,8 +263,7 @@ def learn(state_source, n: int, t: int, budget: LearnBudget, mode: str = "sample
             c_hat = correlation_exact(psi)
         else:
             c_hat = correlation_sampled(fresh_copy(state_source), budget.N_corr, rng)
-        o_hat = ortho.normal_form(c_hat).O
-        g_hat = GaussianUnitary(o_hat, check=False)
+        g_hat = GaussianUnitary(ortho.normal_form(c_hat).O, check=False)
         rotated = g_hat.adjoint().apply(fresh_copy(state_source))
 
     if t < n and mode == "sampled":
@@ -277,7 +281,7 @@ def learn(state_source, n: int, t: int, budget: LearnBudget, mode: str = "sample
     _, core = postselect_zero_tail(rotated, t)
 
     phi_hat = tomography_t_qubits(core, mode=mode, shots=successes, rng=rng)
-    return LearnedState(O_hat=o_hat, phi_hat=phi_hat, t=t)
+    return LearnedState(O_hat=g_hat.O, phi_hat=phi_hat, t=t, gaussian=g_hat)
 
 
 @dataclass(frozen=True)

@@ -81,33 +81,48 @@ def _group_basis_change(pairs, n: int) -> GaussianUnitary:
     return GaussianUnitary(p, check=False)
 
 
+def sampled_copies(copies: int, n: int) -> int:
+    """The copies ``correlation_sampled(psi, copies, rng)`` draws at n qubits.
+
+    Each of the 2n-1 groups gets ceil(copies / (2n-1)) shots, computed in
+    integers so that it stays exact above 2^53.
+    """
+    groups = 2 * n - 1
+    return -(-copies // groups) * groups
+
+
 def correlation_sampled(psi: StateVector, copies: int, rng) -> np.ndarray:
     """Estimate the correlation matrix from about ``copies`` single-copy shots.
 
-    Each of the 2n-1 commuting groups gets ceil(copies / (2n-1)) shots:
-    one joint computational-basis sample per shot after the group's
-    compiled Gaussian basis change.  Rounding up can spend up to 2n-2 copies
-    more than ``copies``.  A group's n pair means are read in one integer
-    pass: the multinomial counts times the 2^n x n outcome-bit table give
-    each pair's number of -1 outcomes k, and the mean is (shots - 2k) /
-    shots, exact because the counts sum to ``shots``.
+    Each of the 2n-1 commuting groups gets ceil(copies / (2n-1)) shots,
+    ``sampled_copies(copies, n)`` in all: one joint computational-basis
+    sample per shot after the group's compiled Gaussian basis change.
+    Rounding up can spend up to 2n-2 copies more than ``copies``.  A
+    group's n pair means are read in one pass: the multinomial counts times
+    the 2^n x n outcome-bit table give each pair's number of -1 outcomes k,
+    and the mean is (shots - 2k) / shots, exact because the counts sum to
+    ``shots``.
     """
     if rng is None:
         raise ValueError("sampled mode needs an rng")
     if copies < 1:
         raise ValueError(f"copies must be >= 1, got {copies}")
     n = psi.n
-    shots = math.ceil(copies / (2 * n - 1))
+    shots = sampled_copies(copies, n) // (2 * n - 1)
     c_hat = np.zeros((2 * n, 2 * n))
     # bits[x, i] is qubit i + 1 of outcome x, so counts @ bits counts the -1 outcomes per pair
     bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    if shots < 2**53:
+        # every count and every sum of counts is then an integer float64 holds exactly,
+        # and the float product is one BLAS call (int64 has none)
+        bits = bits.astype(float)
     for pairs in commuting_groups(n):
         rotated = _group_basis_change(pairs, n).apply(psi)
         probs = np.abs(rotated.amps) ** 2
         probs = probs / probs.sum()
         counts = rng.multinomial(shots, probs)
         rows, cols = (np.array(pairs) - 1).T
-        c_hat[rows, cols] = (shots - 2 * (counts @ bits)) / shots
+        c_hat[rows, cols] = (shots - 2 * (counts.astype(bits.dtype) @ bits)) / shots
     return c_hat - c_hat.T
 
 
@@ -168,7 +183,7 @@ class DimensionTestResult:
     lambda_t1: float
     eps_corr: float
     eps_test: float
-    copies: int
+    copies: int  # drawn by the sampled scheme, rounding included; 0 for the exact one
 
 
 def dimension_verdict(lambda_t1: float, eps_test: float) -> str:
@@ -193,7 +208,8 @@ def test_gaussian_dimension(
     with probability at least 1 - delta.  Requires
     eps_b > sqrt((n - t) * eps_a).  The default copy count is
     ceil(16 n^3 / eps_corr^2 * log(4 n^2 / delta)); shot_override replaces
-    it for desk-scale runs.
+    it for desk-scale runs.  The result's ``copies`` is what the sampled
+    estimator draws for that count (``sampled_copies``).
     """
     psi = fresh_copy(state_source)
     n = psi.n
@@ -216,10 +232,11 @@ def test_gaussian_dimension(
         copies = 0
         c_hat = correlation_exact(psi)
     else:
-        copies = shot_override if shot_override is not None else math.ceil(
+        budget = shot_override if shot_override is not None else math.ceil(
             16.0 * n**3 / eps_corr**2 * math.log(4.0 * n**2 / delta)
         )
-        c_hat = correlation_sampled(psi, copies, rng)
+        c_hat = correlation_sampled(psi, budget, rng)
+        copies = sampled_copies(budget, n)
 
     lambdas = ortho.normal_eigenvalues(c_hat)
     lam = float(lambdas[t])

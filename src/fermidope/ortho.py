@@ -25,31 +25,45 @@ def opnorm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 
 
+def opnorm_within(x: np.ndarray, tol: float, relative_to: np.ndarray | None = None) -> bool:
+    """opnorm(x) <= tol, or <= tol * max(1, opnorm(relative_to)) when that is given.
+
+    The Frobenius norm bounds the spectral norm from above, and the relative
+    bound is at least tol, so when the Frobenius norm is within tol the SVD is
+    skipped.  The margin covers the rounding of both norms.  A non-finite norm
+    fails the cheap test, so otherwise the result, or the error, is opnorm's.
+    """
+    if np.linalg.norm(x) <= tol * (1.0 - 1e-12):
+        return True
+    return opnorm(x) <= (tol if relative_to is None else tol * max(1.0, opnorm(relative_to)))
+
+
 def omega(n: int) -> np.ndarray:
     """The 2n x 2n symplectic form, blocks [[0, 1], [-1, 0]]."""
     return np.kron(np.eye(n), _IY2)
 
 
+def _is_square(a: np.ndarray) -> bool:
+    return a.ndim == 2 and a.shape[0] == a.shape[1]
+
+
 def is_antisymmetric(c: np.ndarray, tol: float = 1e-12) -> bool:
     c = np.asarray(c, dtype=float)
-    return c.shape[0] == c.shape[1] and opnorm(c + c.T) <= tol * max(1.0, opnorm(c))
+    return _is_square(c) and opnorm_within(c + c.T, tol, relative_to=c)
 
 
 def is_orthogonal(o: np.ndarray, tol: float = 1e-10) -> bool:
     o = np.asarray(o, dtype=float)
-    if o.ndim != 2 or o.shape[0] != o.shape[1]:
-        return False
-    return opnorm(o.T @ o - np.eye(o.shape[0])) <= tol
+    return _is_square(o) and opnorm_within(o.T @ o - np.eye(o.shape[0]), tol)
 
 
 def is_symplectic(o: np.ndarray, tol: float = 1e-9) -> bool:
     """True iff O preserves the symplectic form: O Omega O^T = Omega."""
     o = np.asarray(o, dtype=float)
-    d = o.shape[0]
-    if d % 2 != 0:
+    if not _is_square(o) or o.shape[0] % 2 != 0:
         return False
-    w = omega(d // 2)
-    return opnorm(o @ w @ o.T - w) <= tol
+    w = omega(o.shape[0] // 2)
+    return opnorm_within(o @ w @ o.T - w, tol)
 
 
 def normal_eigenvalues(c: np.ndarray) -> np.ndarray:
@@ -113,16 +127,16 @@ def normal_form(c: np.ndarray, zero_tol: float = 1e-10) -> NormalForm:
         kept = np.repeat(planes, 2)
         q, _ = np.linalg.qr(o[:, kept], mode="complete")
         o[:, ~kept] = q[:, np.count_nonzero(kept):]  # orthonormal complement of the kept planes
-    if opnorm(o.T @ o - np.eye(d)) > 1e-9:
+    if not opnorm_within(o.T @ o - np.eye(d), 1e-9):
         # a lambda just above zero_tol splits its +/-lambda pair only to ~eps/lambda, which
         # skews its plane's basis; the plane itself is accurate, so re-orthonormalize
         q, r = np.linalg.qr(o)
         o = q * np.sign(np.diag(r))
 
     nf = NormalForm(O=o, lambdas=lambdas)
-    if opnorm(o.T @ o - np.eye(d)) > 1e-9:
+    if not opnorm_within(o.T @ o - np.eye(d), 1e-9):
         raise np.linalg.LinAlgError("normal form produced a non-orthogonal basis")
-    if opnorm(nf.reconstruct() - c) > 1e-8 * max(1.0, opnorm(c)):
+    if not opnorm_within(nf.reconstruct() - c, 1e-8, relative_to=c):
         raise np.linalg.LinAlgError("normal form reconstruction residual too large")
     return nf
 
@@ -131,7 +145,7 @@ def symplectic_from_unitary(u: np.ndarray) -> np.ndarray:
     """Embed u in U(n) as the orthogonal symplectic Re(u) (x) I + Im(u) (x) iY."""
     u = np.asarray(u, dtype=complex)
     n = u.shape[0]
-    if u.shape != (n, n) or opnorm(u.conj().T @ u - np.eye(n)) > 1e-10:
+    if u.shape != (n, n) or not opnorm_within(u.conj().T @ u - np.eye(n), 1e-10):
         raise ValueError("input is not unitary within tolerance")
     return np.kron(u.real, np.eye(2)) + np.kron(u.imag, _IY2)
 
@@ -252,7 +266,7 @@ def givens_decompose(o: np.ndarray, tol: float = 1e-10) -> GivensProgram:
 
     eliminations = []  # E_k ... E_1 A = I, each E = plane_rotation(p, i, theta)
     for j in range(d - 1):
-        below = (j + 1 + np.flatnonzero(np.abs(a[j + 1:, j]) >= 1e-15)).tolist()
+        below = [i for i, x in enumerate(a[j + 1:, j].tolist(), j + 1) if abs(x) >= 1e-15]
         if below:
             chain = zip([j, *below[:-1]][::-1], below[::-1])  # planes (p, i), bottom up
         elif a[j, j] < 0:
@@ -265,7 +279,7 @@ def givens_decompose(o: np.ndarray, tol: float = 1e-10) -> GivensProgram:
             pair = a[p:i + 1:i - p, j:]  # rows p and i; both vanish left of column j
             pair[...] = np.array(((c, s), (-s, c))) @ pair
             eliminations.append((p + 1, i + 1, theta))
-    if opnorm(a - np.eye(d)) > 1e-8:
+    if not opnorm_within(a - np.eye(d), 1e-8):
         raise np.linalg.LinAlgError("Givens elimination did not reach the identity")
     rotations = tuple((mu, nu, -theta) for mu, nu, theta in reversed(eliminations))
     return GivensProgram(dim=d, rotations=rotations, reflect_first=bool(reflect))

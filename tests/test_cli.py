@@ -182,6 +182,13 @@ def test_test_subcommand(tmp_path):
     assert all(r["expected"] == "far" for r in doc["records"])
 
 
+def test_sampled_test_reports_the_copies_drawn(capsys):
+    # one copy requested, but each of the 2n - 1 = 7 groups draws a shot
+    assert main(["test", "--n", "4", "--t", "1", "--mode", "sampled",
+                 "--shots-override", "1"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["records"][0]["copies"] == 7
+
+
 def test_sweep_writes_csv(tmp_path):
     csv_path = tmp_path / "grid.csv"
     code = main(["sweep", "--kind", "compress", "--kappa", "3", "--trials", "2",

@@ -113,12 +113,19 @@ def test_exact_learning_on_gaussian_state(rng):
 
 
 def test_verify_decomposes_the_learned_gaussian_once(rng, givens_calls):
-    # reassemble's G_hat and the adjoint that rotates the true state share one compile
+    # a state from learn carries learn's G_hat, whose adjoint learn has compiled, so verify
+    # decomposes nothing; a loaded state decomposes O_hat once for G_hat and its adjoint
     psi = prepare(random_doped_circuit(6, 1, 3, rng))
     learned = learn(psi, 6, 3, plan_budget(6, 3, 0.25, 1 / 3), mode="exact")
     givens_calls.clear()
-    assert verify(learned, psi).trace_distance <= 1e-6
+    report = verify(learned, psi)
+    assert report.trace_distance <= 1e-6
+    assert givens_calls == []
+    loaded = verify(LearnedState.loads(learned.dumps()), psi)
     assert len(givens_calls) == 1 and np.array_equal(givens_calls[0], learned.O_hat)
+    # a derived program runs the same rotations in another block form
+    assert loaded.trace_distance == pytest.approx(report.trace_distance, abs=1e-12)
+    assert loaded.fidelity == pytest.approx(report.fidelity, abs=1e-12)
 
 
 def test_exact_learning_sweep():

@@ -148,6 +148,36 @@ def test_copy_split_rounds_up_per_group(n):
         shots = max(1, math.ceil(copies / (2 * n - 1)))
         assert est.tobytes() == per_pair_grouped_readout(psi, shots, old_rng).tobytes(), copies
         assert new_rng.random() == old_rng.random()
+        assert metrology.sampled_copies(copies, n) == shots * (2 * n - 1)
+
+
+class FixedCounts:
+    """An rng whose multinomial returns the same counts for every group."""
+
+    def __init__(self, counts):
+        self.counts = counts
+
+    def multinomial(self, shots, probs):
+        assert shots == self.counts.sum() and len(probs) == len(self.counts)
+        return self.counts.copy()
+
+
+@pytest.mark.parametrize("scale", [2**32, 2**52])
+def test_float_readout_matches_the_int64_product(rng, scale):
+    # counts near 2^32 (shots near 2^35) are read in float64, exactly; counts near 2^52
+    # (shots near 2^55, past float64's integers) keep the int64 product
+    n = 3
+    psi = prepare(random_doped_circuit(n, 1, 3, rng))
+    counts = rng.integers(scale - 1000, scale + 1000, size=2**n)
+    shots = int(counts.sum())
+    est = correlation_sampled(psi, shots * (2 * n - 1), FixedCounts(counts))
+    bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    means = (shots - 2 * (counts @ bits)) / shots  # int64 product
+    expected = np.zeros((2 * n, 2 * n))
+    for pairs in commuting_groups(n):
+        rows, cols = (np.array(pairs) - 1).T
+        expected[rows, cols] = means
+    assert est.tobytes() == (expected - expected.T).tobytes()
 
 
 def test_commuting_groups_partition():
@@ -337,8 +367,8 @@ def test_tester_default_copy_formula(rng):
     psi = GaussianUnitary(ortho.random_orthogonal(8, rng)).apply(zero_state(4))
     res = metrology.test_gaussian_dimension(psi, 0, 0.0, 0.4, 1 / 3, rng=rng)
     eps_corr = 0.4**2 / 4
-    expected = math.ceil(16 * 4**3 / eps_corr**2 * math.log(4 * 16 / (1 / 3)))
-    assert res.copies == expected
+    budget = math.ceil(16 * 4**3 / eps_corr**2 * math.log(4 * 16 / (1 / 3)))
+    assert res.copies == math.ceil(budget / 7) * 7  # what the 7 groups draw
     assert res.verdict == "close"
 
 

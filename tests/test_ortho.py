@@ -109,6 +109,51 @@ def test_is_symplectic_fixtures(rng):
     assert ortho.is_symplectic(o)
 
 
+@pytest.mark.parametrize("predicate", [ortho.is_orthogonal, ortho.is_symplectic,
+                                       ortho.is_antisymmetric])
+@pytest.mark.parametrize("shape", [(), (3,), (4,), (2, 3), (4, 2), (2, 2, 2)])
+def test_predicates_reject_non_square_input(predicate, shape):
+    assert predicate(np.zeros(shape)) is False
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 8), st.integers(1, 8)),
+    kind=st.sampled_from(["dense", "rank1", "nan"]),
+    target=st.sampled_from(["spectral", "frobenius"]),
+    scale=st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(1 - 1e-3, 1 + 1e-3)),
+    tol=st.sampled_from([1e-12, 1e-8, 1.0, 3.5]),
+    relative=st.sampled_from([None, 0.5, 40.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_opnorm_within_agrees_with_opnorm(shape, kind, target, scale, tol, relative, seed):
+    # x sits at scale times the bound, measured in either norm; rank 1 makes the two norms equal
+    rng = np.random.default_rng(seed)
+    if kind == "rank1":
+        x = np.outer(rng.normal(size=shape[0]), rng.normal(size=shape[1]))
+    else:
+        x = rng.normal(size=shape)
+    ref = None if relative is None else relative * ortho.random_orthogonal(4, rng)
+    bound = tol if ref is None else tol * max(1.0, ortho.opnorm(ref))
+    x *= scale * bound / (ortho.opnorm(x) if target == "spectral" else np.linalg.norm(x))
+    if kind == "nan":
+        x[0, 0] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            ortho.opnorm_within(x, tol, relative_to=ref)
+        return
+    assert ortho.opnorm_within(x, tol, relative_to=ref) == (ortho.opnorm(x) <= bound)
+
+
+def test_exact_checks_run_no_svd_on_haar_and_group_inputs(rng, monkeypatch):
+    calls = []
+    monkeypatch.setattr(ortho, "opnorm", lambda a: calls.append(a) or np.linalg.norm(a, 2))
+    inputs = list(group_matrices(12)) + [ortho.random_orthogonal(d, rng) for d in (2, 8, 16, 24)]
+    for o in inputs:
+        ortho.givens_decompose(o)
+    ortho.normal_form(ortho.random_antisymmetric(24, rng))
+    assert calls == []
+
+
 def test_symplectic_from_unitary_fixtures(rng):
     assert_allclose(ortho.symplectic_from_unitary(np.eye(3)), np.eye(6))
     assert_allclose(ortho.symplectic_from_unitary(np.array([[1j]])), [[0, 1], [-1, 0]])
