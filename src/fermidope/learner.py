@@ -191,9 +191,9 @@ class LearnedState:
     """Output representation: rotation O_hat plus the t-qubit core phi_hat.
 
     ``gaussian`` is G_hat, the Gaussian unitary of O_hat, built from O_hat
-    when not given.  ``learn`` passes its own, whose adjoint it has already
-    compiled, so G_hat and every adjoint of it derive their programs from
-    that one compile.
+    when not given; a given one must have O_hat as its O.  ``learn`` passes
+    its own, whose adjoint it has already compiled, so G_hat and every
+    adjoint of it derive their programs from that one compile.
     """
 
     O_hat: np.ndarray
@@ -204,6 +204,8 @@ class LearnedState:
     def __post_init__(self):
         if self.gaussian is None:
             object.__setattr__(self, "gaussian", GaussianUnitary(self.O_hat, check=False))
+        elif not np.array_equal(self.gaussian.O, self.O_hat):
+            raise ValueError("gaussian is not the Gaussian unitary of O_hat")
 
     @property
     def n(self) -> int:

@@ -81,48 +81,44 @@ def _group_basis_change(pairs, n: int) -> GaussianUnitary:
     return GaussianUnitary(p, check=False)
 
 
-def sampled_copies(copies: int, n: int) -> int:
-    """The copies ``correlation_sampled(psi, copies, rng)`` draws at n qubits.
+def group_shots(copies: int, n: int) -> int:
+    """Shots per group when ``correlation_sampled`` splits ``copies`` at n qubits.
 
-    Each of the 2n-1 groups gets ceil(copies / (2n-1)) shots, computed in
-    integers so that it stays exact above 2^53.
+    ceil(copies / (2n-1)), in integers; the 2n-1 groups draw this many each.
     """
-    groups = 2 * n - 1
-    return -(-copies // groups) * groups
+    return -(-copies // (2 * n - 1))
 
 
 def correlation_sampled(psi: StateVector, copies: int, rng) -> np.ndarray:
     """Estimate the correlation matrix from about ``copies`` single-copy shots.
 
-    Each of the 2n-1 commuting groups gets ceil(copies / (2n-1)) shots,
-    ``sampled_copies(copies, n)`` in all: one joint computational-basis
-    sample per shot after the group's compiled Gaussian basis change.
-    Rounding up can spend up to 2n-2 copies more than ``copies``.  A
-    group's n pair means are read in one pass: the multinomial counts times
+    Each of the 2n-1 commuting groups gets ``group_shots(copies, n)`` =
+    ceil(copies / (2n-1)) shots: one joint computational-basis sample per
+    shot after the group's compiled Gaussian basis change.  Rounding up can
+    spend up to 2n-2 copies more than ``copies``.  A group's n pair means
+    are read in one float64 matrix product: the multinomial counts times
     the 2^n x n outcome-bit table give each pair's number of -1 outcomes k,
-    and the mean is (shots - 2k) / shots, exact because the counts sum to
-    ``shots``.
+    and the mean is (shots - 2k) / shots.  The readout is exact below 2^53
+    shots, where every count and every sum of counts is an integer float64
+    holds.
     """
     if rng is None:
         raise ValueError("sampled mode needs an rng")
     if copies < 1:
         raise ValueError(f"copies must be >= 1, got {copies}")
     n = psi.n
-    shots = sampled_copies(copies, n) // (2 * n - 1)
+    shots = group_shots(copies, n)
     c_hat = np.zeros((2 * n, 2 * n))
-    # bits[x, i] is qubit i + 1 of outcome x, so counts @ bits counts the -1 outcomes per pair
-    bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
-    if shots < 2**53:
-        # every count and every sum of counts is then an integer float64 holds exactly,
-        # and the float product is one BLAS call (int64 has none)
-        bits = bits.astype(float)
+    # bits[x, i] is qubit i + 1 of outcome x, so counts @ bits counts the -1 outcomes per pair;
+    # in float64 the product is one BLAS call (int64 has none)
+    bits = ((np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(float)
     for pairs in commuting_groups(n):
         rotated = _group_basis_change(pairs, n).apply(psi)
         probs = np.abs(rotated.amps) ** 2
         probs = probs / probs.sum()
         counts = rng.multinomial(shots, probs)
         rows, cols = (np.array(pairs) - 1).T
-        c_hat[rows, cols] = (shots - 2 * (counts.astype(bits.dtype) @ bits)) / shots
+        c_hat[rows, cols] = (shots - 2 * (counts.astype(float) @ bits)) / shots
     return c_hat - c_hat.T
 
 
@@ -209,7 +205,7 @@ def test_gaussian_dimension(
     eps_b > sqrt((n - t) * eps_a).  The default copy count is
     ceil(16 n^3 / eps_corr^2 * log(4 n^2 / delta)); shot_override replaces
     it for desk-scale runs.  The result's ``copies`` is what the sampled
-    estimator draws for that count (``sampled_copies``).
+    estimator draws for that count: ``group_shots`` per group.
     """
     psi = fresh_copy(state_source)
     n = psi.n
@@ -236,7 +232,7 @@ def test_gaussian_dimension(
             16.0 * n**3 / eps_corr**2 * math.log(4.0 * n**2 / delta)
         )
         c_hat = correlation_sampled(psi, budget, rng)
-        copies = sampled_copies(budget, n)
+        copies = group_shots(budget, n) * (2 * n - 1)
 
     lambdas = ortho.normal_eigenvalues(c_hat)
     lam = float(lambdas[t])

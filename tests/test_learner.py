@@ -128,6 +128,16 @@ def test_verify_decomposes_the_learned_gaussian_once(rng, givens_calls):
     assert loaded.fidelity == pytest.approx(report.fidelity, abs=1e-12)
 
 
+def test_learned_state_rejects_a_gaussian_of_another_rotation(rng):
+    o_hat = ortho.random_orthogonal(6, rng)
+    phi = random_state(1, rng)
+    kept = LearnedState(O_hat=o_hat, phi_hat=phi, t=1, gaussian=GaussianUnitary(o_hat))
+    assert np.array_equal(kept.gaussian.O, kept.O_hat)
+    other = GaussianUnitary(ortho.random_orthogonal(6, rng))
+    with pytest.raises(ValueError, match="not the Gaussian unitary of O_hat"):
+        LearnedState(O_hat=o_hat, phi_hat=phi, t=1, gaussian=other)
+
+
 def test_exact_learning_sweep():
     for n, kappa, t in doped_sweep_cells():
         psi = prepare(random_doped_circuit(n, t, kappa, np.random.default_rng(7 * n + t)))

