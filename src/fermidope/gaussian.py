@@ -28,7 +28,10 @@ window assignment depends only on the plane sequence, which repeats (every
 dense O at one n has the same staircase), so it is planned once per
 sequence and cached; the blocks of one size are then built together.
 G and G^dag come in pairs (rotate by G^dag, reassemble with G), and the
-second of the two derives its program from the first's.
+second of the two derives its program from the first's.  Both share one
+program cell (``GaussianUnitary.sharing``), the single mechanism by which
+instances share programs; ``metrology`` keeps one such cell per commuting
+group and n, so each group's basis change compiles once per n.
 """
 
 from __future__ import annotations
@@ -267,9 +270,10 @@ class GaussianUnitary:
     """A Gaussian unitary, built from its orthogonal matrix.
 
     The gate program is compiled lazily and cached; instances are immutable.
-    An ``adjoint()`` shares a cell [program of G, program of G^dag] with its
-    source, so whichever of the two compiles second derives its program
-    from the other's instead of compiling again.
+    Each instance reads and fills one slot of a cell [program of G, program
+    of G^dag], its own unless built by ``sharing``: a filled slot is taken
+    as is, an empty one is derived from the other slot when that is filled,
+    and only when both are empty does ``program`` compile.
     """
 
     def __init__(self, o: np.ndarray, check: bool = True):
@@ -298,10 +302,22 @@ class GaussianUnitary:
                 programs[side] = GateProgram(givens.rotations, givens.reflect_first, ops)
         return programs[side]
 
-    def adjoint(self) -> "GaussianUnitary":
-        out = GaussianUnitary(self.O.T, check=False)
-        out._programs, out._side = self._programs, 1 - self._side
+    @classmethod
+    def sharing(cls, o: np.ndarray, cell: list, side: int = 0) -> "GaussianUnitary":
+        """The Gaussian unitary of ``o`` whose program lives in ``cell[side]``.
+
+        The one way programs are shared between instances: ``cell`` is a
+        [program of G, program of G^dag] list, and ``o`` must be the O of
+        G (side 0) or of G^dag (side 1).  Every instance built on one cell
+        reads the same program objects, so a cell kept across calls
+        compiles once for all of them.
+        """
+        out = cls(o, check=False)
+        out._programs, out._side = cell, side
         return out
+
+    def adjoint(self) -> "GaussianUnitary":
+        return GaussianUnitary.sharing(self.O.T, self._programs, 1 - self._side)
 
     def __matmul__(self, other: "GaussianUnitary") -> "GaussianUnitary":
         """Composition: (self @ other) applies ``other`` first."""

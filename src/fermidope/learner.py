@@ -36,6 +36,7 @@ from .states import (
 )
 
 TOMOGRAPHY_LIMIT = 6
+DRAW_LIMIT = 2**63  # numpy's binomial draws take their counts as int64
 # how far from 1 the norm of a normalized amplitude vector can round
 _UNIT_TOL = 1e-14
 
@@ -90,6 +91,11 @@ def boosting_iterations(n_needed: int, delta: float) -> int:
     if not 0 < delta <= 1:
         raise ValueError(f"delta must be in (0, 1], got {delta}")
     return math.ceil(2 * n_needed + 24.0 * math.log(1.0 / delta))
+
+
+def _check_draw(stage: str, count: int) -> None:
+    if count >= DRAW_LIMIT:
+        raise ValueError(f"{stage}: {count} copies reach the binomial draw limit 2^63 = {DRAW_LIMIT}")
 
 
 def _tomography_copies(t: int, eps: float, delta: float, c_tom: float) -> int:
@@ -157,7 +163,8 @@ def tomography_t_qubits(
 
     Sampled mode estimates all 4^t Pauli expectations, splitting the copies
     evenly, assembles rho_hat = 2^-t * sum <P> P, and returns its top
-    eigenvector.
+    eigenvector.  Each string's draw takes shots // (4^t - 1) copies, which
+    must stay below DRAW_LIMIT = 2^63.
     """
     t = core.n
     if mode == "exact" or t == 0:
@@ -171,6 +178,7 @@ def tomography_t_qubits(
         raise ValueError(f"need at least {4**t - 1} copies for {t}-qubit tomography, got {shots}")
 
     shots_per_pauli = shots // (4**t - 1)
+    _check_draw("tomography, per Pauli string", shots_per_pauli)
     dim = 2**t
     rho = np.eye(dim, dtype=complex) / dim
     # the identity comes first; its term is the eye(dim) / dim above
@@ -244,7 +252,9 @@ def learn(state_source, n: int, t: int, budget: LearnBudget, mode: str = "sample
     Exact mode replaces every statistical estimate with the exact quantity
     (for debugging and promise checks); sampled mode consumes the budget.
     Raises BoostingFailureError when fewer than N_tom post-selections
-    succeed and ZeroProbabilityError when the promise is violated outright.
+    succeed, ZeroProbabilityError when the promise is violated outright,
+    and ValueError when a sampled stage's copy count is past what its draw
+    takes (2^53 shots per correlation group, 2^63 for N_loop).
     """
     if mode not in ("exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -255,6 +265,8 @@ def learn(state_source, n: int, t: int, budget: LearnBudget, mode: str = "sample
         raise ValueError(f"copy has {psi.n} qubits, expected {n}")
     if not 0 <= t <= n:
         raise ValueError(f"t must be in [0, {n}], got {t}")
+    if t < n and mode == "sampled":
+        _check_draw("boosting, N_loop", budget.N_loop)  # before any stage runs
 
     if budget.pure_tomography or t == n:
         g_hat = identity_gaussian(n)

@@ -9,13 +9,17 @@ the Gaussian dimension.
 
 The shot-based estimator draws each commuting group's joint bitstrings
 from the exact outcome distribution (one multinomial), which is
-statistically identical to simulating the shots one at a time.
+statistically identical to simulating the shots one at a time.  The
+groups' basis changes depend only on n, so they are compiled once per n
+and their programs shared with every later call through one program cell
+per group (``GaussianUnitary.sharing``, the mechanism ``adjoint()`` uses).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,6 +34,9 @@ from .states import (
     postselect_zero_tail,
     trace_distance,
 )
+
+READOUT_LIMIT = 2**53  # shots per group up to which the float64 readout is exact
+
 
 def correlation_exact(psi: StateVector) -> np.ndarray:
     """Exact antisymmetric correlation matrix of a pure state.
@@ -71,14 +78,40 @@ def commuting_groups(n: int):
     return groups
 
 
-def _group_basis_change(pairs, n: int) -> GaussianUnitary:
-    # permutation sending plane (2i-1, 2i) onto pair (a_i, b_i), so measuring
-    # Z_i after the rotation samples -i gamma_{a_i} gamma_{b_i}
+def _group_permutation(pairs, n: int) -> np.ndarray:
+    """The basis change of one commuting group, as its orthogonal matrix.
+
+    It sends plane (2i-1, 2i) onto pair (a_i, b_i), so measuring Z_i after
+    the rotation samples -i gamma_{a_i} gamma_{b_i}.
+    """
     p = np.zeros((2 * n, 2 * n))
     for i, (a, b) in enumerate(pairs):
         p[2 * i, a - 1] = 1.0
         p[2 * i + 1, b - 1] = 1.0
-    return GaussianUnitary(p, check=False)
+    return p
+
+
+@lru_cache(maxsize=12)  # one entry per n under the dense engine's n <= 12 cap
+def _grouped_sampling(n: int) -> tuple:
+    """The n-only part of grouped sampling: the groups and the readout bit table.
+
+    Returns (groups, bits).  Per commuting group, in ``commuting_groups(n)``
+    order, groups holds (o, cell, rows, cols): the basis change's O, its
+    program cell [program, program of the adjoint], compiled by the first
+    call that applies it and read by every later one, and the entries of
+    the group's pairs.  bits[x, i] is qubit i + 1 of outcome x, a 2^n x n
+    float table.
+    """
+    groups = []
+    for pairs in commuting_groups(n):
+        o = _group_permutation(pairs, n)
+        rows, cols = (np.array(pairs) - 1).T
+        for array in (o, rows, cols):
+            array.setflags(write=False)
+        groups.append((o, [None, None], rows, cols))
+    bits = ((np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(float)
+    bits.setflags(write=False)
+    return tuple(groups), bits
 
 
 def group_shots(copies: int, n: int) -> int:
@@ -98,9 +131,11 @@ def correlation_sampled(psi: StateVector, copies: int, rng) -> np.ndarray:
     spend up to 2n-2 copies more than ``copies``.  A group's n pair means
     are read in one float64 matrix product: the multinomial counts times
     the 2^n x n outcome-bit table give each pair's number of -1 outcomes k,
-    and the mean is (shots - 2k) / shots.  The readout is exact below 2^53
-    shots, where every count and every sum of counts is an integer float64
-    holds.
+    and the mean is (shots - 2k) / shots.  The readout is exact up to
+    READOUT_LIMIT = 2^53 shots per group, where every count and every sum
+    of counts is an integer float64 holds; more raise ValueError.  The
+    groups' basis changes depend only on n: each is compiled by the first
+    call at its n and shared with every later one.
     """
     if rng is None:
         raise ValueError("sampled mode needs an rng")
@@ -108,16 +143,19 @@ def correlation_sampled(psi: StateVector, copies: int, rng) -> np.ndarray:
         raise ValueError(f"copies must be >= 1, got {copies}")
     n = psi.n
     shots = group_shots(copies, n)
+    if shots > READOUT_LIMIT:
+        raise ValueError(
+            f"correlation sampling: {shots} shots per group exceed the exact-readout "
+            f"limit 2^53 = {READOUT_LIMIT}"
+        )
     c_hat = np.zeros((2 * n, 2 * n))
-    # bits[x, i] is qubit i + 1 of outcome x, so counts @ bits counts the -1 outcomes per pair;
-    # in float64 the product is one BLAS call (int64 has none)
-    bits = ((np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(float)
-    for pairs in commuting_groups(n):
-        rotated = _group_basis_change(pairs, n).apply(psi)
+    groups, bits = _grouped_sampling(n)
+    for o, cell, rows, cols in groups:
+        rotated = GaussianUnitary.sharing(o, cell).apply(psi)
         probs = np.abs(rotated.amps) ** 2
         probs = probs / probs.sum()
         counts = rng.multinomial(shots, probs)
-        rows, cols = (np.array(pairs) - 1).T
+        # counts @ bits counts the -1 outcomes per pair; in float64 it is one BLAS call
         c_hat[rows, cols] = (shots - 2 * (counts.astype(float) @ bits)) / shots
     return c_hat - c_hat.T
 

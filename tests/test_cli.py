@@ -172,6 +172,42 @@ def test_shots_override_below_one_is_precondition_error(capsys):
         assert "error: shots_override must be >= 1" in capsys.readouterr().err
 
 
+HUGE = "100000000000000000000"  # 10^20 copies, past every draw a sampled stage can make
+READOUT_LIMIT = "shots per group exceed the exact-readout limit 2^53"
+
+
+def _assert_one_line_precondition_error(args, prefix, limit, capsys):
+    assert main(args) == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {prefix}: ") and err.count("\n") == 1
+    assert limit in err
+
+
+def test_huge_test_override_is_precondition_error(capsys):
+    _assert_one_line_precondition_error(
+        ["test", "--n", "2", "--t", "0", "--mode", "sampled", "--shots-override", HUGE],
+        "correlation sampling", READOUT_LIMIT, capsys)
+
+
+def test_huge_learn_override_is_precondition_error(capsys):
+    _assert_one_line_precondition_error(
+        ["learn", "--n", "3", "--t", "1", "--mode", "sampled", "--fixture", "compressible",
+         "--shots-override", HUGE], "correlation sampling", READOUT_LIMIT, capsys)
+
+
+def test_tiny_learn_eps_is_precondition_error(capsys):
+    # every stage's count is past its limit; N_loop is checked before any stage runs
+    _assert_one_line_precondition_error(
+        ["learn", "--n", "3", "--t", "1", "--mode", "sampled", "--fixture", "compressible",
+         "--eps", "1e-6"], "boosting, N_loop", "copies reach the binomial draw limit 2^63", capsys)
+
+
+def test_tiny_test_eps_b_is_precondition_error(capsys):
+    _assert_one_line_precondition_error(
+        ["test", "--n", "3", "--t", "0", "--mode", "sampled", "--eps-b", "1e-7"],
+        "correlation sampling", READOUT_LIMIT, capsys)
+
+
 def test_test_subcommand(tmp_path):
     out = tmp_path / "t.json"
     code = main(["test", "--n", "4", "--t", "0", "--fixture", "tplus", "--mode", "sampled",

@@ -17,7 +17,7 @@ from fermidope.gaussian import (
     rotate_plane,
     rotation_generator,
 )
-from fermidope.metrology import _group_basis_change, commuting_groups, correlation_exact
+from fermidope.metrology import _group_permutation, commuting_groups, correlation_exact
 from fermidope.pauli import majorana
 from fermidope.states import apply_pauli, fidelity, overlap, random_state, zero_state
 
@@ -224,7 +224,7 @@ def _fused_unitaries():
     rng = np.random.default_rng(12)
     yield GaussianUnitary(ortho.random_orthogonal(24, rng))
     for pairs in commuting_groups(12):
-        yield _group_basis_change(pairs, 12)
+        yield GaussianUnitary(_group_permutation(pairs, 12))
     for kind in ("signed_permutation", "mix"):
         for n in (5, 8, 12):
             yield GaussianUnitary(_compile_input(kind, n, rng))

@@ -283,6 +283,24 @@ def test_tomography_needs_copies(rng):
         tomography_t_qubits(random_state(2, rng), shots=3, rng=rng)
 
 
+def test_tomography_counts_past_the_draw_limit_are_rejected(rng):
+    # t = 1 splits the copies over 3 strings; 2^63 - 1 per string is the largest binomial count
+    plus = StateVector(1, np.array([1.0, 1.0]) / np.sqrt(2))
+    assert trace_distance(tomography_t_qubits(plus, shots=3 * (2**63 - 1), rng=rng), plus) <= 1e-6
+    with pytest.raises(ValueError, match=r"^tomography, per Pauli string: 9223372036854775808 "
+                                         r"copies reach the binomial draw limit 2\^63"):
+        tomography_t_qubits(plus, shots=3 * 2**63, rng=rng)
+
+
+def test_boosting_counts_past_the_draw_limit_are_rejected():
+    psi, _, _ = compressible_fixture(3, 1, seed=6)
+    budget = hoeffding_budget(3, 1, 0.25, 1 / 3)
+    with pytest.raises(ValueError, match=r"^boosting, N_loop: 9223372036854775808 copies reach"):
+        learn(psi, 3, 1, budget.with_overrides(n_loop=2**63), rng=np.random.default_rng(1))
+    learned = learn(psi, 3, 1, budget.with_overrides(n_loop=2**63 - 1), rng=np.random.default_rng(1))
+    assert verify(learned, psi).trace_distance <= 0.25
+
+
 def test_tomography_single_qubit_monte_carlo(rng):
     # |+> with 1e4 shots per Pauli: d <= 0.05 in at least 95% of 100 runs
     plus = StateVector(1, np.array([1.0, 1.0]) / np.sqrt(2))

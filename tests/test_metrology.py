@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fermidope import metrology, ortho
 from fermidope.doped import prepare, random_doped_circuit
-from fermidope.gaussian import GaussianUnitary
+from fermidope.gaussian import Block, GaussianUnitary
 from fermidope.learner import hoeffding_budget
 from fermidope.metrology import (
     commuting_groups,
@@ -111,12 +113,13 @@ def test_correlation_sampled_rejects_copies_below_one(rng):
 def per_pair_grouped_readout(psi, shots, rng):
     """Grouped correlation sampling with the per-pair readout loop it had before.
 
-    Test oracle only: one float shift/mask/multiply/sum pass per pair.
+    Test oracle only: one float shift/mask/multiply/sum pass per pair, and
+    each group's basis change a fresh compile that shares no program cell.
     """
     n = psi.n
     c_hat = np.zeros((2 * n, 2 * n))
     for pairs in commuting_groups(n):
-        rotated = metrology._group_basis_change(pairs, n).apply(psi)
+        rotated = GaussianUnitary(metrology._group_permutation(pairs, n)).apply(psi)
         probs = np.abs(rotated.amps) ** 2
         probs = probs / probs.sum()
         counts = rng.multinomial(shots, probs)
@@ -149,6 +152,84 @@ def test_copy_split_rounds_up_per_group(n):
         assert est.tobytes() == per_pair_grouped_readout(psi, shots, old_rng).tobytes(), copies
         assert new_rng.random() == old_rng.random()
         assert metrology.group_shots(copies, n) == shots
+
+
+def test_group_programs_compile_once_per_n(givens_calls):
+    # the first call at an n decomposes each of its 2n - 1 group basis changes; later calls
+    # at that n, interleaved with other n, decompose nothing
+    metrology._grouped_sampling.cache_clear()
+    rng = np.random.default_rng(3)
+    for n, expected in ((3, 5), (3, 0), (4, 7), (3, 0), (4, 0)):
+        givens_calls.clear()
+        correlation_sampled(random_state(n, rng), 100, rng)
+        assert len(givens_calls) == expected, n
+
+
+def _assert_same_ops(shared, fresh):
+    assert shared.rotations == fresh.rotations and shared.reflect_first == fresh.reflect_first
+    assert len(shared.ops) == len(fresh.ops)
+    for op, expected in zip(shared.ops, fresh.ops):
+        if isinstance(expected, Block):
+            assert isinstance(op, Block) and op.lo == expected.lo
+            assert op.u.tobytes() == expected.u.tobytes()
+        else:
+            assert op == expected  # an unfused wide plane (mu, nu, theta)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8])
+def test_shared_group_programs_equal_a_fresh_compile(n):
+    correlation_sampled(random_state(n, np.random.default_rng(n)), 10, np.random.default_rng(0))
+    groups, bits = metrology._grouped_sampling(n)
+    assert len(groups) == 2 * n - 1
+    reflected = wide = 0
+    for (o, cell, rows, cols), pairs in zip(groups, commuting_groups(n)):
+        assert np.array_equal(o, metrology._group_permutation(pairs, n))
+        assert cell[0] is not None  # filled by the call above
+        shared = GaussianUnitary.sharing(o, cell)
+        fresh = GaussianUnitary(metrology._group_permutation(pairs, n))
+        assert shared.program is cell[0]
+        _assert_same_ops(shared.program, fresh.program)
+        # G^dag derived through the shared cell, against one derived from a fresh cell
+        _assert_same_ops(shared.adjoint().program, fresh.adjoint().program)
+        reflected += shared.program.reflect_first
+        wide += sum(not isinstance(op, Block) for op in shared.program.ops)
+        for op in shared.program.ops + shared.adjoint().program.ops:
+            if isinstance(op, Block):
+                assert not op.u.flags.writeable
+        for array in (o, rows, cols):
+            assert not array.flags.writeable
+    assert reflected == n - 1  # the det = -1 groups
+    assert wide > 0 or n < 8  # n = 8 is the first with planes wider than a block
+    assert not bits.flags.writeable
+
+
+@settings(max_examples=25, deadline=None)
+@given(draws=st.lists(st.tuples(st.integers(1, 6), st.integers(1, 10**6), st.integers(0, 2**32 - 1)),
+                      min_size=2, max_size=6))
+def test_cached_groups_sample_like_fresh_compiles_across_n(draws):
+    # n drawn in interleaved order from an empty cache: a group cell keyed or filled under
+    # the wrong n would change the bytes or the draws against the fresh-compile oracle
+    metrology._grouped_sampling.cache_clear()
+    for n, copies, seed in draws:
+        psi = random_state(n, np.random.default_rng(seed))
+        new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        est = correlation_sampled(psi, copies, new_rng)
+        assert np.array_equal(est, -est.T)
+        assert np.abs(est).max() <= 1.0
+        expected = per_pair_grouped_readout(psi, metrology.group_shots(copies, n), old_rng)
+        assert est.tobytes() == expected.tobytes()
+        assert new_rng.random() == old_rng.random()
+
+
+def test_shots_per_group_past_the_readout_limit_are_rejected():
+    # n = 1 has one group, so copies are its shots; 2^53 still reads exactly
+    rng = np.random.default_rng(0)
+    assert correlation_sampled(zero_state(1), 2**53, rng)[0, 1] == 1.0
+    with pytest.raises(ValueError, match=r"^correlation sampling: 9007199254740993 shots per "
+                                         r"group exceed the exact-readout limit 2\^53"):
+        correlation_sampled(zero_state(1), 2**53 + 1, rng)
+    with pytest.raises(ValueError, match="exact-readout limit"):
+        correlation_sampled(zero_state(3), 10**20, rng)
 
 
 class FixedCounts:

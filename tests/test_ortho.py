@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fermidope import ortho
-from fermidope.metrology import _group_basis_change, commuting_groups, correlation_exact
+from fermidope.metrology import _group_permutation, commuting_groups, correlation_exact
 from fermidope.pauli import PauliString
 from fermidope.states import expectation
 
@@ -309,7 +309,7 @@ def nearest_neighbour_rotations(o: np.ndarray):
 def group_matrices(n_max: int):
     for n in range(1, n_max + 1):
         for pairs in commuting_groups(n):
-            yield _group_basis_change(pairs, n).O
+            yield _group_permutation(pairs, n)
 
 
 def test_givens_chain_is_the_nearest_neighbour_loop_on_dense_inputs(rng):
@@ -339,7 +339,7 @@ def test_givens_chain_adds_at_most_one_rotation_per_signed_permutation_column(rn
 def test_givens_group_programs_at_n12_hold_471_rotations():
     # the 23 basis changes of grouped sampling; 1652 when no-op rotations were recorded,
     # 478 under the fan elimination (pivot row j against every row below it)
-    total = sum(len(ortho.givens_decompose(_group_basis_change(pairs, 12).O).rotations)
+    total = sum(len(ortho.givens_decompose(_group_permutation(pairs, 12)).rotations)
                 for pairs in commuting_groups(12))
     assert total == 471
 
