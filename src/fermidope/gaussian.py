@@ -22,11 +22,15 @@ adjacent planes (mu, mu + 1), i.e. gates on one or two neighbouring qubits
 (a nearest-neighbour matchgate circuit).  Compilation therefore fuses the
 rotations, moving those on disjoint qubits past each other, into dense
 2^m x 2^m blocks on windows of m <= FUSE_QUBITS adjacent qubits, and
-``apply`` runs each block as one matrix product over the amplitudes.  A
-plane wider than the window stays a single ``rotate_plane`` pass.  The
-window assignment depends only on the plane sequence, which repeats (every
-dense O at one n has the same staircase), so it is planned once per
-sequence and cached; the blocks of one size are then built together.
+``apply`` runs each block as one matrix product over the amplitudes: a
+single GEMM when the block touches either end of the register, 2^(lo-1)
+small batched ones otherwise, so a block near the end is padded at
+compile time to u (x) I up to the register end when that stays within
+FUSE_QUBITS + 1 qubits.  A plane wider than the window stays a single
+``rotate_plane`` pass.  The window assignment depends only on the plane
+sequence, which repeats (every dense O at one n has the same staircase),
+so it is planned once per sequence and cached; the blocks of one size are
+then built together.
 G and G^dag come in pairs (rotate by G^dag, reassemble with G), and the
 second of the two derives its program from the first's.  Both share one
 program cell (``GaussianUnitary.sharing``), the single mechanism by which
@@ -146,8 +150,9 @@ def _window_generators(m: int) -> tuple:
 class _FusionPlan(NamedTuple):
     """How ``_fuse`` groups one plane sequence; angles are not part of it.
 
-    ``order`` lists the ops: (m, lo, row) for the block of size m on qubits
-    lo .. lo + m - 1, built in row ``row`` of its size's stack, or (0, k, 0)
+    ``order`` lists the ops: (m, lo, row, pad) for the block of size m on
+    qubits lo .. lo + m - 1, built in row ``row`` of its size's stack and
+    padded with the identity on the ``pad`` qubits after it, or (0, k, 0, 0)
     for the unfused rotation k.  ``sizes`` holds per block size m the rows'
     rotation indices and window-relative generator ids, step by step, rows
     ordered longest window first; ``active[s]`` rows have a step s.
@@ -201,10 +206,34 @@ def _fusion_plan(planes: tuple, n: int) -> _FusionPlan:
         table.setflags(write=False)
         sizes.append((m, table[0], table[1], active))
     order = tuple(
-        (hi - lo + 1, lo, rows[w]) if w in rows else (0, indices[0], 0)
+        (hi - lo + 1, lo, rows[w], _end_padding(lo, hi, n)) if w in rows else (0, indices[0], 0, 0)
         for w, (lo, hi, indices) in enumerate(windows)
     )
     return _FusionPlan(order, tuple(sizes))
+
+
+def _end_padding(lo: int, hi: int, n: int) -> int:
+    """Identity qubits to append to the block on qubits lo .. hi so that it ends at qubit n.
+
+    ``apply`` runs a block at either end of the register as one GEMM, but
+    one in between as 2^(lo-1) small batched ones.  A block that starts
+    after qubit 1 and within the last FUSE_QUBITS + 1 qubits is therefore
+    padded to the register end, u (x) I; any other block is left as it is.
+    """
+    return n - hi if lo > 1 and n - lo < FUSE_QUBITS + 1 else 0
+
+
+def _padded(u: np.ndarray, pad: int) -> np.ndarray:
+    """u (x) I on ``pad`` more qubits, read-only; u itself when pad is 0."""
+    if not pad:
+        return u
+    dim, reps = len(u), 2**pad
+    out = np.zeros((dim, reps, dim, reps), dtype=complex)
+    for k in range(reps):
+        out[:, k, :, k] = u
+    out = out.reshape(dim * reps, dim * reps)
+    out.setflags(write=False)
+    return out
 
 
 def _fuse(rotations: tuple, n: int) -> tuple:
@@ -213,7 +242,8 @@ def _fuse(rotations: tuple, n: int) -> tuple:
     All blocks of one size m are built together from the identity, one
     vectorised step per rotation of the longest window: u <- cos(phi) u +
     i sin(phi) P u over the blocks that still have a rotation, with P u the
-    signed row permutation of the window-relative generator.
+    signed row permutation of the window-relative generator.  A block
+    near the register end is then padded to it (``_end_padding``).
     """
     plan = _fusion_plan(tuple((mu, nu) for mu, nu, _ in rotations), n)
     phis = np.array([theta / 2.0 for *_, theta in rotations])
@@ -232,7 +262,8 @@ def _fuse(rotations: tuple, n: int) -> tuple:
         u.setflags(write=False)
         blocks[m] = u
     return tuple(
-        Block(lo, blocks[m][row]) if m else rotations[lo] for m, lo, row in plan.order
+        Block(lo, _padded(blocks[m][row], pad)) if m else rotations[lo]
+        for m, lo, row, pad in plan.order
     )
 
 

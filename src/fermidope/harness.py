@@ -144,13 +144,37 @@ def validate_document(payload: dict) -> None:
             raise ValueError(f"result document is missing {key!r}")
         if not isinstance(payload[key], kind):
             raise ValueError(f"result document field {key!r} is not a {kind.__name__}")
-    ExperimentConfig(**payload["config"]).validate()  # config echo round-trips
+    config = ExperimentConfig(**payload["config"]).validate()  # config echo round-trips
     for record in payload["records"]:
         if not isinstance(record, dict) or "trial" not in record or "ok" not in record:
             raise ValueError("malformed trial record")
+        if config.kind == "learn" and "copies_correlation" in record:
+            _check_correlation_spend(record, config)
     for key in ("trials", "ok_rate", "acceptance_ok"):
         if key not in payload["summary"]:
             raise ValueError(f"summary is missing {key!r}")
+
+
+def _correlation_drawn(config: ExperimentConfig, t_learn: int, budget: int) -> int:
+    """Copies learn's sampled correlation stage draws for ``budget``; 0 when no such stage runs.
+
+    The stage runs in sampled mode when t_learn < n (not in exact mode or
+    pure tomography), and draws up to 2n - 2 copies more than its budget.
+    """
+    sampled = config.mode == "sampled" and t_learn < config.n
+    return metrology.copies_drawn(budget, config.n) if sampled else 0
+
+
+def _check_correlation_spend(record: dict, config: ExperimentConfig) -> None:
+    fields = ("t_learn", "copies_correlation", "copies_correlation_drawn")
+    t, budget, drawn = (record.get(key) for key in fields)
+    if not all(type(value) is int for value in (t, budget, drawn)):
+        raise ValueError(f"learn record fields {fields} must be integers")
+    expected = _correlation_drawn(config, t, budget)
+    if drawn != expected:
+        raise ValueError(
+            f"learn record draws {drawn} correlation copies for a budget of {budget}, expected {expected}"
+        )
 
 
 def _jsonable(value):
@@ -247,6 +271,7 @@ def _trial_learn(config, rng):
         "term_tomography": report.term_tomography,
         "term_projection": report.term_projection,
         "copies_correlation": budget.N_corr,
+        "copies_correlation_drawn": _correlation_drawn(config, t_learn, budget.N_corr),
         "copies_loop": budget.N_loop,
         "ok": report.trace_distance <= threshold,
     }, {**meta, "learned": learned}

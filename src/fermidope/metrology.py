@@ -24,11 +24,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import ortho
-from .gaussian import GaussianUnitary
-from .pauli import majorana
+from .gaussian import GaussianUnitary, _parity_signs
 from .states import (
     StateVector,
-    apply_pauli,
     embed_with_zero_tail,
     fresh_copy,
     postselect_zero_tail,
@@ -38,18 +36,40 @@ from .states import (
 READOUT_LIMIT = 2**53  # shots per group up to which the float64 readout is exact
 
 
+# gamma_2k psi from gamma_{2k-1} psi = x: -i x on bit k = 0 and +i x on bit k = 1, so
+# re <- (x_im, -x_im) and im <- (-x_re, x_re); indexed [re/im part, bit k]
+_Y_EDGE = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, None, :, None]
+
+
+def _majorana_rows(psi: StateVector) -> np.ndarray:
+    """The 2n states gamma_mu psi as (re, im): re[mu - 1] + i im[mu - 1] = gamma_mu psi.
+
+    Under Jordan-Wigner, gamma_{2k-1} = Z_1 .. Z_{k-1} X_k and gamma_{2k} =
+    Z_1 .. Z_{k-1} Y_k, so both rows of qubit k are psi with bit k flipped
+    times the parity sign of bits 1 .. k-1; Y_k adds the edge factor -i
+    (+i) on output bit 0 (1).  The rows are written straight into one
+    (2, 2n, 2^n) float buffer.
+    """
+    n = psi.n
+    rows = np.empty((2, 2 * n, 2**n))
+    parts = np.stack((psi.amps.real, psi.amps.imag))
+    signs = _parity_signs(n + 1)  # (-1)^popcount(a) for a < 2^(n-1)
+    for k in range(1, n + 1):
+        shape = (2, 2 ** (k - 1), 2, -1)
+        x = rows[:, 2 * k - 2].reshape(shape)
+        np.multiply(parts.reshape(shape)[:, :, ::-1], signs[:2 ** (k - 1), None, None], out=x)
+        np.multiply(x[::-1], _Y_EDGE, out=rows[:, 2 * k - 1].reshape(shape))
+    return rows
+
+
 def correlation_exact(psi: StateVector) -> np.ndarray:
     """Exact antisymmetric correlation matrix of a pure state.
 
-    With gamma_mu psi = a_mu + i b_mu (rows of a and b), the entry
-    C[j, k] = -i <gamma_j psi, gamma_k psi> is (a b^T - b a^T)[j, k]; its
-    imaginary part, -(a a^T + b b^T)[j, k], must vanish for j != k.
+    With gamma_mu psi = a_mu + i b_mu (rows of a and b, ``_majorana_rows``),
+    the entry C[j, k] = -i <gamma_j psi, gamma_k psi> is (a b^T - b a^T)[j, k];
+    its imaginary part, -(a a^T + b b^T)[j, k], must vanish for j != k.
     """
-    n = psi.n
-    re, im = np.empty((2, 2 * n, 2**n))
-    for mu in range(2 * n):
-        amps = apply_pauli(psi, majorana(mu + 1, n)).amps
-        re[mu], im[mu] = amps.real, amps.imag
+    re, im = _majorana_rows(psi)
     cross = re @ im.T
     imag = -np.triu(re @ re.T + im @ im.T, 1)  # imaginary parts of the entries j < k
     if np.abs(imag).max(initial=0.0) > 1e-10:
@@ -120,6 +140,11 @@ def group_shots(copies: int, n: int) -> int:
     ceil(copies / (2n-1)), in integers; the 2n-1 groups draw this many each.
     """
     return -(-copies // (2 * n - 1))
+
+
+def copies_drawn(copies: int, n: int) -> int:
+    """Copies ``correlation_sampled`` draws for ``copies`` at n qubits: up to 2n - 2 more."""
+    return group_shots(copies, n) * (2 * n - 1)
 
 
 def correlation_sampled(psi: StateVector, copies: int, rng) -> np.ndarray:
@@ -270,7 +295,7 @@ def test_gaussian_dimension(
             16.0 * n**3 / eps_corr**2 * math.log(4.0 * n**2 / delta)
         )
         c_hat = correlation_sampled(psi, budget, rng)
-        copies = group_shots(budget, n) * (2 * n - 1)
+        copies = copies_drawn(budget, n)
 
     lambdas = ortho.normal_eigenvalues(c_hat)
     lam = float(lambdas[t])

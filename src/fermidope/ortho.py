@@ -248,14 +248,21 @@ def givens_decompose(o: np.ndarray, tol: float = 1e-10) -> GivensProgram:
 
     Column by column, the below-diagonal entries are eliminated along a
     chain, bottom up: each nonzero entry a[i, j] (|a[i, j]| >= 1e-15) is
-    rotated into the next nonzero row p above it, in the plane (p, i)
-    through arctan2(a[i, j], a[p, j]), and the topmost into row j.  A dense
-    column (a Haar matrix, a compression rotation) therefore gives only
-    adjacent planes (mu, mu + 1), which act on one or two neighbouring
-    qubits under Jordan-Wigner, while a sparse one (a permutation) gives
-    one rotation per nonzero entry.  A column whose only nonzero entry is
-    -1 on the diagonal is fixed by a rotation through pi in the plane
-    (j, j + 1); no recorded rotation has theta == 0.
+    rotated into the next nonzero row p above it, in the plane (p, i), and
+    the topmost into row j.  A dense column (a Haar matrix, a compression
+    rotation) therefore gives only adjacent planes (mu, mu + 1), which act
+    on one or two neighbouring qubits under Jordan-Wigner, while a sparse
+    one (a permutation) gives one rotation per nonzero entry.  A column
+    whose only nonzero entry is -1 on the diagonal is fixed by a rotation
+    through pi in the plane (j, j + 1); no recorded rotation has theta == 0.
+
+    A column's chain is computed at once (a chain of one plane, each
+    column of a permutation, on Python floats).  With x_0 = a[j, j], x_1, ...,
+    x_m the chain's entries top down and r_t the norm of x_t .. x_m (r_m =
+    x_m keeps its sign), the plane (p_{t-1}, p_t) rotates through
+    theta_t = arctan2(r_t, x_{t-1}), and the rotated rows follow from the
+    suffix sums T_t = sum_{u >= t} x_u a[p_u]: row p_0 becomes T_0 / r_0
+    and row p_t becomes (x_{t-1} T_t / r_t - r_t a[p_{t-1}]) / r_{t-1}.
     """
     o = np.asarray(o, dtype=float)
     d = o.shape[0]
@@ -264,25 +271,41 @@ def givens_decompose(o: np.ndarray, tol: float = 1e-10) -> GivensProgram:
     reflect = np.linalg.det(o) < 0
     a = (o @ reflection_matrix(d)) if reflect else o.copy()
 
-    eliminations = []  # E_k ... E_1 A = I, each E = plane_rotation(p, i, theta)
+    programs = []  # per column, the inverse of its eliminations E (E_k ... E_1 A = I) in order
     for j in range(d - 1):
         below = [i for i, x in enumerate(a[j + 1:, j].tolist(), j + 1) if abs(x) >= 1e-15]
-        if below:
-            chain = zip([j, *below[:-1]][::-1], below[::-1])  # planes (p, i), bottom up
-        elif a[j, j] < 0:
-            chain = [(j, j + 1)]  # the column is -e_j
+        if len(below) == 1:  # one plane (j, i): the same rotation on the row pair, in scalars
+            i = below[0]
+            x0, x1 = float(a[j, j]), float(a[i, j])
+            pair = a[j:i + 1:i - j, j:]
+            pair[...] = np.array(((x0, x1), (-x1, x0))) / math.hypot(x0, x1) @ pair
+            programs.append([(j + 1, i + 1, -math.atan2(x1, x0))])
+            continue
+        if len(below) == d - 1 - j:  # a dense column: the chain is every row from j down
+            rows, index = np.arange(j, d), slice(j, d)
+        elif below:
+            rows = index = np.array([j, *below])
+        elif a[j, j] < 0:  # the column is -e_j
+            a[j:j + 2, j:] *= -1.0
+            programs.append([(j + 1, j + 2, -math.pi)])
+            continue
         else:
             continue
-        for p, i in chain:
-            theta = math.atan2(a[i, j], a[p, j]) if below else math.pi
-            c, s = math.cos(theta), math.sin(theta)
-            pair = a[p:i + 1:i - p, j:]  # rows p and i; both vanish left of column j
-            pair[...] = np.array(((c, s), (-s, c))) @ pair
-            eliminations.append((p + 1, i + 1, theta))
+        block = a[index, j:]
+        x = block[:, 0].copy()
+        r = np.hypot.accumulate(x[::-1])[::-1]  # running norms; r[-1] = x[-1] keeps its sign
+        sums = np.cumsum((x[:, None] * block)[::-1], axis=0)[::-1]
+        rotated = np.empty_like(block)
+        rotated[0] = sums[0] / r[0]
+        rotated[1:] = ((x[:-1] / (r[1:] * r[:-1]))[:, None] * sums[1:]
+                       - (r[1:] / r[:-1])[:, None] * block[:-1])
+        a[index, j:] = rotated
+        mus = (rows + 1).tolist()
+        programs.append(list(zip(mus[:-1], mus[1:], (-np.arctan2(r[1:], x[:-1])).tolist())))
     if not opnorm_within(a - np.eye(d), 1e-8):
         raise np.linalg.LinAlgError("Givens elimination did not reach the identity")
-    rotations = tuple((mu, nu, -theta) for mu, nu, theta in reversed(eliminations))
-    return GivensProgram(dim=d, rotations=rotations, reflect_first=bool(reflect))
+    rotations = [rot for program in reversed(programs) for rot in program]
+    return GivensProgram(dim=d, rotations=tuple(rotations), reflect_first=bool(reflect))
 
 
 def random_orthogonal(dim: int, rng, haar: bool = True) -> np.ndarray:

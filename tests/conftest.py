@@ -76,6 +76,21 @@ def signed_permutation(dim: int, rng) -> np.ndarray:
     return np.eye(dim)[rng.permutation(dim)] * rng.choice([-1.0, 1.0], size=dim)[:, None]
 
 
+def compile_input(kind: str, n: int, rng) -> np.ndarray:
+    """A 2n x 2n orthogonal input of one of the kinds "haar", "signed_permutation", "mix"."""
+    d = 2 * n
+    if kind == "haar":
+        return ortho.random_orthogonal(d, rng)
+    if kind == "signed_permutation":
+        return signed_permutation(d, rng)  # exact zeros: long planes as well as adjacent ones
+    # Haar on some coordinates, a signed permutation on the rest, both scrambled
+    half = 2 * int(rng.integers(1, n)) if n > 1 else d
+    mix = np.zeros((d, d))
+    mix[:half, :half] = ortho.random_orthogonal(half, rng)
+    mix[half:, half:] = signed_permutation(d - half, rng)
+    return mix[rng.permutation(d)][:, rng.permutation(d)]
+
+
 def text_prefixes(text: str):
     """(prefix, at_line_boundary): every line boundary and each line's midpoint."""
     pos = 0

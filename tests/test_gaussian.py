@@ -21,7 +21,7 @@ from fermidope.metrology import _group_permutation, commuting_groups, correlatio
 from fermidope.pauli import majorana
 from fermidope.states import apply_pauli, fidelity, overlap, random_state, zero_state
 
-from conftest import signed_permutation
+from conftest import compile_input
 
 
 def test_identity_program_is_empty():
@@ -179,20 +179,6 @@ def test_apply_leaves_input_unchanged_and_read_only(rng):
         assert not psi.amps.flags.writeable and not out.amps.flags.writeable
 
 
-def _compile_input(kind: str, n: int, rng) -> np.ndarray:
-    d = 2 * n
-    if kind == "haar":
-        return ortho.random_orthogonal(d, rng)
-    if kind == "signed_permutation":
-        return signed_permutation(d, rng)  # exact zeros: long planes as well as adjacent ones
-    # Haar on some coordinates, a signed permutation on the rest, both scrambled
-    half = 2 * int(rng.integers(1, n)) if n > 1 else d
-    mix = np.zeros((d, d))
-    mix[:half, :half] = ortho.random_orthogonal(half, rng)
-    mix[half:, half:] = signed_permutation(d - half, rng)
-    return mix[rng.permutation(d)][:, rng.permutation(d)]
-
-
 def _givens_oracle(g: GaussianUnitary, psi):
     """The compiled rotations, each as a dense Pauli rotation, X_1 first when reflected."""
     n = g.n
@@ -212,7 +198,7 @@ def _givens_oracle(g: GaussianUnitary, psi):
 )
 def test_fused_apply_matches_the_rotation_oracle(n, kind, negative, seed):
     rng = np.random.default_rng(seed)
-    o = _with_det(_compile_input(kind, n, rng), negative)
+    o = _with_det(compile_input(kind, n, rng), negative)
     assert ortho.is_orthogonal(o, 1e-12)
     g = GaussianUnitary(o)
     psi = random_state(n, rng)
@@ -227,20 +213,40 @@ def _fused_unitaries():
         yield GaussianUnitary(_group_permutation(pairs, 12))
     for kind in ("signed_permutation", "mix"):
         for n in (5, 8, 12):
-            yield GaussianUnitary(_compile_input(kind, n, rng))
+            yield GaussianUnitary(compile_input(kind, n, rng))
 
 
 def test_fused_blocks_span_at_most_four_qubits_and_are_unitary():
+    # wider only when padded to the register end: then u (x) I with u on at most 4 qubits
     for g in _fused_unitaries():
         for op in g.program.ops:
             if isinstance(op, Block):
                 dim = len(op.u)
-                assert dim <= 2**FUSE_QUBITS == 16
-                assert 1 <= op.lo and op.lo - 1 + dim.bit_length() - 1 <= g.n
+                width = dim.bit_length() - 1
+                assert dim <= 2 ** (FUSE_QUBITS + 1) == 32
+                assert 1 <= op.lo and op.lo - 1 + width <= g.n
                 assert ortho.opnorm(op.u.conj().T @ op.u - np.eye(dim)) <= 1e-12
+                if dim > 2**FUSE_QUBITS:
+                    assert op.lo - 1 + width == g.n
+                    reps = 2 ** (width - FUSE_QUBITS)
+                    assert np.array_equal(op.u, np.kron(op.u[::reps, ::reps], np.eye(reps)))
             else:  # a plane left unfused spans more qubits than a block may
                 mu, nu, _ = op
                 assert (nu + 1) // 2 - (mu + 1) // 2 + 1 > FUSE_QUBITS
+
+
+def test_haar_program_at_n12_pads_its_near_end_blocks():
+    # a block ending 1-2 qubits before qubit 12 is batched unless it is padded to the end;
+    # only padding within FUSE_QUBITS + 1 = 5 qubits is done, so the 4-qubit blocks on
+    # qubits 7-10 stay as they are and the ones on qubits 8-11 become 32 x 32
+    n = 12
+    g = GaussianUnitary(ortho.random_orthogonal(2 * n, np.random.default_rng(3)))
+    blocks = [op for op in g.program.ops if isinstance(op, Block)]
+    for op in blocks:
+        hi = op.lo - 2 + len(op.u).bit_length()
+        if op.lo > 1 and n - hi in (1, 2):
+            assert n - op.lo + 1 > FUSE_QUBITS + 1, (op.lo, hi)
+    assert [op.lo for op in blocks if len(op.u) == 32] == [8] * 5
 
 
 def test_haar_layer_at_n12_compiles_to_276_adjacent_planes():
@@ -261,7 +267,7 @@ def test_haar_layer_at_n12_compiles_to_276_adjacent_planes():
 def test_derived_adjoint_applies_like_a_fresh_compile(n, kind, negative, source_first, seed):
     # the second of G, G^dag to compile derives its program from the first's
     rng = np.random.default_rng(seed)
-    o = _with_det(_compile_input(kind, n, rng), negative)
+    o = _with_det(compile_input(kind, n, rng), negative)
     g = GaussianUnitary(o)
     g_dag = g.adjoint()
     compiled, derived = (g, g_dag) if source_first else (g_dag, g)
@@ -284,7 +290,9 @@ def _sequential_blocks(rotations: tuple, n: int) -> list:
 
     Windows follow the same rule as compilation: a rotation joins the last
     window sharing a qubit with it if the joint window spans <= FUSE_QUBITS
-    qubits, else opens a new one.
+    qubits, else opens a new one.  So does padding: a block that starts
+    after qubit 1 and within the last FUSE_QUBITS + 1 qubits is extended to
+    qubit n as u (x) I.
     """
     windows = []  # [lo, hi, rotations]
     for rot in rotations:
@@ -306,7 +314,10 @@ def _sequential_blocks(rotations: tuple, n: int) -> list:
         u = np.eye(2**m, dtype=complex).reshape(-1)
         for mu, nu, theta in rots:
             rotate_plane(u, 2 * m, mu - 2 * (lo - 1), nu - 2 * (lo - 1), theta / 2.0)
-        ops.append(Block(lo, u.reshape(2**m, 2**m)))
+        u = u.reshape(2**m, 2**m)
+        if lo > 1 and n - lo + 1 <= FUSE_QUBITS + 1:
+            u = np.kron(u, np.eye(2 ** (n - hi)))
+        ops.append(Block(lo, u))
     return ops
 
 

@@ -181,3 +181,32 @@ def test_document_schema_validation():
     broken = dict(payload, records=[{"trial": 0}])
     with pytest.raises(ValueError):
         validate_document(broken)
+
+
+def test_learn_records_the_correlation_copies_drawn():
+    # 100 copies over 2n - 1 = 7 groups: 15 shots each, 105 drawn; exact mode and t = n draw 0
+    base = dict(kind="learn", n=4, kappa=3, fixture="compressible", seed=3)
+    cases = [(dict(t=1, mode="sampled", shots_override=100), 105),
+             (dict(t=1, mode="exact"), 0),
+             (dict(t=4, mode="sampled", shots_override=100), 0)]
+    for fields, drawn in cases:
+        record = run(ExperimentConfig(**base, **fields)).records[0]
+        assert record["copies_correlation_drawn"] == drawn, fields
+    assert record["copies_correlation"] == 100  # at t = n the budget is reported, not drawn
+
+
+def test_document_validation_checks_the_correlation_spend():
+    from fermidope.harness import validate_document
+
+    cfg = ExperimentConfig(kind="learn", n=4, t=1, kappa=3, fixture="compressible", seed=3,
+                           mode="sampled", shots_override=100)
+    payload = json.loads(run(cfg).to_json())
+    validate_document(payload)
+    record = payload["records"][0]
+    for drawn in (100, 0, 105.0, None):
+        broken = dict(payload, records=[dict(record, copies_correlation_drawn=drawn)])
+        with pytest.raises(ValueError, match="learn record"):
+            validate_document(broken)
+    missing = {k: v for k, v in record.items() if k != "copies_correlation_drawn"}
+    with pytest.raises(ValueError, match="learn record"):
+        validate_document(dict(payload, records=[missing]))

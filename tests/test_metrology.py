@@ -20,7 +20,7 @@ from fermidope.metrology import (
     gaussian_dimension,
     nearest_compressible,
 )
-from fermidope.pauli import PauliString, majorana
+from fermidope.pauli import majorana
 from fermidope.states import (
     StateVector,
     apply_pauli,
@@ -61,15 +61,29 @@ def test_correlation_gram_product_matches_the_pair_loop(rng):
 
 
 def test_correlation_with_a_corrupted_majorana_is_not_real(monkeypatch):
-    # gamma_3 times i makes every entry in its row and column imaginary
-    def corrupted(mu, n):
-        p = majorana(mu, n)
-        return PauliString(n, p.x_mask, p.z_mask, p.phase_exp + (mu == 3))
+    # gamma_3 psi times i makes every entry in its row and column imaginary
+    rows = metrology._majorana_rows
 
-    monkeypatch.setattr(metrology, "majorana", corrupted)
+    def corrupted(psi):
+        re, im = out = rows(psi)
+        re[2], im[2] = -im[2], re[2].copy()
+        return out
+
+    monkeypatch.setattr(metrology, "_majorana_rows", corrupted)
     psi = random_state(3, np.random.default_rng(4))
     with pytest.raises(AssertionError, match="correlation entry not real"):
         correlation_exact(psi)
+
+
+def test_majorana_rows_are_the_pauli_action():
+    rng = np.random.default_rng(8)
+    for n in range(7):
+        psi = random_state(n, rng) if n else StateVector(0, np.ones(1))
+        re, im = metrology._majorana_rows(psi)
+        assert re.shape == im.shape == (2 * n, 2**n)
+        for mu in range(1, 2 * n + 1):
+            expected = apply_pauli(psi, majorana(mu, n)).amps
+            assert np.abs(re[mu - 1] + 1j * im[mu - 1] - expected).max() <= 1e-15, (n, mu)
 
 
 def test_correlation_of_basis_state_flips_blocks():

@@ -1,5 +1,7 @@
 """Normal form, symplectic isomorphism, compression rotation, Givens."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,7 +13,7 @@ from fermidope.metrology import _group_permutation, commuting_groups, correlatio
 from fermidope.pauli import PauliString
 from fermidope.states import expectation
 
-from conftest import planted_complement, signed_permutation, tplus_state
+from conftest import compile_input, planted_complement, signed_permutation, tplus_state
 
 
 def test_omega_layout():
@@ -306,6 +308,46 @@ def nearest_neighbour_rotations(o: np.ndarray):
     return tuple((mu, nu, -theta) for mu, nu, theta in reversed(eliminations)), bool(reflect)
 
 
+def givens_loop(o: np.ndarray):
+    """The chain of ``givens_decompose``, one 2 x 2 rotation of a row pair at a time.
+
+    Returns (rotations, reflect_first) in program order.  Test oracle only.
+    """
+    d = o.shape[0]
+    reflect = np.linalg.det(o) < 0
+    a = (o @ ortho.reflection_matrix(d)) if reflect else o.copy()
+    eliminations = []
+    for j in range(d - 1):
+        below = [i for i, x in enumerate(a[j + 1:, j].tolist(), j + 1) if abs(x) >= 1e-15]
+        if below:
+            chain = zip([j, *below[:-1]][::-1], below[::-1])  # planes (p, i), bottom up
+        elif a[j, j] < 0:
+            chain = [(j, j + 1)]  # the column is -e_j
+        else:
+            continue
+        for p, i in chain:
+            theta = math.atan2(a[i, j], a[p, j]) if below else math.pi
+            c, s = math.cos(theta), math.sin(theta)
+            pair = a[p:i + 1:i - p, j:]
+            pair[...] = np.array(((c, s), (-s, c))) @ pair
+            eliminations.append((p + 1, i + 1, theta))
+    return tuple((mu, nu, -theta) for mu, nu, theta in reversed(eliminations)), bool(reflect)
+
+
+def test_givens_chain_matches_the_per_rotation_loop(rng):
+    # the same planes, and angles from the running norms within 1e-13 of the sequential ones
+    for n in range(1, 13):
+        inputs = [compile_input(kind, n, rng) for kind in ("haar", "signed_permutation", "mix")
+                  for _ in range(4)]
+        for o in inputs + [o @ ortho.reflection_matrix(2 * n) for o in inputs]:
+            expected, reflect = givens_loop(o)
+            prog = ortho.givens_decompose(o)
+            assert [r[:2] for r in prog.rotations] == [r[:2] for r in expected]
+            assert_allclose([r[2] for r in prog.rotations], [r[2] for r in expected],
+                            rtol=0, atol=1e-13)
+            assert prog.reflect_first == reflect
+
+
 def group_matrices(n_max: int):
     for n in range(1, n_max + 1):
         for pairs in commuting_groups(n):
@@ -363,6 +405,35 @@ def test_givens_round_trip(half, kind, flip, seed):
             o = np.where(o != 0.0, o * signs[:, None], 0.0)
         elif kind == "signed_negative_zero":
             o = o * signs[:, None]  # zeros in the negated rows become -0.0
+    if flip:
+        o = o @ ortho.reflection_matrix(d)
+    prog = ortho.givens_decompose(o)
+    assert ortho.opnorm(prog.matrix() - o) <= 1e-12
+    assert len(prog.rotations) <= d * (d - 1) // 2
+    assert prog.reflect_first == (np.linalg.det(o) < 0)
+    assert all(theta != 0.0 for _, _, theta in prog.rotations)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    half=st.integers(1, 8),
+    haar=st.integers(0, 8),
+    tiny=st.lists(st.floats(1e-16, 1e-14), max_size=3),
+    flip=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_givens_reconstructs_inputs_at_the_nonzero_cut(half, haar, tiny, flip, seed):
+    # exact zeros and -e_j columns (a signed diagonal, partly Haar, scrambled), tilted in
+    # random planes by angles whose sines sit around the 1e-15 cut, at det = +-1
+    rng = np.random.default_rng(seed)
+    d = 2 * half
+    o = np.diag(rng.choice([-1.0, 1.0], size=d))
+    k = min(2 * haar, d)
+    o[:k, :k] = ortho.random_orthogonal(k, rng) if k else o[:k, :k]
+    o = o[rng.permutation(d)][:, rng.permutation(d)]
+    for angle in tiny:
+        mu, nu = sorted(rng.choice(d, size=2, replace=False) + 1)
+        o = ortho.plane_rotation(d, int(mu), int(nu), angle) @ o
     if flip:
         o = o @ ortho.reflection_matrix(d)
     prog = ortho.givens_decompose(o)
