@@ -6,7 +6,8 @@ circuit.  Relative output paths resolve against $FERMIDOPE_OUT when it is
 set.  Exit codes: 0 success, 2 precondition/configuration error,
 3 statistical acceptance failure, 4 numerical failure or violated promise
 (a compression that leaves weight outside its core, a failed linear-algebra
-check, a post-selection outcome of zero probability).
+check, a post-selection outcome of zero probability).  A sweep with failing
+cells exits as a single run of its first failing cell would.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ EXIT_STATISTICAL = 3
 EXIT_NUMERICAL = 4
 
 OUT_DIR_ENV = "FERMIDOPE_OUT"
+
+# LinAlgError and ZeroProbabilityError subclass ValueError, so numerical errors are matched first
+_NUMERICAL_ERRORS = (CompressionError, np.linalg.LinAlgError, ZeroProbabilityError)
+_PRECONDITION_ERRORS = (ConfigError, ValueError, OSError)
 
 
 def _resolve(path: str | None) -> str | None:
@@ -158,11 +163,22 @@ def _cmd_sweep(args) -> int:
             grid[key] = [cast(x) for x in raw.split(",")]
     if not grid:
         raise ConfigError("sweep needs at least one --grid-* list")
-    docs, csv_text = sweep(base, grid)
+    docs, csv_text, failures = sweep(base, grid)
     path = _resolve(args.csv) or _resolve(f"sweep-{args.kind}.csv")
     with open(path, "w") as fh:
         fh.write(csv_text)
     print(f"wrote {path} ({len(docs)} cells)", file=sys.stderr)
+    if failures:
+        # exit as a single run of the first failing cell would
+        cell, exc = failures[0]
+        where = ", ".join(f"{key}={value}" for key, value in cell.items())
+        print(f"error: {len(failures)} of {len(docs) + len(failures)} cells failed; "
+              f"first ({where}): {type(exc).__name__}: {exc}", file=sys.stderr)
+        if isinstance(exc, _NUMERICAL_ERRORS):
+            return EXIT_NUMERICAL
+        if isinstance(exc, _PRECONDITION_ERRORS):
+            return EXIT_PRECONDITION
+        raise exc
     bad = [d for d in docs if not d.summary["acceptance_ok"]]
     return EXIT_STATISTICAL if bad else EXIT_OK
 
@@ -189,11 +205,10 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_run(args, args.command)
-    # LinAlgError and ZeroProbabilityError subclass ValueError, so they are caught first
-    except (CompressionError, np.linalg.LinAlgError, ZeroProbabilityError) as exc:
+    except _NUMERICAL_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ConfigError, ValueError, OSError) as exc:
+    except _PRECONDITION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

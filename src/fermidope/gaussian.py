@@ -20,17 +20,19 @@ the same rotation on the dense Pauli path, the oracle the tests hold it to.
 The Givens chain of ``ortho.givens_decompose`` gives a dense O only
 adjacent planes (mu, mu + 1), i.e. gates on one or two neighbouring qubits
 (a nearest-neighbour matchgate circuit).  Compilation therefore fuses the
-rotations, moving those on disjoint qubits past each other, into dense
-2^m x 2^m blocks on windows of m <= FUSE_QUBITS adjacent qubits, and
-``apply`` runs each block as one matrix product over the amplitudes: a
-single GEMM when the block touches either end of the register, 2^(lo-1)
-small batched ones otherwise, so a block near the end is padded at
-compile time to u (x) I up to the register end when that stays within
-FUSE_QUBITS + 1 qubits.  A plane wider than the window stays a single
-``rotate_plane`` pass.  The window assignment depends only on the plane
-sequence, which repeats (every dense O at one n has the same staircase),
-so it is planned once per sequence and cached; the blocks of one size are
-then built together.
+rotations into dense 2^m x 2^m blocks, all on windows of the same m =
+min(FUSE_QUBITS, n) adjacent qubits.  A greedy packer walks the rotations
+in dependency order, moving those on disjoint qubits past each other, and
+each time fills the window that can take the most of them.  ``apply`` runs
+each block as one matrix product over the amplitudes: a single GEMM when
+the block touches either end of the register, 2^(lo-1) small batched ones
+otherwise, so a block near the end is padded at compile time to u (x) I up
+to the register end when that stays within FUSE_QUBITS + 1 qubits.  A
+plane wider than the window stays a single ``rotate_plane`` pass.  The
+packing depends only on the plane sequence, which repeats (every dense O
+at one n has the same staircase), so it is planned once per sequence and
+cached; all blocks are then built together in one stack, a block longer
+than the second longest in several rows multiplied at the end.
 G and G^dag come in pairs (rotate by G^dag, reassemble with G), and the
 second of the two derives its program from the first's.  Both share one
 program cell (``GaussianUnitary.sharing``), the single mechanism by which
@@ -40,6 +42,7 @@ group and n, so each group's basis change compiles once per n.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass
@@ -137,79 +140,152 @@ def _window_generators(m: int) -> tuple:
     """Every plane (mu, nu) of an m-qubit register as a signed permutation.
 
     Returns (ids, src, coef): ids maps the plane to its row of the stacked
-    (src, coef) of ``rotation_generator(mu, nu, m).action()``.
+    (src, coef) of ``rotation_generator(mu, nu, m).action()``, composed from
+    the 2m Majorana actions: (gamma_mu gamma_nu psi)[b] = c_mu[b]
+    c_nu[s_mu[b]] psi[s_nu[s_mu[b]]].
     """
-    planes = [(mu, nu) for mu in range(1, 2 * m + 1) for nu in range(mu + 1, 2 * m + 1)]
-    actions = [rotation_generator(mu, nu, m).action() for mu, nu in planes]
-    src, coef = (np.array([action[i] for action in actions]) for i in (0, 1))
+    s, c = (np.array(a) for a in zip(*(majorana(mu, m).action() for mu in range(1, 2 * m + 1))))
+    first, second = np.triu_indices(2 * m, 1)
+    src = s[second[:, None], s[first]]
+    coef = -1j * c[first] * c[second[:, None], s[first]]
     src.setflags(write=False)
     coef.setflags(write=False)
-    return {plane: i for i, plane in enumerate(planes)}, src, coef
+    return {(mu + 1, nu + 1): i for i, (mu, nu) in enumerate(zip(first.tolist(), second.tolist()))}, src, coef
 
 
 class _FusionPlan(NamedTuple):
     """How ``_fuse`` groups one plane sequence; angles are not part of it.
 
-    ``order`` lists the ops: (m, lo, row, pad) for the block of size m on
-    qubits lo .. lo + m - 1, built in row ``row`` of its size's stack and
-    padded with the identity on the ``pad`` qubits after it, or (0, k, 0, 0)
-    for the unfused rotation k.  ``sizes`` holds per block size m the rows'
-    rotation indices and window-relative generator ids, step by step, rows
-    ordered longest window first; ``active[s]`` rows have a step s.
+    Every block spans the same ``width`` qubits and is built in one or more
+    rows of a stack, each row a run of its rotations.  ``order`` lists the
+    ops: (lo, rows, pad) for the block on qubits lo .. lo + width - 1, the
+    product of its ``rows`` in order, padded with the identity on the
+    ``pad`` qubits after it, or (0, (k,), 0) for the unfused rotation k.
+    ``rotations`` and ``generators`` hold per row its rotation indices and
+    window-relative generator ids, step by step, rows ordered longest first;
+    ``active[s]`` rows have a step s.
     """
 
+    width: int
     order: tuple
-    sizes: tuple  # (m, rotation indices (B, S), generator ids (B, S), active (S,)) per size
+    rotations: np.ndarray  # (rows, steps)
+    generators: np.ndarray  # (rows, steps)
+    active: tuple
+
+
+def _pack(planes: tuple, n: int, width: int) -> list:
+    """Pack planes greedily into windows of ``width`` adjacent qubits, in dependency order.
+
+    The plane (mu, nu) acts on the qubits ceil(mu/2) .. ceil(nu/2), Z-string
+    included, and commutes with every plane on other qubits.  A window can
+    take a pending rotation that lies inside it when it can also take every
+    earlier pending rotation sharing a qubit with it; those taken then move
+    together ahead of the rest.  Each step takes all it can in the window
+    that can take the most (lowest first qubit on a tie).  When no window
+    can take anything, the earliest pending rotation is a plane wider than
+    the window and goes alone.  Returns (lo, rotation indices) per op, lo = 0
+    for an unfused plane.
+
+    The windows that can take a rotation (bit k for the window on qubits
+    k + 1 .. k + width) are those that contain it and can take its nearest
+    predecessor on each of its qubits, where a rotation gone counts as
+    takeable anywhere.  So after each step only the successors of the
+    rotations gone are recomputed, in index order, and only while they gain
+    windows.
+    """
+    count, windows = len(planes), n - width + 1
+    every = (1 << windows) - 1
+    # index ``count`` stands for the rotations already gone: takeable anywhere
+    fits, takes, preds, after = [], [0] * count + [every], [], [0] * (count + 1)
+    members = [0] * windows  # per window, the bit mask of the pending rotations it can take
+    last = [count] * (n + 1)  # per qubit, its latest rotation so far
+    for i, (mu, nu) in enumerate(planes):
+        lo, hi = (mu + 1) // 2, (nu + 1) // 2
+        before = tuple(set(last[lo:hi + 1]))
+        preds.append(before)
+        last[lo:hi + 1] = [i] * (hi - lo + 1)
+        bit = 1 << i
+        t = (1 << min(lo, windows)) - (1 << max(hi - width, 0)) if hi - lo < width else 0
+        fits.append(t)
+        for p in before:
+            after[p] |= bit
+            t &= takes[p]
+        takes[i] = t
+        for k in _bits(t):
+            members[k] |= bit
+    pending = (1 << count) - 1
+    ops = []
+    while pending:
+        sizes = [m.bit_count() for m in members]
+        k = sizes.index(max(sizes))
+        taken = members[k] if sizes[k] else pending & -pending
+        pending ^= taken
+        members = [m & ~taken for m in members]
+        indices = _bits(taken)
+        ops.append((k + 1 if sizes[k] else 0, indices))
+        dirty = 0
+        for i in indices:
+            takes[i] = every
+            dirty |= after[i]
+        dirty &= pending
+        while dirty:
+            bit = dirty & -dirty
+            dirty ^= bit
+            i = bit.bit_length() - 1
+            t = fits[i]
+            for p in preds[i]:
+                t &= takes[p]
+            if t != takes[i]:  # windows are only ever gained
+                for k in _bits(t & ~takes[i]):
+                    members[k] |= bit
+                takes[i] = t
+                dirty |= after[i]
+    return ops
+
+
+def _bits(mask: int) -> list:
+    """The positions of the set bits of ``mask``, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 @lru_cache(maxsize=FUSION_PLANS)
 def _fusion_plan(planes: tuple, n: int) -> _FusionPlan:
-    """Group planes into windows of <= FUSE_QUBITS adjacent qubits.
+    """Pack planes into blocks on windows of min(FUSE_QUBITS, n) adjacent qubits (``_pack``).
 
-    The plane (mu, nu) acts on the qubits ceil(mu/2) .. ceil(nu/2), Z-string
-    included.  Each rotation joins the last window that shares a qubit with
-    it, when the joint window still fits: it commutes with every window
-    after that one, so only rotations on disjoint qubits move past each
-    other.  Otherwise it opens a new window at the end.
+    The stack takes one step per rotation of its longest row, and a Haar
+    staircase packs one block far longer than the rest (28 rotations at
+    n = 12, against at most 12 for the others).  So a block longer than the
+    second longest is split into rows of that length, multiplied at the end.
     """
-    windows = []  # [lo, hi, rotation indices]
-    last = [-1] * (n + 1)  # per qubit, the index of the last window covering it
-    for index, (mu, nu) in enumerate(planes):
-        lo, hi = (mu + 1) // 2, (nu + 1) // 2
-        k = max(last[lo:hi + 1])
-        if k >= 0 and max(hi, windows[k][1]) - min(lo, windows[k][0]) < FUSE_QUBITS:
-            window = windows[k]
-            window[0], window[1] = min(lo, window[0]), max(hi, window[1])
-            window[2].append(index)
-        else:
-            k = len(windows)
-            windows.append([lo, hi, [index]])
-        last[lo:hi + 1] = [k] * (hi - lo + 1)
-
-    by_size = {}  # m -> the windows of that size, in op order
-    for w, (lo, hi, _) in enumerate(windows):
-        if hi - lo < FUSE_QUBITS:
-            by_size.setdefault(hi - lo + 1, []).append(w)
-    rows, sizes = {}, []
-    for m, members in sorted(by_size.items()):
-        ids = _window_generators(m)[0]
-        members.sort(key=lambda w: -len(windows[w][2]))
-        table = np.zeros((2, len(members), len(windows[members[0]][2])), dtype=np.intp)
-        for row, w in enumerate(members):
-            lo, _, indices = windows[w]
-            shift = 2 * (lo - 1)
-            gens = [ids[planes[i][0] - shift, planes[i][1] - shift] for i in indices]
-            table[:, row, :len(indices)] = indices, gens
-            rows[w] = row
-        lengths = np.array([len(windows[w][2]) for w in members])
-        active = tuple((lengths[:, None] > np.arange(table.shape[2])).sum(axis=0).tolist())
-        table.setflags(write=False)
-        sizes.append((m, table[0], table[1], active))
+    width = min(FUSE_QUBITS, n)
+    ops = _pack(planes, n, width)
+    lengths = sorted((len(indices) for lo, indices in ops if lo), reverse=True)
+    cap = lengths[min(1, len(lengths) - 1)] if lengths else 0
+    runs = [(j, indices[k:k + cap]) for j, (lo, indices) in enumerate(ops) if lo
+            for k in range(0, len(indices), cap)]
+    runs.sort(key=lambda run: -len(run[1]))  # stable: a block's runs stay in order
+    steps = len(runs[0][1]) if runs else 0
+    ids = _window_generators(width)[0]
+    index_rows, generator_rows, rows = [], [], {}
+    for row, (j, indices) in enumerate(runs):
+        shift, fill = 2 * (ops[j][0] - 1), [0] * (steps - len(indices))
+        index_rows += indices + fill
+        generator_rows += [ids[planes[i][0] - shift, planes[i][1] - shift] for i in indices] + fill
+        rows.setdefault(j, []).append(row)
+    table = np.array(index_rows + generator_rows, dtype=np.intp).reshape(2, len(runs), steps)
+    table.setflags(write=False)
+    negated = [-len(indices) for _, indices in runs]  # ascending
+    active = tuple(bisect.bisect_left(negated, -step) for step in range(steps))
     order = tuple(
-        (hi - lo + 1, lo, rows[w], _end_padding(lo, hi, n)) if w in rows else (0, indices[0], 0, 0)
-        for w, (lo, hi, indices) in enumerate(windows)
+        (lo, tuple(rows[j]), _end_padding(lo, lo + width - 1, n)) if lo else (0, tuple(indices), 0)
+        for j, (lo, indices) in enumerate(ops)
     )
-    return _FusionPlan(order, tuple(sizes))
+    return _FusionPlan(width, order, table[0], table[1], active)
 
 
 def _end_padding(lo: int, hi: int, n: int) -> int:
@@ -239,32 +315,42 @@ def _padded(u: np.ndarray, pad: int) -> np.ndarray:
 def _fuse(rotations: tuple, n: int) -> tuple:
     """The ops of a program: dense blocks on windows of adjacent qubits, and wide planes.
 
-    All blocks of one size m are built together from the identity, one
-    vectorised step per rotation of the longest window: u <- cos(phi) u +
-    i sin(phi) P u over the blocks that still have a rotation, with P u the
-    signed row permutation of the window-relative generator.  A block
-    near the register end is then padded to it (``_end_padding``).
+    All rows of the plan are built together from the identity, one
+    vectorised step per rotation of the longest row: u <- cos(phi) u +
+    i sin(phi) P u over the rows that still have a rotation, with P u the
+    signed row permutation of the window-relative generator.  A block is the
+    product of its rows, padded to the register end when it is near it
+    (``_end_padding``).
     """
     plan = _fusion_plan(tuple((mu, nu) for mu, nu, _ in rotations), n)
     phis = np.array([theta / 2.0 for *_, theta in rotations])
-    blocks = {}
-    for m, indices, gens, active in plan.sizes:
-        _, src, coef = _window_generators(m)
-        cos, isin = np.cos(phis[indices]), 1j * np.sin(phis[indices])
-        u = np.tile(np.eye(2**m, dtype=complex), (len(indices), 1, 1))
-        rows = np.arange(len(indices))[:, None]
-        for step, count in enumerate(active):
-            v, g = u[:count], gens[:count, step]
-            flipped = v[rows[:count], src[g]]  # (P u)[r] = coef[r] u[src[r]], per block
-            flipped *= (isin[:count, step, None] * coef[g])[..., None]
-            v *= cos[:count, step, None, None]
-            v += flipped
-        u.setflags(write=False)
-        blocks[m] = u
+    _, src, coef = _window_generators(plan.width)
+    indices, gens = plan.rotations, plan.generators
+    cos = np.cos(phis[indices])
+    scale = (1j * np.sin(phis[indices]))[..., None] * coef[gens]  # (P u)[r] = coef[r] u[src[r]]
+    sources = src[gens]
+    u = np.tile(np.eye(2**plan.width, dtype=complex), (len(indices), 1, 1))
+    rows = np.arange(len(indices))[:, None]
+    for step, count in enumerate(plan.active):
+        v = u[:count]
+        flipped = v[rows[:count], sources[:count, step]]
+        flipped *= scale[:count, step, :, None]
+        v *= cos[:count, step, None, None]
+        v += flipped
+    u.setflags(write=False)
     return tuple(
-        Block(lo, _padded(blocks[m][row], pad)) if m else rotations[lo]
-        for m, lo, row, pad in plan.order
+        Block(lo, _padded(_product(u, stack_rows), pad)) if lo else rotations[stack_rows[0]]
+        for lo, stack_rows, pad in plan.order
     )
+
+
+def _product(u: np.ndarray, rows: tuple) -> np.ndarray:
+    """u[rows[-1]] @ ... @ u[rows[0]], read-only: a block built in several rows."""
+    out = u[rows[0]]
+    for row in rows[1:]:
+        out = u[row] @ out
+    out.setflags(write=False)
+    return out
 
 
 def _adjoint_program(prog: GateProgram) -> GateProgram:

@@ -150,6 +150,8 @@ def validate_document(payload: dict) -> None:
             raise ValueError("malformed trial record")
         if config.kind == "learn" and "copies_correlation" in record:
             _check_correlation_spend(record, config)
+        if config.kind == "test":
+            _check_test_budget(record, config)
     for key in ("trials", "ok_rate", "acceptance_ok"):
         if key not in payload["summary"]:
             raise ValueError(f"summary is missing {key!r}")
@@ -175,6 +177,29 @@ def _check_correlation_spend(record: dict, config: ExperimentConfig) -> None:
         raise ValueError(
             f"learn record draws {drawn} correlation copies for a budget of {budget}, expected {expected}"
         )
+
+
+def _test_budget(config: ExperimentConfig) -> tuple:
+    """(budget_required, under_budget) of a test trial.
+
+    budget_required is the sampled tester's formula copy count before its
+    split into groups (``metrology.dimension_test_budget``), 0 in exact
+    mode; under_budget is true when ``shots_override`` undercuts it.
+    """
+    if config.mode != "sampled":
+        return 0, False
+    required = metrology.dimension_test_budget(config.n, config.t, config.eps_a, config.eps_b, config.delta)
+    return required, config.shots_override is not None and config.shots_override < required
+
+
+def _check_test_budget(record: dict, config: ExperimentConfig) -> None:
+    required, under = _test_budget(config)
+    budget = required if config.shots_override is None else config.shots_override
+    copies = metrology.copies_drawn(budget, config.n) if config.mode == "sampled" else 0
+    expected = {"copies": copies, "budget_required": required, "under_budget": under}
+    found = {key: record.get(key) for key in expected}
+    if [type(value) for value in found.values()] != [int, int, bool] or found != expected:
+        raise ValueError(f"test record has {found}, expected {expected}")
 
 
 def _jsonable(value):
@@ -291,11 +316,14 @@ def _trial_test(config, rng):
         shot_override=config.shots_override,
         scheme=scheme,
     )
+    required, under = _test_budget(config)
     return {
         "verdict": result.verdict,
         "expected": expected,
         "lambda_t1": result.lambda_t1,
         "copies": result.copies,
+        "budget_required": required,
+        "under_budget": under,
         "ok": result.verdict == expected,
     }, meta
 
@@ -384,9 +412,10 @@ SWEEPABLE = ("n", "t", "kappa", "eps", "seed", "mode", "fixture")
 def sweep(base: ExperimentConfig, grid: dict) -> tuple:
     """Run the cartesian product of configs; never abort on a failing cell.
 
-    Returns (documents, csv_text) where the CSV holds one row per
+    Returns (documents, csv_text, failures) where the CSV holds one row per
     (cell, trial) plus one summary row per cell; cells that raise are
-    recorded with their error message and the sweep continues.
+    recorded with their error message and the sweep continues.  ``failures``
+    lists (cell, exception) for those cells, in grid order.
     """
     for key in grid:
         if key not in SWEEPABLE:
@@ -400,13 +429,14 @@ def sweep(base: ExperimentConfig, grid: dict) -> tuple:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
 
-    documents = []
+    documents, failures = [], []
     for values in itertools.product(*(grid[k] for k in names)):
         cell = dict(zip(names, values))
         prefix = [cell[k] for k in names]
         try:
             doc = run(replace(base, **cell))
         except Exception as exc:  # noqa: BLE001 - partial failure is recorded, sweep continues
+            failures.append((cell, exc))
             writer.writerow(prefix + ["error", "", *[""] * len(metric_keys),
                                       "", "", "", "", "", f"{type(exc).__name__}: {exc}"])
             continue
@@ -420,4 +450,4 @@ def sweep(base: ExperimentConfig, grid: dict) -> tuple:
                                   stats.get("mean", ""), stats.get("median", ""),
                                   stats.get("min", ""), stats.get("max", ""),
                                   doc.summary["ok_rate"], ""])
-    return documents, buf.getvalue()
+    return documents, buf.getvalue(), failures

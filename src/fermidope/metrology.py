@@ -250,6 +250,17 @@ def dimension_verdict(lambda_t1: float, eps_test: float) -> str:
     return "close" if lambda_t1 >= 1.0 - eps_test else "far"
 
 
+def dimension_test_budget(n: int, t: int, eps_a: float, eps_b: float, delta: float) -> int:
+    """The sampled tester's copy count before its split into groups.
+
+    ceil(16 n^3 / eps_corr^2 * log(4 n^2 / delta)) with eps_corr =
+    eps_b^2 / (n - t) - eps_a; the inputs are those ``test_gaussian_dimension``
+    accepts.
+    """
+    eps_corr = eps_b**2 / (n - t) - eps_a
+    return math.ceil(16.0 * n**3 / eps_corr**2 * math.log(4.0 * n**2 / delta))
+
+
 def test_gaussian_dimension(
     state_source,
     t: int,
@@ -266,8 +277,7 @@ def test_gaussian_dimension(
     t-compressible states or at least eps_b away, the verdict is correct
     with probability at least 1 - delta.  Requires
     eps_b > sqrt((n - t) * eps_a).  The default copy count is
-    ceil(16 n^3 / eps_corr^2 * log(4 n^2 / delta)); shot_override replaces
-    it for desk-scale runs.  The result's ``copies`` is what the sampled
+    ``dimension_test_budget``; shot_override replaces it for desk-scale runs.  The result's ``copies`` is what the sampled
     estimator draws for that count: ``group_shots`` per group.
     """
     psi = fresh_copy(state_source)
@@ -291,9 +301,7 @@ def test_gaussian_dimension(
         copies = 0
         c_hat = correlation_exact(psi)
     else:
-        budget = shot_override if shot_override is not None else math.ceil(
-            16.0 * n**3 / eps_corr**2 * math.log(4.0 * n**2 / delta)
-        )
+        budget = shot_override if shot_override is not None else dimension_test_budget(n, t, eps_a, eps_b, delta)
         c_hat = correlation_sampled(psi, budget, rng)
         copies = copies_drawn(budget, n)
 

@@ -225,6 +225,15 @@ def test_sampled_test_reports_the_copies_drawn(capsys):
     assert json.loads(capsys.readouterr().out)["records"][0]["copies"] == 7
 
 
+def test_known_exit3_test_run_reports_it_is_under_budget(capsys):
+    # 100,000 copies against the formula's 136,064,814: the far verdict on a Gaussian is explained
+    assert main(["test", "--n", "8", "--t", "0", "--fixture", "gaussian", "--mode", "sampled",
+                 "--shots-override", "100000"]) == EXIT_STATISTICAL
+    record = json.loads(capsys.readouterr().out)["records"][0]
+    assert record["under_budget"] is True
+    assert (record["budget_required"], record["copies"]) == (136064814, 100005)
+
+
 def test_sweep_writes_csv(tmp_path):
     csv_path = tmp_path / "grid.csv"
     code = main(["sweep", "--kind", "compress", "--kappa", "3", "--trials", "2",
@@ -232,6 +241,36 @@ def test_sweep_writes_csv(tmp_path):
     assert code == EXIT_OK
     lines = csv_path.read_text().strip().splitlines()
     assert len(lines) == 1 + 4 * 3
+
+
+def test_sweep_with_a_failing_cell_exits_like_its_single_run(tmp_path, capsys):
+    # t = 5 >= n = 4 is a configuration error: exit 2, as `test --n 4 --t 5` gives
+    csv_path = tmp_path / "grid.csv"
+    code = main(["sweep", "--kind", "test", "--grid-n", "4", "--grid-t", "1,5", "--csv", str(csv_path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_PRECONDITION == main(["test", "--n", "4", "--t", "5"])
+    assert "error: 1 of 2 cells failed; first (n=4, t=5): ConfigError: test needs t < n" in err
+    lines = csv_path.read_text().strip().splitlines()
+    assert lines[-1].startswith("4,5,error,") and sum(",summary," in ln for ln in lines) == 1
+    # the same with no cell left to run
+    code = main(["sweep", "--kind", "test", "--grid-n", "4", "--grid-t", "5", "--csv", str(csv_path)])
+    assert code == EXIT_PRECONDITION
+    assert "error: 1 of 1 cells failed" in capsys.readouterr().err
+
+
+def test_sweep_with_a_numerical_failure_exits_4(tmp_path, monkeypatch, capsys):
+    compress_state = harness.compress_state
+
+    def leaky_at_n6(circuit):
+        if circuit.n == 6:
+            raise CompressionError("trailing qubits carry weight")
+        return compress_state(circuit)
+
+    monkeypatch.setattr(harness, "compress_state", leaky_at_n6)
+    code = main(["sweep", "--kind", "compress", "--kappa", "3", "--grid-n", "4,6,8", "--grid-t", "1",
+                 "--csv", str(tmp_path / "grid.csv")])
+    assert code == EXIT_NUMERICAL
+    assert "error: 1 of 3 cells failed; first (n=6, t=1): CompressionError" in capsys.readouterr().err
 
 
 def test_out_dir_env_var(tmp_path, monkeypatch):

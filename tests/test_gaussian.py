@@ -11,6 +11,8 @@ from fermidope.gaussian import (
     FUSE_QUBITS,
     Block,
     GaussianUnitary,
+    _fusion_plan,
+    _window_generators,
     apply_pauli_rotation,
     heisenberg_matrix,
     identity_gaussian,
@@ -148,6 +150,17 @@ def test_plane_kernel_matches_pauli_rotation_oracle():
                 assert np.abs(amps - oracle.amps).max() <= 1e-13, (n, mu, nu)
 
 
+def test_window_generators_are_the_rotation_generators():
+    # composed from Majorana actions; the Pauli algebra of rotation_generator is the oracle
+    for m in range(1, FUSE_QUBITS + 2):
+        ids, src, coef = _window_generators(m)
+        assert list(ids) == [(mu, nu) for mu in range(1, 2 * m + 1) for nu in range(mu + 1, 2 * m + 1)]
+        for (mu, nu), row in ids.items():
+            expected_src, expected_coef = rotation_generator(mu, nu, m).action()
+            assert np.array_equal(src[row], expected_src) and np.array_equal(coef[row], expected_coef)
+        assert not src.flags.writeable and not coef.flags.writeable
+
+
 def _with_det(o: np.ndarray, negative: bool) -> np.ndarray:
     return o @ ortho.reflection_matrix(o.shape[0]) if negative else o
 
@@ -246,7 +259,25 @@ def test_haar_program_at_n12_pads_its_near_end_blocks():
         hi = op.lo - 2 + len(op.u).bit_length()
         if op.lo > 1 and n - hi in (1, 2):
             assert n - op.lo + 1 > FUSE_QUBITS + 1, (op.lo, hi)
-    assert [op.lo for op in blocks if len(op.u) == 32] == [8] * 5
+    assert [(op.lo, len(op.u)) for op in blocks] == [
+        (9, 16), (8, 32), (6, 16), (9, 16), (7, 16), (5, 16), (9, 16), (7, 16), (9, 16), (4, 16),
+        (6, 16), (3, 16), (8, 32), (5, 16), (2, 16), (3, 16), (1, 16), (6, 16), (9, 16), (7, 16),
+        (9, 16), (4, 16), (2, 16), (6, 16), (4, 16), (8, 32), (6, 16), (9, 16), (8, 32), (9, 16),
+    ]
+
+
+@pytest.mark.parametrize("n, ops, rows", [(8, 11, 13), (12, 30, 32)])
+def test_haar_program_op_count(n, ops, rows):
+    # the greedy packer fills 4-qubit windows: 14 -> 11 ops at n = 8 and 39 -> 30 at n = 12
+    # under the earlier rule (join the last window touching the rotation, keep its span)
+    g = GaussianUnitary(ortho.random_orthogonal(2 * n, np.random.default_rng(3)))
+    assert len(g.program.rotations) == n * (2 * n - 1)
+    assert len(g.program.ops) == ops
+    assert all(isinstance(op, Block) for op in g.program.ops)
+    # the 28-rotation block is built in rows of at most 12, the next longest block's length,
+    # so the stack takes 12 steps, not 28
+    plan = _fusion_plan(tuple((mu, nu) for mu, nu, _ in g.program.rotations), n)
+    assert plan.rotations.shape == (rows, 12) and len(plan.active) == 12
 
 
 def test_haar_layer_at_n12_compiles_to_276_adjacent_planes():
@@ -285,50 +316,91 @@ def test_derived_adjoint_applies_like_a_fresh_compile(n, kind, negative, source_
     assert g_dag.adjoint().program is g.program
 
 
-def _sequential_blocks(rotations: tuple, n: int) -> list:
-    """Oracle for the fused ops: each window's product, one rotate_plane at a time on its identity.
+def _plan_ops(rotations: tuple, n: int) -> list:
+    """(lo, rotation indices, pad) per op of the fusion plan; lo = 0 for an unfused plane."""
+    plan = _fusion_plan(tuple((mu, nu) for mu, nu, _ in rotations), n)
+    out = []
+    for lo, rows, pad in plan.order:
+        if not lo:
+            out.append((0, list(rows), 0))
+            continue
+        lengths = [sum(count > row for count in plan.active) for row in rows]
+        out.append((lo, [i for row, length in zip(rows, lengths) for i in plan.rotations[row, :length]], pad))
+    return out
 
-    Windows follow the same rule as compilation: a rotation joins the last
-    window sharing a qubit with it if the joint window spans <= FUSE_QUBITS
-    qubits, else opens a new one.  So does padding: a block that starts
-    after qubit 1 and within the last FUSE_QUBITS + 1 qubits is extended to
-    qubit n as u (x) I.
+
+def _sequential_blocks(rotations: tuple, n: int) -> list:
+    """Oracle for the fused ops: each planned window's product, one rotate_plane at a time.
+
+    The windows and their rotations come from the fusion plan; each block is
+    built on the identity of its min(FUSE_QUBITS, n) qubits, and a block
+    that starts after qubit 1 and within the last FUSE_QUBITS + 1 qubits is
+    extended to qubit n as u (x) I.
     """
-    windows = []  # [lo, hi, rotations]
-    for rot in rotations:
-        lo, hi = (rot[0] + 1) // 2, (rot[1] + 1) // 2
-        sharing = [w for w in windows if w[0] <= hi and lo <= w[1]]
-        w = sharing[-1] if sharing else None
-        if w is not None and max(hi, w[1]) - min(lo, w[0]) < FUSE_QUBITS:
-            w[0], w[1] = min(lo, w[0]), max(hi, w[1])
-            w[2].append(rot)
-        else:
-            windows.append([lo, hi, [rot]])
+    m = min(FUSE_QUBITS, n)
     ops = []
-    for lo, hi, rots in windows:
-        m = hi - lo + 1
-        if m > FUSE_QUBITS:
-            ops.append(rots[0])
+    for lo, indices, _ in _plan_ops(rotations, n):
+        if not lo:
+            ops.append(rotations[indices[0]])
             continue
         # the flattened identity is a 2m-qubit register whose leading m qubits index the rows
         u = np.eye(2**m, dtype=complex).reshape(-1)
-        for mu, nu, theta in rots:
+        for mu, nu, theta in (rotations[i] for i in indices):
             rotate_plane(u, 2 * m, mu - 2 * (lo - 1), nu - 2 * (lo - 1), theta / 2.0)
         u = u.reshape(2**m, 2**m)
         if lo > 1 and n - lo + 1 <= FUSE_QUBITS + 1:
-            u = np.kron(u, np.eye(2 ** (n - hi)))
+            u = np.kron(u, np.eye(2 ** (n - lo - m + 1)))
         ops.append(Block(lo, u))
     return ops
 
 
+def _assert_ops_equal_the_oracle(g: GaussianUnitary) -> None:
+    ops = g.program.ops
+    oracle = _sequential_blocks(g.program.rotations, g.n)
+    assert len(ops) == len(oracle)
+    for op, expected in zip(ops, oracle):
+        if isinstance(expected, Block):
+            assert isinstance(op, Block) and op.lo == expected.lo
+            assert np.abs(op.u - expected.u).max() <= 1e-14
+        else:
+            assert op == expected
+
+
 def test_batched_blocks_equal_the_sequential_oracle():
     for g in _fused_unitaries():
-        ops = g.program.ops
-        oracle = _sequential_blocks(g.program.rotations, g.n)
-        assert len(ops) == len(oracle)
-        for op, expected in zip(ops, oracle):
-            if isinstance(expected, Block):
-                assert isinstance(op, Block) and op.lo == expected.lo
-                assert np.abs(op.u - expected.u).max() <= 1e-14
-            else:
-                assert op == expected
+        _assert_ops_equal_the_oracle(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    kind=st.sampled_from(["haar", "group", "signed_permutation", "mix"]),
+    negative=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fusion_plan_packs_every_rotation_once_in_order(n, kind, negative, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "group":
+        groups = commuting_groups(n)
+        o = _group_permutation(groups[int(rng.integers(len(groups)))], n)
+    else:
+        o = compile_input(kind, n, rng)
+    g = GaussianUnitary(_with_det(o, negative))
+    rotations, m = g.program.rotations, min(FUSE_QUBITS, n)
+    planned = _plan_ops(rotations, n)
+    # each rotation sits in exactly one op
+    order = [i for _, indices, _ in planned for i in indices]
+    assert sorted(order) == list(range(len(rotations)))
+    # every qubit sees its rotations in the original order
+    for q in range(1, n + 1):
+        on_q = [i for i in order if (rotations[i][0] + 1) // 2 <= q <= (rotations[i][1] + 1) // 2]
+        assert on_q == sorted(on_q), q
+    for (lo, indices, pad), op in zip(planned, g.program.ops):
+        if not lo:  # a plane left alone is wider than any window
+            mu, nu, _ = op
+            assert (nu + 1) // 2 - (mu + 1) // 2 + 1 > m and op == rotations[indices[0]]
+            continue
+        # every block is m qubits wide before end padding, and holds only planes inside it
+        assert 1 <= lo <= n - m + 1 and len(op.u) == 2 ** (m + pad)
+        assert all(lo <= (rotations[i][0] + 1) // 2 and (rotations[i][1] + 1) // 2 < lo + m for i in indices)
+    _assert_ops_equal_the_oracle(g)

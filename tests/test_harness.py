@@ -1,9 +1,11 @@
 """Harness: config validation, determinism, sweeps, result documents."""
 
 import json
+import math
 
 import pytest
 
+from fermidope import metrology
 from fermidope.doped import prepare
 from fermidope.harness import (
     ConfigError,
@@ -134,8 +136,8 @@ def test_trials_csv_shape():
 
 def test_sweep_rows_and_summaries():
     base = ExperimentConfig(kind="compress", n=4, t=1, kappa=3, trials=2, seed=0)
-    docs, csv_text = sweep(base, {"n": [4, 6], "t": [0, 1]})
-    assert len(docs) == 4
+    docs, csv_text, failures = sweep(base, {"n": [4, 6], "t": [0, 1]})
+    assert len(docs) == 4 and failures == []
     lines = csv_text.strip().splitlines()
     # header + 4 cells x (2 trials + 1 summary)
     assert len(lines) == 1 + 4 * 3
@@ -144,22 +146,23 @@ def test_sweep_rows_and_summaries():
 
 def test_sweep_single_cell_matches_run():
     base = ExperimentConfig(kind="compress", n=4, t=1, kappa=3, trials=2, seed=0)
-    docs, _ = sweep(base, {"n": [6]})
+    docs, _, _ = sweep(base, {"n": [6]})
     direct = run(ExperimentConfig(kind="compress", n=6, t=1, kappa=3, trials=2, seed=0))
     assert docs[0].to_json() == direct.to_json()
 
 
 def test_sweep_empty_grid_is_header_only():
     base = ExperimentConfig(kind="compress", n=4, t=1, kappa=3, trials=1, seed=0)
-    docs, csv_text = sweep(base, {"n": []})
-    assert docs == []
+    docs, csv_text, failures = sweep(base, {"n": []})
+    assert docs == [] and failures == []
     assert len(csv_text.strip().splitlines()) == 1
 
 
 def test_sweep_partial_failure_recorded():
     base = ExperimentConfig(kind="compress", n=4, t=1, kappa=4, trials=1, seed=0)
-    docs, csv_text = sweep(base, {"n": [4, 3]})  # n = 3 violates kappa*t <= n
+    docs, csv_text, failures = sweep(base, {"n": [4, 3]})  # n = 3 violates kappa*t <= n
     assert len(docs) == 1
+    assert [(cell, type(exc)) for cell, exc in failures] == [({"n": 3}, ConfigError)]
     assert any(",error," in ln or ln.endswith("ConfigError: compression needs kappa*t <= n, got 4 > 3")
                for ln in csv_text.splitlines())
 
@@ -193,6 +196,39 @@ def test_learn_records_the_correlation_copies_drawn():
         record = run(ExperimentConfig(**base, **fields)).records[0]
         assert record["copies_correlation_drawn"] == drawn, fields
     assert record["copies_correlation"] == 100  # at t = n the budget is reported, not drawn
+
+
+def test_test_records_state_the_budget_and_an_override_under_it():
+    # n = 4, t = 1, eps_b = 0.4: the formula asks for ~1.9M copies; 100 undercut it
+    required = metrology.dimension_test_budget(4, 1, 0.0, 0.4, 1.0 / 3.0)
+    assert required == math.ceil(16 * 4**3 / (0.16 / 3) ** 2 * math.log(4 * 4**2 * 3))
+    drawn = metrology.copies_drawn(required, 4)
+    cases = [(dict(mode="exact"), 0, False, 0),
+             (dict(mode="exact", shots_override=5), 0, False, 0),
+             (dict(mode="sampled", shots_override=100), required, True, 105),
+             (dict(mode="sampled", shots_override=required), required, False, drawn),
+             (dict(mode="sampled"), required, False, drawn)]
+    for fields, budget, under, copies in cases:
+        record = run(ExperimentConfig(kind="test", n=4, t=1, fixture="gaussian", seed=2, **fields)).records[0]
+        assert (record["budget_required"], record["under_budget"], record["copies"]) == (budget, under, copies)
+
+
+def test_document_validation_checks_the_test_budget():
+    from fermidope.harness import validate_document
+
+    cfg = ExperimentConfig(kind="test", n=4, t=1, fixture="gaussian", seed=2, mode="sampled",
+                           shots_override=100)
+    payload = json.loads(run(cfg).to_json())
+    validate_document(payload)
+    record = payload["records"][0]
+    for key, value in (("under_budget", False), ("under_budget", 1), ("budget_required", 0),
+                       ("budget_required", float(record["budget_required"])), ("copies", 100)):
+        broken = dict(payload, records=[dict(record, **{key: value})])
+        with pytest.raises(ValueError, match="test record"):
+            validate_document(broken)
+    missing = {k: v for k, v in record.items() if k != "under_budget"}
+    with pytest.raises(ValueError, match="test record"):
+        validate_document(dict(payload, records=[missing]))
 
 
 def test_document_validation_checks_the_correlation_spend():
