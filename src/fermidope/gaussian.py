@@ -21,9 +21,12 @@ The Givens chain of ``ortho.givens_decompose`` gives a dense O only
 adjacent planes (mu, mu + 1), i.e. gates on one or two neighbouring qubits
 (a nearest-neighbour matchgate circuit).  Compilation therefore fuses the
 rotations into dense 2^m x 2^m blocks, all on windows of the same m =
-min(FUSE_QUBITS, n) adjacent qubits.  A greedy packer walks the rotations
-in dependency order, moving those on disjoint qubits past each other, and
-each time fills the window that can take the most of them.  ``apply`` runs
+min(FUSE_QUBITS, n) adjacent qubits.  The packer is greedy: each step,
+every window walks the pending rotations in order with a mask of blocked
+qubits, taking each rotation inside it that touches no blocked qubit and
+blocking the qubits of every other one, and the window that takes the
+most (the lowest on a tie) becomes the next block.  Rotations on disjoint
+qubits commute, so the blocks keep the product.  ``apply`` runs
 each block as one matrix product over the amplitudes: a single GEMM when
 the block touches either end of the register, 2^(lo-1) small batched ones
 otherwise, so a block near the end is padded at compile time to u (x) I up
@@ -186,71 +189,31 @@ def _pack(planes: tuple, n: int, width: int) -> list:
     the window and goes alone.  Returns (lo, rotation indices) per op, lo = 0
     for an unfused plane.
 
-    The windows that can take a rotation (bit k for the window on qubits
-    k + 1 .. k + width) are those that contain it and can take its nearest
-    predecessor on each of its qubits, where a rotation gone counts as
-    takeable anywhere.  So after each step only the successors of the
-    rotations gone are recomputed, in index order, and only while they gain
-    windows.
+    A window finds what it can take in one walk over the pending rotations
+    with a mask of blocked qubits: a rotation inside the window on no
+    blocked qubit is taken, any other blocks its qubits, and the walk stops
+    once the whole window is blocked.
     """
-    count, windows = len(planes), n - width + 1
-    every = (1 << windows) - 1
-    # index ``count`` stands for the rotations already gone: takeable anywhere
-    fits, takes, preds, after = [], [0] * count + [every], [], [0] * (count + 1)
-    members = [0] * windows  # per window, the bit mask of the pending rotations it can take
-    last = [count] * (n + 1)  # per qubit, its latest rotation so far
-    for i, (mu, nu) in enumerate(planes):
-        lo, hi = (mu + 1) // 2, (nu + 1) // 2
-        before = tuple(set(last[lo:hi + 1]))
-        preds.append(before)
-        last[lo:hi + 1] = [i] * (hi - lo + 1)
-        bit = 1 << i
-        t = (1 << min(lo, windows)) - (1 << max(hi - width, 0)) if hi - lo < width else 0
-        fits.append(t)
-        for p in before:
-            after[p] |= bit
-            t &= takes[p]
-        takes[i] = t
-        for k in _bits(t):
-            members[k] |= bit
-    pending = (1 << count) - 1
-    ops = []
+    spans = [(2 << (nu + 1) // 2) - (1 << (mu + 1) // 2) for mu, nu in planes]  # qubit bit masks
+    pending, ops = list(range(len(planes))), []
     while pending:
-        sizes = [m.bit_count() for m in members]
-        k = sizes.index(max(sizes))
-        taken = members[k] if sizes[k] else pending & -pending
-        pending ^= taken
-        members = [m & ~taken for m in members]
-        indices = _bits(taken)
-        ops.append((k + 1 if sizes[k] else 0, indices))
-        dirty = 0
-        for i in indices:
-            takes[i] = every
-            dirty |= after[i]
-        dirty &= pending
-        while dirty:
-            bit = dirty & -dirty
-            dirty ^= bit
-            i = bit.bit_length() - 1
-            t = fits[i]
-            for p in preds[i]:
-                t &= takes[p]
-            if t != takes[i]:  # windows are only ever gained
-                for k in _bits(t & ~takes[i]):
-                    members[k] |= bit
-                takes[i] = t
-                dirty |= after[i]
+        lo, best = 0, []
+        for k in range(1, n - width + 2):
+            window, blocked, taken = ((1 << width) - 1) << k, 0, []
+            for i in pending:
+                if spans[i] & (blocked | ~window):
+                    blocked |= spans[i]
+                    if not window & ~blocked:
+                        break
+                else:
+                    taken.append(i)
+            if len(taken) > len(best):
+                lo, best = k, taken
+        best = best or pending[:1]
+        ops.append((lo, best))
+        gone = set(best)
+        pending = [i for i in pending if i not in gone]
     return ops
-
-
-def _bits(mask: int) -> list:
-    """The positions of the set bits of ``mask``, lowest first."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 @lru_cache(maxsize=FUSION_PLANS)
@@ -435,10 +398,6 @@ class GaussianUnitary:
 
     def adjoint(self) -> "GaussianUnitary":
         return GaussianUnitary.sharing(self.O.T, self._programs, 1 - self._side)
-
-    def __matmul__(self, other: "GaussianUnitary") -> "GaussianUnitary":
-        """Composition: (self @ other) applies ``other`` first."""
-        return GaussianUnitary(self.O @ other.O, check=False)
 
     def apply(self, psi: StateVector) -> StateVector:
         if psi.n != self.n:

@@ -14,6 +14,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 
@@ -72,6 +73,9 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if self.shots_override is not None and self.shots_override < 1:
             raise ConfigError("shots_override must be >= 1")
+        for name in ("eps", "delta", "eps_a", "eps_b", "c_tom"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be a finite number, got {getattr(self, name)}")
         if self.budget not in ("default", "hoeffding"):
             raise ConfigError(f"budget must be default or hoeffding, got {self.budget!r}")
         if self.kind in ("prepare", "compress") and self.fixture != "doped":

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import ortho
 from .gaussian import GaussianUnitary, identity_gaussian
-from .metrology import correlation_exact, correlation_sampled
+from .metrology import copy_count, correlation_exact, correlation_sampled
 from .pauli import LETTERS, PauliString
 from .states import (
     StateVector,
@@ -90,7 +90,7 @@ def boosting_iterations(n_needed: int, delta: float) -> int:
     """Repetitions so that >= n_needed successes occur w.p. 1 - delta, given p >= 3/4."""
     if not 0 < delta <= 1:
         raise ValueError(f"delta must be in (0, 1], got {delta}")
-    return math.ceil(2 * n_needed + 24.0 * math.log(1.0 / delta))
+    return copy_count("N_loop", lambda: 2 * n_needed + 24.0 * math.log(1.0 / delta))
 
 
 def _check_draw(stage: str, count: int) -> None:
@@ -100,7 +100,8 @@ def _check_draw(stage: str, count: int) -> None:
 
 def _tomography_copies(t: int, eps: float, delta: float, c_tom: float) -> int:
     # copies for t-qubit tomography at accuracy eps/2, failure delta/3
-    return math.ceil(c_tom * 2**t * max(t, 1) * math.log(3.0 / delta) * (eps / 2.0) ** -4)
+    return copy_count(
+        "N_tom", lambda: c_tom * 2**t * max(t, 1) * math.log(3.0 / delta) * (eps / 2.0) ** -4)
 
 
 def plan_budget(n: int, t: int, eps: float, delta: float, c_tom: float = 1.0) -> LearnBudget:
@@ -109,7 +110,7 @@ def plan_budget(n: int, t: int, eps: float, delta: float, c_tom: float = 1.0) ->
         raise ValueError("need eps, delta in (0, 1]")
     if not 0 <= t <= n:
         raise ValueError(f"t must be in [0, {n}], got {t}")
-    n_corr = math.ceil(256.0 * n**5 / eps**4 * math.log(12.0 * n**2 / delta))
+    n_corr = copy_count("N_corr", lambda: 256.0 * n**5 / eps**4 * math.log(12.0 * n**2 / delta))
     n_tom = _tomography_copies(t, eps, delta, c_tom)
     n_loop = boosting_iterations(n_tom, delta / 3.0)
     eps_c = math.inf if t == n else eps**2 / (4.0 * (n - t))
@@ -129,7 +130,8 @@ def hoeffding_budget(n: int, t: int, eps: float, delta: float, c_tom: float = 1.
     if base.pure_tomography:
         return replace(base, N_corr=0, source="hoeffding")
     m = n * (2 * n - 1)
-    n_corr = math.ceil(8.0 * n**2 * (2 * n - 1) / base.eps_c**2 * math.log(2.0 * m * 3.0 / delta))
+    n_corr = copy_count(
+        "N_corr", lambda: 8.0 * n**2 * (2 * n - 1) / base.eps_c**2 * math.log(2.0 * m * 3.0 / delta))
     return replace(base, N_corr=n_corr, source="hoeffding")
 
 
@@ -253,8 +255,9 @@ def learn(state_source, n: int, t: int, budget: LearnBudget, mode: str = "sample
     (for debugging and promise checks); sampled mode consumes the budget.
     Raises BoostingFailureError when fewer than N_tom post-selections
     succeed, ZeroProbabilityError when the promise is violated outright,
-    and ValueError when a sampled stage's copy count is past what its draw
-    takes (2^53 shots per correlation group, 2^63 for N_loop).
+    and ValueError when the budget was planned for another (n, t) or a
+    sampled stage's copy count is past what its draw takes (2^53 shots per
+    correlation group, 2^63 for N_loop).
     """
     if mode not in ("exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -265,10 +268,12 @@ def learn(state_source, n: int, t: int, budget: LearnBudget, mode: str = "sample
         raise ValueError(f"copy has {psi.n} qubits, expected {n}")
     if not 0 <= t <= n:
         raise ValueError(f"t must be in [0, {n}], got {t}")
+    if (budget.n, budget.t) != (n, t):
+        raise ValueError(f"budget planned for (n, t) = ({budget.n}, {budget.t}), learning ({n}, {t})")
     if t < n and mode == "sampled":
         _check_draw("boosting, N_loop", budget.N_loop)  # before any stage runs
 
-    if budget.pure_tomography or t == n:
+    if t == n:
         g_hat = identity_gaussian(n)
         rotated = psi
         successes = budget.N_loop

@@ -250,6 +250,21 @@ def dimension_verdict(lambda_t1: float, eps_test: float) -> str:
     return "close" if lambda_t1 >= 1.0 - eps_test else "far"
 
 
+def copy_count(name: str, formula) -> int:
+    """ceil(formula()), a copy count; ValueError naming it when it is not a finite number.
+
+    A float past its range reads as infinite, whether the arithmetic
+    overflows or a power underflows to 0 and is divided by.
+    """
+    try:
+        value = formula()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{name}: {value} is not a finite number of copies")
+    return math.ceil(value)
+
+
 def dimension_test_budget(n: int, t: int, eps_a: float, eps_b: float, delta: float) -> int:
     """The sampled tester's copy count before its split into groups.
 
@@ -257,8 +272,11 @@ def dimension_test_budget(n: int, t: int, eps_a: float, eps_b: float, delta: flo
     eps_b^2 / (n - t) - eps_a; the inputs are those ``test_gaussian_dimension``
     accepts.
     """
-    eps_corr = eps_b**2 / (n - t) - eps_a
-    return math.ceil(16.0 * n**3 / eps_corr**2 * math.log(4.0 * n**2 / delta))
+    def formula():
+        eps_corr = eps_b**2 / (n - t) - eps_a
+        return 16.0 * n**3 / eps_corr**2 * math.log(4.0 * n**2 / delta)
+
+    return copy_count("dimension test", formula)
 
 
 def test_gaussian_dimension(

@@ -4,6 +4,7 @@ import json
 import warnings
 
 import numpy as np
+import pytest
 
 from fermidope import harness
 from fermidope.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_PRECONDITION, EXIT_STATISTICAL, main
@@ -206,6 +207,21 @@ def test_tiny_test_eps_b_is_precondition_error(capsys):
     _assert_one_line_precondition_error(
         ["test", "--n", "3", "--t", "0", "--mode", "sampled", "--eps-b", "1e-7"],
         "correlation sampling", READOUT_LIMIT, capsys)
+
+
+@pytest.mark.parametrize("args, message", [
+    (["learn", "--n", "4", "--t", "1", "--c-tom", "inf"], "c_tom must be a finite number, got inf"),
+    (["test", "--n", "4", "--t", "0", "--mode", "sampled", "--delta", "1e-320"],
+     "dimension test: inf is not a finite number of copies"),
+    (["learn", "--n", "4", "--t", "1", "--eps", "1e-100"], "N_corr: inf is not a finite number of copies"),
+    (["test", "--n", "4", "--t", "0", "--eps-a", "nan"], "eps_a must be a finite number, got nan"),
+    (["test", "--n", "4", "--t", "0", "--eps-b", "inf"], "eps_b must be a finite number, got inf"),
+])
+def test_non_finite_or_degenerate_float_is_precondition_error(args, message, capsys):
+    # an infinite copy count or a non-finite input would end in a traceback or in invalid JSON
+    assert main(args) == EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
 def test_test_subcommand(tmp_path):

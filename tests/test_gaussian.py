@@ -19,7 +19,7 @@ from fermidope.gaussian import (
     rotate_plane,
     rotation_generator,
 )
-from fermidope.metrology import _group_permutation, commuting_groups, correlation_exact
+from fermidope.metrology import _group_permutation, _grouped_sampling, commuting_groups, correlation_exact
 from fermidope.pauli import majorana
 from fermidope.states import apply_pauli, fidelity, overlap, random_state, zero_state
 
@@ -278,6 +278,17 @@ def test_haar_program_op_count(n, ops, rows):
     # so the stack takes 12 steps, not 28
     plan = _fusion_plan(tuple((mu, nu) for mu, nu, _ in g.program.rotations), n)
     assert plan.rotations.shape == (rows, 12) and len(plan.active) == 12
+
+
+@pytest.mark.parametrize("n, rotations, ops, blocks", [(8, 189, 50, 48), (12, 471, 189, 124)])
+def test_group_programs_op_count(n, rotations, ops, blocks):
+    # the 2n - 1 grouped-sampling basis changes; each unfused op is a plane wider than a block
+    groups, _ = _grouped_sampling(n)
+    programs = [GaussianUnitary(o).program for o, *_ in groups]
+    assert len(programs) == 2 * n - 1
+    assert sum(len(prog.rotations) for prog in programs) == rotations
+    assert sum(len(prog.ops) for prog in programs) == ops
+    assert sum(isinstance(op, Block) for prog in programs for op in prog.ops) == blocks
 
 
 def test_haar_layer_at_n12_compiles_to_276_adjacent_planes():

@@ -76,6 +76,26 @@ def test_budget_validation():
         plan_budget(4, 5, 0.2, 0.1)
 
 
+def test_budget_count_past_the_float_range_names_the_count():
+    # eps^4 underflows to 0, (eps / 2)^-4 overflows, and an infinite c_tom is no count
+    with pytest.raises(ValueError, match="^N_corr: inf is not a finite number of copies$"):
+        plan_budget(4, 1, 1e-100, 0.1)
+    with pytest.raises(ValueError, match="^N_tom: inf is not a finite number of copies$"):
+        plan_budget(4, 1, 0.2, 0.1, c_tom=math.inf)
+    with pytest.raises(ValueError, match="^N_tom: nan is not a finite number of copies$"):
+        hoeffding_budget(4, 1, 0.2, 0.1, c_tom=math.nan)
+    with pytest.raises(ValueError, match="^N_loop: inf is not a finite number of copies$"):
+        boosting_iterations(10**400, 0.1)
+
+
+def test_learn_rejects_a_budget_planned_for_another_n_or_t(rng):
+    # a budget for t = n would skip the correlation stage and return the identity as G_hat
+    psi = random_state(4, rng)
+    for budget in (plan_budget(4, 4, 0.25, 1 / 3), plan_budget(5, 1, 0.25, 1 / 3)):
+        with pytest.raises(ValueError, match="budget planned for"):
+            learn(psi, 4, 1, budget, mode="exact")
+
+
 def test_hoeffding_budget_formula():
     budget = hoeffding_budget(4, 1, 0.25, 1 / 3)
     m = 4 * 7
