@@ -39,8 +39,9 @@ than the second longest in several rows multiplied at the end.
 G and G^dag come in pairs (rotate by G^dag, reassemble with G), and the
 second of the two derives its program from the first's.  Both share one
 program cell (``GaussianUnitary.sharing``), the single mechanism by which
-instances share programs; ``metrology`` keeps one such cell per commuting
-group and n, so each group's basis change compiles once per n.
+instances share programs; ``metrology`` keeps two such cells per n, the
+first step and the repeated step of its grouped-sampling walk, so each
+compiles once per n.
 """
 
 from __future__ import annotations

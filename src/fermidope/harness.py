@@ -40,6 +40,23 @@ class ConfigError(ValueError):
     """An experiment configuration violates a precondition."""
 
 
+_FLOAT_FIELDS = ("eps", "delta", "eps_a", "eps_b", "c_tom")
+# (field, predicate, message) for every numeric field; each field is named as its CLI flag
+# spells it, with "_" for "-".  eps_a and eps_b are trace distances, so at most 1.
+_RANGES = (
+    ("n", lambda n: 1 <= n <= 12, "n must be in [1, 12] for the dense engine, got {}"),
+    ("t", lambda t: t >= 0, "t must be >= 0, got {}"),
+    ("kappa", lambda kappa: kappa >= 1, "kappa must be >= 1, got {}"),
+    ("trials", lambda trials: trials >= 1, "trials must be >= 1, got {}"),
+    ("shots_override", lambda shots: shots is None or shots >= 1, "shots_override must be >= 1"),
+    ("eps", lambda eps: 0 < eps <= 1, "eps must be in (0, 1], got {}"),
+    ("delta", lambda delta: 0 < delta <= 1, "delta must be in (0, 1], got {}"),
+    ("eps_a", lambda eps_a: 0 <= eps_a <= 1, "eps_a must be in [0, 1], got {}"),
+    ("eps_b", lambda eps_b: 0 < eps_b <= 1, "eps_b must be in (0, 1], got {}"),
+    ("c_tom", lambda c_tom: c_tom > 0, "c_tom must be > 0, got {}"),
+)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     kind: str
@@ -61,21 +78,16 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         if self.kind not in KINDS:
             raise ConfigError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if not 1 <= self.n <= 12:
-            raise ConfigError(f"n must be in [1, 12] for the dense engine, got {self.n}")
-        if self.t < 0 or self.kappa < 1:
-            raise ConfigError("need t >= 0 and kappa >= 1")
         if self.mode not in ("exact", "sampled"):
             raise ConfigError(f"mode must be exact or sampled, got {self.mode!r}")
         if self.fixture not in FIXTURES:
             raise ConfigError(f"fixture must be one of {FIXTURES}, got {self.fixture!r}")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if self.shots_override is not None and self.shots_override < 1:
-            raise ConfigError("shots_override must be >= 1")
-        for name in ("eps", "delta", "eps_a", "eps_b", "c_tom"):
+        for name in _FLOAT_FIELDS:
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be a finite number, got {getattr(self, name)}")
+        for name, holds, message in _RANGES:
+            if not holds(getattr(self, name)):
+                raise ConfigError(message.format(getattr(self, name)))
         if self.budget not in ("default", "hoeffding"):
             raise ConfigError(f"budget must be default or hoeffding, got {self.budget!r}")
         if self.kind in ("prepare", "compress") and self.fixture != "doped":
@@ -83,15 +95,11 @@ class ExperimentConfig:
         if self.kind == "compress" and self.kappa * self.t > self.n:
             raise ConfigError(f"compression needs kappa*t <= n, got {self.kappa * self.t} > {self.n}")
         if self.kind == "learn":
-            if not (0 < self.eps <= 1 and 0 < self.delta <= 1):
-                raise ConfigError("learn needs eps, delta in (0, 1]")
             if self.fixture not in ("doped", "compressible"):
                 raise ConfigError("learn supports the doped and compressible fixtures")
             if self._learn_t() > self.n:
                 raise ConfigError("learned core exceeds the register; reduce t or kappa")
         if self.kind == "test":
-            if not 0 < self.delta <= 1:
-                raise ConfigError("test needs delta in (0, 1]")
             if self.t >= self.n:
                 raise ConfigError("test needs t < n")
             if self.eps_b <= np.sqrt((self.n - self.t) * self.eps_a):

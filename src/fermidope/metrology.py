@@ -10,9 +10,11 @@ the Gaussian dimension.
 The shot-based estimator draws each commuting group's joint bitstrings
 from the exact outcome distribution (one multinomial), which is
 statistically identical to simulating the shots one at a time.  The
-groups' basis changes depend only on n, so they are compiled once per n
-and their programs shared with every later call through one program cell
-per group (``GaussianUnitary.sharing``, the mechanism ``adjoint()`` uses).
+groups' basis changes run as one cyclic walk, a fermionic swap network
+(Kivlichan et al. 2018): G(O'_0) for group 0, then one fixed step G(V)
+per later group.  Both programs depend only on n, so they are compiled
+once per n and shared with every later call through one program cell
+each (``GaussianUnitary.sharing``, the mechanism ``adjoint()`` uses).
 """
 
 from __future__ import annotations
@@ -79,23 +81,33 @@ def correlation_exact(psi: StateVector) -> np.ndarray:
     return cross - cross.T
 
 
-def commuting_groups(n: int):
-    """Partition the n(2n-1) pair observables into 2n-1 groups of n disjoint pairs.
+def _walk_pairs(n: int) -> list:
+    """The 2n-1 commuting groups as a round-robin walk: per group, its pairs in walk order.
 
-    Round-robin schedule on 2n Majorana indices: every group covers each
-    index exactly once, so its observables -i gamma_a gamma_b pairwise
-    commute, and every pair appears in exactly one group.
+    Index 1 stays put while 2, ..., 2n sit on a circle; group k pairs 1
+    with the k-th index of the circle and folds the rest of it in half.
+    Group 0 is (1, 2), (j + 2, 2n + 1 - j) for j = 1 .. n - 1, and group k
+    is tau^k of group 0 pair by pair, tau the (2n-1)-cycle 2 -> 3 -> ... ->
+    2n -> 2 on the indices; a pair can come out as (b, a) with b > a.
     """
     m = 2 * n
     others = list(range(2, m + 1))
     groups = []
     for _ in range(m - 1):
-        pairs = [tuple(sorted((1, others[0])))]
-        for k in range(1, n):
-            pairs.append(tuple(sorted((others[k], others[m - 1 - k]))))
-        groups.append(sorted(pairs))
+        groups.append([(1, others[0])] + [(others[k], others[m - 1 - k]) for k in range(1, n)])
         others = others[1:] + others[:1]
     return groups
+
+
+def commuting_groups(n: int):
+    """Partition the n(2n-1) pair observables into 2n-1 groups of n disjoint pairs.
+
+    Round-robin schedule on 2n Majorana indices (``_walk_pairs``, each
+    pair and group sorted): every group covers each index exactly once, so
+    its observables -i gamma_a gamma_b pairwise commute, and every pair
+    appears in exactly one group.
+    """
+    return [sorted(tuple(sorted(pair)) for pair in pairs) for pairs in _walk_pairs(n)]
 
 
 def _group_permutation(pairs, n: int) -> np.ndarray:
@@ -113,23 +125,45 @@ def _group_permutation(pairs, n: int) -> np.ndarray:
 
 @lru_cache(maxsize=12)  # one entry per n under the dense engine's n <= 12 cap
 def _grouped_sampling(n: int) -> tuple:
-    """The n-only part of grouped sampling: the groups and the readout bit table.
+    """The n-only part of grouped sampling: one cyclic walk through the groups.
+
+    With O'_k the basis change of group k's pairs in walk order
+    (``_walk_pairs``) and Pi the permutation matrix of tau, O'_k = O'_0 Pi^k
+    = V^k O'_0 for the one step V = O'_0 Pi O'_0^T, a permutation with det
+    +1 and V^(2n-1) = I.  Since G_{O1} G_{O2} = G_{O1 O2}, group k's rotated
+    state is G(V) applied to group k - 1's, and group 0's is G(O'_0) psi.
 
     Returns (groups, bits).  Per commuting group, in ``commuting_groups(n)``
-    order, groups holds (o, cell, rows, cols): the basis change's O, its
-    program cell [program, program of the adjoint], compiled by the first
-    call that applies it and read by every later one, and the entries of
-    the group's pairs.  bits[x, i] is qubit i + 1 of outcome x, a 2^n x n
-    float table.
+    order, groups holds (o, cell, index, rows, cols): the step to apply to
+    the previous group's state, O'_0 for group 0 and V for every later one,
+    its program cell [program, program of the adjoint] (two cells in all,
+    compiled by the first call that applies them and read by every later
+    one), the gather that puts the walk register's outcome probabilities
+    in the group's canonical outcome order, and the entries of the group's
+    sorted pairs.  Canonical qubit i reads the sorted pair i, the walk
+    qubit j the walk pair j, so the gather is a bit permutation of the
+    outcome index with a bit flipped wherever a walk pair is (b, a), b > a:
+    -i gamma_b gamma_a = i gamma_a gamma_b.  bits[x, i] is qubit i + 1 of
+    outcome x, a 2^n x n float table.
     """
+    walk = _walk_pairs(n)
+    start = _group_permutation(walk[0], n)
+    tau = np.eye(2 * n)
+    tau[1:, 1:] = np.roll(tau[1:, 1:], 1, axis=1)  # tau[a, tau(a)] = 1
+    first, step = (start, [None, None]), (start @ tau @ start.T, [None, None])
+    outcomes = np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1) & 1  # canonical bits
     groups = []
-    for pairs in commuting_groups(n):
-        o = _group_permutation(pairs, n)
-        rows, cols = (np.array(pairs) - 1).T
-        for array in (o, rows, cols):
+    for k, pairs in enumerate(walk):
+        order = np.argsort([min(pair) for pair in pairs])  # walk qubit of each sorted pair
+        flips = np.array([a > b for a, b in pairs])[order]
+        index = ((outcomes ^ flips) << (n - 1 - order)).sum(axis=1)
+        rows, cols = (np.sort(pairs, axis=1)[order] - 1).T
+        for array in (index, rows, cols):
             array.setflags(write=False)
-        groups.append((o, [None, None], rows, cols))
-    bits = ((np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(float)
+        groups.append((*(step if k else first), index, rows, cols))
+    for o, _ in (first, step):
+        o.setflags(write=False)
+    bits = outcomes.astype(float)
     bits.setflags(write=False)
     return tuple(groups), bits
 
@@ -152,15 +186,17 @@ def correlation_sampled(psi: StateVector, copies: int, rng) -> np.ndarray:
 
     Each of the 2n-1 commuting groups gets ``group_shots(copies, n)`` =
     ceil(copies / (2n-1)) shots: one joint computational-basis sample per
-    shot after the group's compiled Gaussian basis change.  Rounding up can
-    spend up to 2n-2 copies more than ``copies``.  A group's n pair means
+    shot after the group's Gaussian basis change.  Rounding up can spend up
+    to 2n-2 copies more than ``copies``.  The basis changes are the steps
+    of one walk (``_grouped_sampling``), each group's probabilities gathered
+    into its canonical outcome order for the draw.  A group's n pair means
     are read in one float64 matrix product: the multinomial counts times
     the 2^n x n outcome-bit table give each pair's number of -1 outcomes k,
     and the mean is (shots - 2k) / shots.  The readout is exact up to
     READOUT_LIMIT = 2^53 shots per group, where every count and every sum
-    of counts is an integer float64 holds; more raise ValueError.  The
-    groups' basis changes depend only on n: each is compiled by the first
-    call at its n and shared with every later one.
+    of counts is an integer float64 holds; more raise ValueError.  The two
+    walk programs depend only on n: each is compiled by the first call at
+    its n and shared with every later one.
     """
     if rng is None:
         raise ValueError("sampled mode needs an rng")
@@ -175,9 +211,9 @@ def correlation_sampled(psi: StateVector, copies: int, rng) -> np.ndarray:
         )
     c_hat = np.zeros((2 * n, 2 * n))
     groups, bits = _grouped_sampling(n)
-    for o, cell, rows, cols in groups:
-        rotated = GaussianUnitary.sharing(o, cell).apply(psi)
-        probs = np.abs(rotated.amps) ** 2
+    for o, cell, index, rows, cols in groups:
+        psi = GaussianUnitary.sharing(o, cell).apply(psi)  # a step of the walk
+        probs = np.abs(psi.amps[index]) ** 2
         probs = probs / probs.sum()
         counts = rng.multinomial(shots, probs)
         # counts @ bits counts the -1 outcomes per pair; in float64 it is one BLAS call

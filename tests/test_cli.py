@@ -1,10 +1,14 @@
 """CLI subcommands, exit codes, and artifact round trips."""
 
+import contextlib
+import io
 import json
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermidope import harness
 from fermidope.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_PRECONDITION, EXIT_STATISTICAL, main
@@ -222,6 +226,55 @@ def test_non_finite_or_degenerate_float_is_precondition_error(args, message, cap
     assert main(args) == EXIT_PRECONDITION
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["learn", "--n", "4", "--t", "1", "--c-tom", "-1", "--mode", "exact"], "c_tom must be > 0, got -1.0"),
+    (["test", "--n", "4", "--t", "0", "--eps-a", "-1"], "eps_a must be in [0, 1], got -1.0"),
+])
+def test_out_of_range_float_is_precondition_error(args, message, capsys):
+    # a finite value out of its range once wrote negative copy counts or failed in math.sqrt
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(args) == EXIT_PRECONDITION
+    assert caught == [] and capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def _reject_constant(name):
+    raise ValueError(f"document holds the non-JSON constant {name}")
+
+
+FLOAT_EDGES = ("0", "-0.0", "-1", "-2.5", "5e-324", "2.2e-308", "1e-300", "1e300", "1e400", "-1e400",
+               "nan", "inf", "-inf", "one", "", "0.1", "0.5", "1", "3")
+INT_EDGES = ("0", "-1", "1", "7", "1000", "100000000000000000000", "1e3", "nan", "one", "")
+FUZZED_FLAGS = {"learn": ("c-tom", "eps", "delta"), "test": ("eps-a", "eps-b", "delta")}
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(["learn", "test"]), n=st.integers(2, 4),
+       mode=st.sampled_from(["exact", "sampled"]), seed=st.integers(0, 3))
+def test_cli_edge_values_never_crash(data, kind, n, mode, seed):
+    # every flag value, in range or not, ends in a document or one "error:" line with a
+    # precondition, statistical or numerical exit code; never a traceback or a warning
+    argv = [kind, f"--n={n}", f"--t={min(1, n - 1)}", "--kappa=3", f"--mode={mode}", f"--seed={seed}"]
+    flags = [(flag, FLOAT_EDGES) for flag in FUZZED_FLAGS[kind]] + [("shots-override", INT_EDGES)]
+    for flag, edges in flags:
+        value = data.draw(st.none() | st.sampled_from(edges), label=flag)
+        if value is not None:
+            argv.append(f"--{flag}={value}")  # "=" keeps a value like -1e400 from reading as a flag
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects text that is not a number
+            code = exc.code
+    assert code in (EXIT_OK, EXIT_PRECONDITION, EXIT_STATISTICAL, EXIT_NUMERICAL), argv
+    assert caught == [], argv
+    assert err.getvalue().count("error:") <= 1 and "Traceback" not in err.getvalue(), argv
+    if out.getvalue():
+        harness.validate_document(json.loads(out.getvalue(), parse_constant=_reject_constant))
 
 
 def test_test_subcommand(tmp_path):

@@ -280,15 +280,17 @@ def test_haar_program_op_count(n, ops, rows):
     assert plan.rotations.shape == (rows, 12) and len(plan.active) == 12
 
 
-@pytest.mark.parametrize("n, rotations, ops, blocks", [(8, 189, 50, 48), (12, 471, 189, 124)])
-def test_group_programs_op_count(n, rotations, ops, blocks):
-    # the 2n - 1 grouped-sampling basis changes; each unfused op is a plane wider than a block
+@pytest.mark.parametrize("n, start, step", [(8, (10, 3, 0), (14, 3, 0)), (12, (18, 10, 5), (22, 4, 0))],
+                         ids=["8", "12"])
+def test_group_programs_op_count(n, start, step):
+    # the grouped-sampling walk: G(O'_0) once, then the step G(V) for each of the 2n - 2 later
+    # groups; (rotations, ops, unfused planes wider than a block) of each
     groups, _ = _grouped_sampling(n)
-    programs = [GaussianUnitary(o).program for o, *_ in groups]
-    assert len(programs) == 2 * n - 1
-    assert sum(len(prog.rotations) for prog in programs) == rotations
-    assert sum(len(prog.ops) for prog in programs) == ops
-    assert sum(isinstance(op, Block) for prog in programs for op in prog.ops) == blocks
+    assert all(o is groups[1][0] for o, *_ in groups[1:])
+    for o, expected in ((groups[0][0], start), (groups[1][0], step)):
+        prog = GaussianUnitary(o).program
+        wide = sum(not isinstance(op, Block) for op in prog.ops)
+        assert (len(prog.rotations), len(prog.ops), wide) == expected
 
 
 def test_haar_layer_at_n12_compiles_to_276_adjacent_planes():

@@ -169,11 +169,11 @@ def test_copy_split_rounds_up_per_group(n):
 
 
 def test_group_programs_compile_once_per_n(givens_calls):
-    # the first call at an n decomposes each of its 2n - 1 group basis changes; later calls
-    # at that n, interleaved with other n, decompose nothing
+    # the first call at an n decomposes the walk's two programs, G(O'_0) and the step G(V);
+    # later calls at that n, interleaved with other n, decompose nothing
     metrology._grouped_sampling.cache_clear()
     rng = np.random.default_rng(3)
-    for n, expected in ((3, 5), (3, 0), (4, 7), (3, 0), (4, 0)):
+    for n, expected in ((3, 2), (3, 0), (4, 2), (3, 0), (4, 0)):
         givens_calls.clear()
         correlation_sampled(random_state(n, rng), 100, rng)
         assert len(givens_calls) == expected, n
@@ -195,26 +195,43 @@ def test_shared_group_programs_equal_a_fresh_compile(n):
     correlation_sampled(random_state(n, np.random.default_rng(n)), 10, np.random.default_rng(0))
     groups, bits = metrology._grouped_sampling(n)
     assert len(groups) == 2 * n - 1
-    reflected = wide = 0
-    for (o, cell, rows, cols), pairs in zip(groups, commuting_groups(n)):
-        assert np.array_equal(o, metrology._group_permutation(pairs, n))
+    # two cells: group 0's first step O'_0, and the step V every later group shares
+    steps = {id(cell): (o, cell) for o, cell, *_ in groups}
+    assert len(steps) == min(2, 2 * n - 1)
+    assert all(groups[k][1] is groups[1][1] for k in range(1, 2 * n - 1))
+    for o, cell in steps.values():
         assert cell[0] is not None  # filled by the call above
         shared = GaussianUnitary.sharing(o, cell)
-        fresh = GaussianUnitary(metrology._group_permutation(pairs, n))
+        fresh = GaussianUnitary(o.copy())
         assert shared.program is cell[0]
         _assert_same_ops(shared.program, fresh.program)
         # G^dag derived through the shared cell, against one derived from a fresh cell
         _assert_same_ops(shared.adjoint().program, fresh.adjoint().program)
-        reflected += shared.program.reflect_first
-        wide += sum(not isinstance(op, Block) for op in shared.program.ops)
+        assert not shared.program.reflect_first  # both steps have det +1
         for op in shared.program.ops + shared.adjoint().program.ops:
             if isinstance(op, Block):
                 assert not op.u.flags.writeable
-        for array in (o, rows, cols):
+    for o, cell, index, rows, cols in groups:
+        for array in (o, index, rows, cols):
             assert not array.flags.writeable
-    assert reflected == n - 1  # the det = -1 groups
-    assert wide > 0 or n < 8  # n = 8 is the first with planes wider than a block
     assert not bits.flags.writeable
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_walk_probabilities_equal_a_fresh_basis_change_per_group(n, seed):
+    # V is a det +1 permutation of order 2n - 1, and the walk's gathered outcome probabilities
+    # are those of each group's own basis change
+    groups, _ = metrology._grouped_sampling(n)
+    step = groups[-1][0]  # V, or for n = 1 the identity O'_0 of the only group
+    assert np.array_equal(step @ step.T, np.eye(2 * n)) and round(np.linalg.det(step)) == 1
+    assert np.array_equal(np.linalg.matrix_power(step, 2 * n - 1), np.eye(2 * n))
+    state = psi = random_state(n, np.random.default_rng(seed))
+    for (o, cell, index, rows, cols), pairs in zip(groups, commuting_groups(n)):
+        state = GaussianUnitary(o).apply(state)
+        fresh = GaussianUnitary(metrology._group_permutation(pairs, n)).apply(psi)
+        assert np.abs(np.abs(state.amps[index]) ** 2 - np.abs(fresh.amps) ** 2).max() <= 1e-14
+        assert np.array_equal(np.stack((rows, cols), axis=1) + 1, pairs)
 
 
 @settings(max_examples=25, deadline=None)
