@@ -16,7 +16,7 @@ import itertools
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -40,7 +40,13 @@ class ConfigError(ValueError):
     """An experiment configuration violates a precondition."""
 
 
-_FLOAT_FIELDS = ("eps", "delta", "eps_a", "eps_b", "c_tom")
+# (accepted types, name) of each config field's JSON type, by its annotation; never a bool
+_JSON_TYPES = {
+    "str": (str, "a string"),
+    "int": (int, "an integer"),
+    "float": ((int, float), "a number"),
+    "int | None": ((int, type(None)), "an integer or None"),
+}
 # (field, predicate, message) for every numeric field; each field is named as its CLI flag
 # spells it, with "_" for "-".  eps_a and eps_b are trace distances, so at most 1.
 _RANGES = (
@@ -76,15 +82,18 @@ class ExperimentConfig:
     shots_override: int | None = None
 
     def validate(self) -> "ExperimentConfig":
+        for spec in fields(self):  # types first, so the checks below compare like with like
+            value, (types, name) = getattr(self, spec.name), _JSON_TYPES[spec.type]
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ConfigError(f"{spec.name} must be {name}, got {value!r}")
+            if spec.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"{spec.name} must be a finite number, got {value}")
         if self.kind not in KINDS:
             raise ConfigError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.mode not in ("exact", "sampled"):
             raise ConfigError(f"mode must be exact or sampled, got {self.mode!r}")
         if self.fixture not in FIXTURES:
             raise ConfigError(f"fixture must be one of {FIXTURES}, got {self.fixture!r}")
-        for name in _FLOAT_FIELDS:
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be a finite number, got {getattr(self, name)}")
         for name, holds, message in _RANGES:
             if not holds(getattr(self, name)):
                 raise ConfigError(message.format(getattr(self, name)))
@@ -145,73 +154,43 @@ class ResultDocument:
             fh.write(self.to_json())
 
 
+_CONFIG_FIELDS = {spec.name for spec in fields(ExperimentConfig)}
 _DOCUMENT_SHAPE = (("config", dict), ("seed", int), ("version", str),
                    ("records", list), ("summary", dict))
 
 
 def validate_document(payload: dict) -> None:
-    """Structural schema check of a (parsed) result document payload."""
+    """Schema check of a (parsed) result document payload.
+
+    Beyond the shape, every record but a boosting failure must hold exactly
+    the copy fields ``_ledger`` computes from the config echo, as JSON
+    integers and booleans.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError("result document is not a JSON object")
     for key, kind in _DOCUMENT_SHAPE:
         if key not in payload:
             raise ValueError(f"result document is missing {key!r}")
         if not isinstance(payload[key], kind):
             raise ValueError(f"result document field {key!r} is not a {kind.__name__}")
+    for key in payload["config"]:
+        if key not in _CONFIG_FIELDS:
+            raise ValueError(f"config has an unknown field {key!r}")
+    if "kind" not in payload["config"]:
+        raise ValueError("config is missing 'kind'")
     config = ExperimentConfig(**payload["config"]).validate()  # config echo round-trips
+    ledger = _ledger(config)
     for record in payload["records"]:
         if not isinstance(record, dict) or "trial" not in record or "ok" not in record:
             raise ValueError("malformed trial record")
-        if config.kind == "learn" and "copies_correlation" in record:
-            _check_correlation_spend(record, config)
-        if config.kind == "test":
-            _check_test_budget(record, config)
+        if "boosting_failure" in record:  # a failed learn trial spends no reported copies
+            continue
+        found = {key: record.get(key) for key in ledger}
+        if found != ledger or list(map(type, found.values())) != list(map(type, ledger.values())):
+            raise ValueError(f"{config.kind} record has {found}, expected {ledger}")
     for key in ("trials", "ok_rate", "acceptance_ok"):
         if key not in payload["summary"]:
             raise ValueError(f"summary is missing {key!r}")
-
-
-def _correlation_drawn(config: ExperimentConfig, t_learn: int, budget: int) -> int:
-    """Copies learn's sampled correlation stage draws for ``budget``; 0 when no such stage runs.
-
-    The stage runs in sampled mode when t_learn < n (not in exact mode or
-    pure tomography), and draws up to 2n - 2 copies more than its budget.
-    """
-    sampled = config.mode == "sampled" and t_learn < config.n
-    return metrology.copies_drawn(budget, config.n) if sampled else 0
-
-
-def _check_correlation_spend(record: dict, config: ExperimentConfig) -> None:
-    fields = ("t_learn", "copies_correlation", "copies_correlation_drawn")
-    t, budget, drawn = (record.get(key) for key in fields)
-    if not all(type(value) is int for value in (t, budget, drawn)):
-        raise ValueError(f"learn record fields {fields} must be integers")
-    expected = _correlation_drawn(config, t, budget)
-    if drawn != expected:
-        raise ValueError(
-            f"learn record draws {drawn} correlation copies for a budget of {budget}, expected {expected}"
-        )
-
-
-def _test_budget(config: ExperimentConfig) -> tuple:
-    """(budget_required, under_budget) of a test trial.
-
-    budget_required is the sampled tester's formula copy count before its
-    split into groups (``metrology.dimension_test_budget``), 0 in exact
-    mode; under_budget is true when ``shots_override`` undercuts it.
-    """
-    if config.mode != "sampled":
-        return 0, False
-    required = metrology.dimension_test_budget(config.n, config.t, config.eps_a, config.eps_b, config.delta)
-    return required, config.shots_override is not None and config.shots_override < required
-
-
-def _check_test_budget(record: dict, config: ExperimentConfig) -> None:
-    required, under = _test_budget(config)
-    budget = required if config.shots_override is None else config.shots_override
-    copies = metrology.copies_drawn(budget, config.n) if config.mode == "sampled" else 0
-    expected = {"copies": copies, "budget_required": required, "under_budget": under}
-    found = {key: record.get(key) for key in expected}
-    if [type(value) for value in found.values()] != [int, int, bool] or found != expected:
-        raise ValueError(f"test record has {found}, expected {expected}")
 
 
 def _jsonable(value):
@@ -290,6 +269,34 @@ def _learn_budget(config: ExperimentConfig, t_learn: int):
     return budget
 
 
+def _ledger(config: ExperimentConfig) -> dict:
+    """The copy fields of each record of a run, from its config alone.
+
+    learn: the correlation and boosting budgets, and the copies the sampled
+    correlation stage draws for its budget, up to 2n - 2 more; 0 when no
+    such stage runs (exact mode, or t_learn = n, pure tomography).
+    test: the copies the sampled tester draws (0 in exact mode), its
+    formula count before the split into groups (``budget_required``) and
+    whether ``shots_override`` undercuts that (``under_budget``).
+    Other kinds spend no copies.
+    """
+    sampled = config.mode == "sampled"
+    if config.kind == "learn":
+        t_learn = config._learn_t()
+        budget = _learn_budget(config, t_learn)
+        drawn = metrology.copies_drawn(budget.N_corr, config.n) if sampled and t_learn < config.n else 0
+        return {"copies_correlation": budget.N_corr, "copies_correlation_drawn": drawn,
+                "copies_loop": budget.N_loop}
+    if config.kind == "test":
+        if not sampled:
+            return {"copies": 0, "budget_required": 0, "under_budget": False}
+        required = metrology.dimension_test_budget(config.n, config.t, config.eps_a, config.eps_b, config.delta)
+        shots = required if config.shots_override is None else config.shots_override
+        return {"copies": metrology.copies_drawn(shots, config.n), "budget_required": required,
+                "under_budget": shots < required}
+    return {}
+
+
 def _trial_learn(config, rng):
     psi, meta = _fixture(config, rng)
     t_learn = config._learn_t()
@@ -307,9 +314,7 @@ def _trial_learn(config, rng):
         "postselect_rate": report.postselect_rate,
         "term_tomography": report.term_tomography,
         "term_projection": report.term_projection,
-        "copies_correlation": budget.N_corr,
-        "copies_correlation_drawn": _correlation_drawn(config, t_learn, budget.N_corr),
-        "copies_loop": budget.N_loop,
+        **_ledger(config),
         "ok": report.trace_distance <= threshold,
     }, {**meta, "learned": learned}
 
@@ -328,14 +333,11 @@ def _trial_test(config, rng):
         shot_override=config.shots_override,
         scheme=scheme,
     )
-    required, under = _test_budget(config)
     return {
         "verdict": result.verdict,
         "expected": expected,
         "lambda_t1": result.lambda_t1,
-        "copies": result.copies,
-        "budget_required": required,
-        "under_budget": under,
+        **_ledger(config),
         "ok": result.verdict == expected,
     }, meta
 

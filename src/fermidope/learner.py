@@ -236,6 +236,8 @@ class LearnedState:
         lines = ortho.LineReader(text)
         lines.keyword("learned-state v1")
         n, t = lines.count("n"), lines.count("t")
+        if t > n:  # also keeps 2**t below from growing with the digits of t
+            raise lines.error(f"'t <count>' at most n = {n}")
         lines.keyword("O")
         o_hat = lines.matrix(2 * n, 2 * n)
         lines.keyword("phi")
@@ -270,22 +272,20 @@ def learn(state_source, n: int, t: int, budget: LearnBudget, mode: str = "sample
         raise ValueError(f"t must be in [0, {n}], got {t}")
     if (budget.n, budget.t) != (n, t):
         raise ValueError(f"budget planned for (n, t) = ({budget.n}, {budget.t}), learning ({n}, {t})")
-    if t < n and mode == "sampled":
-        _check_draw("boosting, N_loop", budget.N_loop)  # before any stage runs
-
-    if t == n:
+    if t == n:  # pure tomography: no qubits to post-select, every loop copy reaches the core
         g_hat = identity_gaussian(n)
-        rotated = psi
-        successes = budget.N_loop
-    else:
-        if mode == "exact":
-            c_hat = correlation_exact(psi)
-        else:
-            c_hat = correlation_sampled(fresh_copy(state_source), budget.N_corr, rng)
-        g_hat = GaussianUnitary(ortho.normal_form(c_hat).O, check=False)
-        rotated = g_hat.adjoint().apply(fresh_copy(state_source))
+        phi_hat = tomography_t_qubits(psi, mode=mode, shots=budget.N_loop, rng=rng)
+        return LearnedState(O_hat=g_hat.O, phi_hat=phi_hat, t=t, gaussian=g_hat)
 
-    if t < n and mode == "sampled":
+    if mode == "exact":
+        c_hat = correlation_exact(psi)
+    else:
+        _check_draw("boosting, N_loop", budget.N_loop)  # before any stage runs
+        c_hat = correlation_sampled(fresh_copy(state_source), budget.N_corr, rng)
+    g_hat = GaussianUnitary(ortho.normal_form(c_hat).O, check=False)
+    rotated = g_hat.adjoint().apply(fresh_copy(state_source))
+
+    if mode == "sampled":
         # every iteration is i.i.d., so the success count is one binomial draw
         block = rotated.amps.reshape(2**t, -1)
         p_zero = float(np.linalg.norm(block[:, 0]) ** 2)
@@ -295,7 +295,7 @@ def learn(state_source, n: int, t: int, budget: LearnBudget, mode: str = "sample
                 f"{successes} post-selection successes < N_tom = {budget.N_tom} "
                 f"(success probability {p_zero:.4f})"
             )
-    elif t < n:
+    else:
         successes = budget.N_tom
     _, core = postselect_zero_tail(rotated, t)
 

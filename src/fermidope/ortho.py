@@ -338,6 +338,10 @@ def matrix_to_text(a: np.ndarray) -> str:
     return "\n".join(" ".join(repr(float(x)) for x in row) for row in np.asarray(a)) + "\n"
 
 
+# largest entry a matrix row may hold: 1, with ample room for rounding
+ROW_ENTRY_BOUND = 1.0 + 1e-6
+
+
 class LineReader:
     """The non-blank lines of a text document, read in order.
 
@@ -386,12 +390,19 @@ class LineReader:
         return int(f[-1])
 
     def row(self, width: int) -> list:
-        """A line of exactly ``width`` finite floats."""
+        """A line of exactly ``width`` floats, each at most ROW_ENTRY_BOUND in magnitude.
+
+        Rows are of orthogonal matrices and unit vectors, whose entries are at
+        most 1; a larger one is rejected before arithmetic on it can overflow.
+        """
         expected = f"a matrix row of {width} numbers"
         f = self.fields(expected)
         if len(f) != width:
             raise self.error(expected)
-        return self.convert(f, float, expected)
+        values = self.convert(f, float, expected)
+        if any(abs(x) > ROW_ENTRY_BOUND for x in values):
+            raise self.error(expected)
+        return values
 
     def matrix(self, rows: int, cols: int) -> np.ndarray:
         return np.array([self.row(cols) for _ in range(rows)]).reshape(rows, cols)

@@ -1,8 +1,10 @@
 """CLI subcommands, exit codes, and artifact round trips."""
 
 import contextlib
+import functools
 import io
 import json
+import re
 import warnings
 
 import numpy as np
@@ -12,8 +14,9 @@ from hypothesis import strategies as st
 
 from fermidope import harness
 from fermidope.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_PRECONDITION, EXIT_STATISTICAL, main
-from fermidope.doped import CompressionError, circuit_dumps
+from fermidope.doped import CompressionError, circuit_dumps, circuit_loads
 from fermidope.harness import ExperimentConfig, run
+from fermidope.learner import LearnedState
 from fermidope.states import ZeroProbabilityError
 
 
@@ -116,11 +119,16 @@ def test_verify_non_finite_input_is_precondition_error(tmp_path, capfd):
     o_hat, o_line = corrupt(state, "O", 0, "nan")
     theta, theta_line = corrupt(circuit, "gate 1 terms", -1, "nan")
     gaussian, gaussian_line = corrupt(circuit, "gaussian 0", 0, "inf")
+    # finite, but no entry of a unit vector or an orthogonal matrix; numpy would overflow on it
+    huge_phi, huge_phi_line = corrupt(state, "phi", 1, "1e308")
+    huge_gaussian, huge_gaussian_line = corrupt(circuit, "gaussian 0", 1, "-1e308")
     cases = (  # (--learned, --circuit, line of the error, what it expected)
         (phi, str(circuit), phi_line, rows_of(2)),
         (o_hat, str(circuit), o_line, rows_of(8)),
         (str(state), theta, theta_line, "'term <indices> theta <angle>'"),
         (str(state), gaussian, gaussian_line, rows_of(8)),
+        (huge_phi, str(circuit), huge_phi_line, rows_of(2)),
+        (str(state), huge_gaussian, huge_gaussian_line, rows_of(8)),
     )
     for learned, circuit_path, line, expected in cases:
         with warnings.catch_warnings(record=True) as caught:
@@ -129,6 +137,46 @@ def test_verify_non_finite_input_is_precondition_error(tmp_path, capfd):
         assert code == EXIT_PRECONDITION and caught == [], (learned, circuit_path)
         # capfd reads the stderr descriptor, so LAPACK messages written past sys.stderr show too
         assert capfd.readouterr() == ("", f"error: line {line}: expected {expected}\n")
+
+
+@functools.cache
+def _dumped_files() -> dict:
+    """Trial 0's circuit and learned state at n = 3, as their loaders' inputs."""
+    doc = run(ExperimentConfig(kind="learn", n=3, t=1, kappa=2, seed=5, mode="exact"))
+    return {circuit_loads: circuit_dumps(doc.artifacts["circuit"]),
+            LearnedState.loads: doc.artifacts["learned"].dumps()}
+
+
+# numbers past each bound the loaders check, edge numbers within them, a non-number, a keyword
+FUZZ_TOKENS = ("1e308", "-1e200", "1.5", "nan", "-0.0", "5e-324", "9" * 30, "x", "t", "\n")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), loader=st.sampled_from([circuit_loads, LearnedState.loads]),
+       edits=st.lists(st.sampled_from(["mutate", "delete", "duplicate", "reorder", "truncate"]),
+                      min_size=1, max_size=3))
+def test_loaders_return_or_raise_value_error_on_mangled_files(data, loader, edits):
+    # newlines are tokens too, so edits move, merge and split lines
+    tokens = re.findall(r"\S+|\n", _dumped_files()[loader])
+    for edit in edits:
+        if not tokens:
+            break
+        i, j = (data.draw(st.integers(0, len(tokens) - 1)) for _ in range(2))
+        if edit == "truncate":
+            del tokens[i:]
+        elif edit == "reorder":
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+        elif edit == "duplicate":
+            tokens.insert(j, tokens[i])
+        elif edit == "delete":
+            del tokens[i]
+        else:
+            tokens[i] = data.draw(st.sampled_from(FUZZ_TOKENS))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.suppress(ValueError):
+            loader(" ".join(tokens))
+    assert caught == []
 
 
 def test_precondition_exit_code(capsys):

@@ -181,6 +181,9 @@ def test_document_schema_validation():
     validate_document(payload)  # parsed JSON round-trips through the schema
     with pytest.raises(ValueError):
         validate_document({k: v for k, v in payload.items() if k != "summary"})
+    for not_an_object in ([payload], 5, None):
+        with pytest.raises(ValueError, match="^result document is not a JSON object$"):
+            validate_document(not_an_object)
     broken = dict(payload, records=[{"trial": 0}])
     with pytest.raises(ValueError):
         validate_document(broken)
@@ -246,3 +249,37 @@ def test_document_validation_checks_the_correlation_spend():
     missing = {k: v for k, v in record.items() if k != "copies_correlation_drawn"}
     with pytest.raises(ValueError, match="learn record"):
         validate_document(dict(payload, records=[missing]))
+
+
+def test_document_validation_checks_every_learn_copy_field():
+    from fermidope.harness import validate_document
+
+    cfg = ExperimentConfig(kind="learn", n=4, t=1, fixture="compressible", seed=3, mode="sampled",
+                           shots_override=100)
+    payload = json.loads(run(cfg).to_json())
+    record = payload["records"][0]
+    copy_fields = ("copies_correlation", "copies_correlation_drawn", "copies_loop")
+    for broken in (dict(record, copies_loop=-3), dict(record, copies_correlation=93),
+                   {k: v for k, v in record.items() if k not in copy_fields}):
+        with pytest.raises(ValueError, match="^learn record"):
+            validate_document(dict(payload, records=[broken]))
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"kind": "test", "n": "4"}, "n must be an integer, got '4'"),
+    ({"kind": "test", "n": 4.5}, "n must be an integer, got 4.5"),
+    ({"kind": "test", "n": True}, "n must be an integer, got True"),
+    ({"kind": "test", "eps_b": "0.4"}, "eps_b must be a number, got '0.4'"),
+    ({"kind": "test", "shots_override": 1.5}, "shots_override must be an integer or None, got 1.5"),
+    ({"kind": 3}, "kind must be a string, got 3"),
+    ({"kind": "test", "bogus": 1}, "config has an unknown field 'bogus'"),
+    ({"n": 4}, "config is missing 'kind'"),
+])
+def test_document_validation_rejects_a_mistyped_config_with_value_error(config, message):
+    from fermidope.harness import validate_document
+
+    payload = {"config": config, "seed": 0, "version": "0", "records": [],
+               "summary": {"trials": 0, "ok_rate": 0.0, "acceptance_ok": True}}
+    with pytest.raises(ValueError) as caught:
+        validate_document(payload)
+    assert str(caught.value) == message

@@ -184,6 +184,9 @@ def test_learned_state_serialization(rng):
     assert trace_distance(back.reassemble(), psi) <= 1e-7
     # verify() accepts the serialized form directly
     assert verify(text, psi).trace_distance <= 1e-7
+    # a core larger than the register is rejected before any amplitude is read
+    with pytest.raises(ValueError, match="^line 3: expected 't <count>' at most n = 4$"):
+        LearnedState.loads(text.replace("\nt 1\n", "\nt " + "9" * 30 + "\n"))
 
 
 @settings(max_examples=100, deadline=None)

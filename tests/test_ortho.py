@@ -485,12 +485,14 @@ def test_matrix_text_round_trip(rng):
     assert np.array_equal(back, o)  # bit-exact at the precision written
     assert ortho.matrix_to_text(back) == text
     with pytest.raises(ValueError, match="^line 2: expected a matrix row of 2 numbers$"):
-        ortho.LineReader("1.0 2.0\n3.0\n").matrix(2, 2)
+        ortho.LineReader("1.0 0.5\n0.5\n").matrix(2, 2)
     end = "^line 1: expected a matrix row of 2 numbers, got end of document$"
     with pytest.raises(ValueError, match=end):
         ortho.LineReader("").matrix(1, 2)
     with pytest.raises(ValueError, match="^line 3: expected a matrix row of 2 numbers$"):
-        ortho.LineReader("1.0 2.0\n\n3.0 x\n").matrix(2, 2)
-    for bad in ("nan", "inf", "-inf", "NaN", "Infinity"):
+        ortho.LineReader("1.0 0.5\n\n0.5 x\n").matrix(2, 2)
+    # entries of orthogonal matrices and unit vectors are at most 1 in magnitude
+    for bad in ("nan", "inf", "-inf", "NaN", "Infinity", "1.000002", "-2.0", "1e308"):
         with pytest.raises(ValueError, match="^line 2: expected a matrix row of 2 numbers$"):
-            ortho.LineReader(f"1.0 2.0\n3.0 {bad}\n").matrix(2, 2)
+            ortho.LineReader(f"1.0 0.5\n0.5 {bad}\n").matrix(2, 2)
+    assert ortho.LineReader("1.0000001 -1.0\n").matrix(1, 2).tolist() == [[1.0000001, -1.0]]
