@@ -262,7 +262,7 @@ def circuit_loads(text: str) -> DopedCircuit:
     gaussians, gates = [], []
     for i in range(t + 1):
         lines.keyword(f"gaussian {i}")
-        gaussians.append(GaussianUnitary(lines.matrix(2 * n, 2 * n)))
+        gaussians.append(GaussianUnitary(lines.orthogonal(2 * n), check=False))  # the reader checked it
         if i < t:
             terms = []
             for _ in range(lines.count("gate", str(i + 1), "terms")):

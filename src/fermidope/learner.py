@@ -158,6 +158,43 @@ def pauli_strings(t: int) -> tuple:
     return tuple(strings)
 
 
+@cache
+def _walsh_table(t: int) -> tuple:
+    """The index arrays of `pauli_expectations` on t qubits, built once per t.
+
+    ``gather[c, x] = c ^ x``, and ``flat`` holds, in pauli_strings order, each
+    non-identity string's index k 4^t + z 2^t + x into the four stacked
+    Re(i^k E), where x, z are its basis-order masks and i^k its phase.
+    pauli_strings(t) rejects t past TOMOGRAPHY_LIMIT, which bounds the cache.
+    """
+    b = np.arange(2**t)
+    gather = b[:, None] ^ b
+    flat = np.array([(p.phase_exp * 2**t + z) * 2**t + x
+                     for _, p in pauli_strings(t)[1:] for x, z in [p.basis_masks]], dtype=np.intp)
+    gather.setflags(write=False)
+    flat.setflags(write=False)
+    return gather, flat
+
+
+def pauli_expectations(core: StateVector) -> np.ndarray:
+    """<P> for every non-identity string of pauli_strings(core.n), in that order.
+
+    A string with basis-order masks x, z and phase i^k has <P> = Re(i^k E[x, z]),
+    where E[x, z] = sum_c (-1)^|c & z| F[x, c] is the Walsh-Hadamard transform
+    along c of F[x, c] = conj(psi[c ^ x]) psi[c].  The fast transform sums in
+    pairs, so each value is within 6e-16 of `states.expectation` for t <= 6.
+    """
+    t, dim = core.n, 2**core.n
+    gather, flat = _walsh_table(t)
+    psi = core.amps
+    f = psi.conj()[gather] * psi[:, None]  # f[c, x] = F[x, c]
+    for k in range(t):  # one butterfly stage per bit of c, in place
+        a, b = f.reshape(-1, 2, dim << k).transpose(1, 0, 2)
+        a[...], b[...] = a + b, a - b
+    # now f[z, x] = E[x, z]; Re(i^k E) for k = 0..3 is Re E, -Im E, -Re E, Im E
+    return np.stack((f.real, -f.imag, -f.real, f.imag)).ravel()[flat]
+
+
 def tomography_t_qubits(
     core: StateVector, mode: str = "sampled", shots: int | None = None, rng=None
 ) -> StateVector:
@@ -165,8 +202,11 @@ def tomography_t_qubits(
 
     Sampled mode estimates all 4^t Pauli expectations, splitting the copies
     evenly, assembles rho_hat = 2^-t * sum <P> P, and returns its top
-    eigenvector.  Each string's draw takes shots // (4^t - 1) copies, which
-    must stay below DRAW_LIMIT = 2^63.
+    eigenvector.  One Walsh-Hadamard transform (`pauli_expectations`) gives
+    every exact expectation, one vectorised binomial draw estimates them all,
+    and rho_hat is assembled from each string's dense matrix in turn.  Each
+    string's draw takes shots // (4^t - 1) copies, which must stay below
+    DRAW_LIMIT = 2^63.
     """
     t = core.n
     if mode == "exact" or t == 0:
@@ -181,14 +221,14 @@ def tomography_t_qubits(
 
     shots_per_pauli = shots // (4**t - 1)
     _check_draw("tomography, per Pauli string", shots_per_pauli)
+    probs = np.clip((1.0 + pauli_expectations(core)) / 2.0, 0.0, 1.0)
+    # one draw per string in table order: the same stream as one scalar draw each
+    ests = 2.0 * rng.binomial(shots_per_pauli, probs) / shots_per_pauli - 1.0
     dim = 2**t
     rho = np.eye(dim, dtype=complex) / dim
     # the identity comes first; its term is the eye(dim) / dim above
-    for _, p in strings[1:]:
+    for (_, p), est in zip(strings[1:], ests):
         m = p.to_matrix()
-        prob = min(max((1.0 + np.vdot(core.amps, m @ core.amps).real) / 2.0, 0.0), 1.0)
-        wins = rng.binomial(shots_per_pauli, prob)
-        est = 2.0 * wins / shots_per_pauli - 1.0
         # exact: m holds only 0, +-1 and +-i, and dim is a power of two
         m *= est / dim
         rho += m
@@ -239,7 +279,7 @@ class LearnedState:
         if t > n:  # also keeps 2**t below from growing with the digits of t
             raise lines.error(f"'t <count>' at most n = {n}")
         lines.keyword("O")
-        o_hat = lines.matrix(2 * n, 2 * n)
+        o_hat = lines.orthogonal(2 * n)
         lines.keyword("phi")
         amps = lines.matrix(2**t, 2).view(complex).ravel()  # (re, im) rows, bit-exact
         phi_hat = StateVector(t, amps)  # checks the shape and the norm

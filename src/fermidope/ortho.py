@@ -406,3 +406,10 @@ class LineReader:
 
     def matrix(self, rows: int, cols: int) -> np.ndarray:
         return np.array([self.row(cols) for _ in range(rows)]).reshape(rows, cols)
+
+    def orthogonal(self, dim: int) -> np.ndarray:
+        """A dim x dim matrix that `is_orthogonal` accepts; a failure names its last row's line."""
+        o = self.matrix(dim, dim)
+        if not is_orthogonal(o):
+            raise self.error(f"{dim} rows ending here that form an orthogonal matrix")
+        return o

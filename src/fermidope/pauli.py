@@ -99,9 +99,14 @@ class PauliString:
         """
         return self._action
 
+    @property
+    def basis_masks(self) -> tuple[int, int]:
+        """The masks (x, z) in basis-index bit order, where qubit k is index bit n - k."""
+        return tuple(int(f"{mask:0{self.n}b}"[::-1], 2) for mask in (self.x_mask, self.z_mask))
+
     @cached_property
     def _action(self) -> tuple[np.ndarray, np.ndarray]:
-        x, z = (int(f"{mask:0{self.n}b}"[::-1], 2) for mask in (self.x_mask, self.z_mask))
+        x, z = self.basis_masks
         src = _basis(self.n) ^ x
         # bitwise_count is uint8, so the sign is formed in float (1 - 2*u8 would wrap)
         coef = self.phase * (1.0 - 2.0 * (np.bitwise_count(src & z) & 1))

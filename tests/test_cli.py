@@ -73,12 +73,33 @@ def test_learn_then_verify_round_trip(tmp_path):
                  "--eps", "-1"]) == EXIT_STATISTICAL
 
 
-def test_verify_truncated_state_is_precondition_error(tmp_path, capsys):
+def _saved_circuit_and_state(tmp_path):
+    """The n = 4, t = 1 circuit of seed 5 and the state learned from it, saved as files."""
     circuit, state = tmp_path / "circuit.txt", tmp_path / "learned.txt"
     assert main(["prepare", "--n", "4", "--t", "1", "--kappa", "3", "--seed", "5",
                  "--out", str(tmp_path / "p.json"), "--save-circuit", str(circuit)]) == EXIT_OK
     assert main(["learn", "--n", "4", "--t", "1", "--kappa", "3", "--seed", "5", "--mode", "exact",
                  "--out", str(tmp_path / "l.json"), "--save-state", str(state)]) == EXIT_OK
+    return circuit, state
+
+
+def _corrupt(path, after, token, value):
+    """A copy of ``path``: field ``token`` of the line after ``after...`` is ``value``.
+
+    Returns the copy's path and the 1-based number of the changed line.
+    """
+    lines = path.read_text().splitlines()
+    k = next(i for i, ln in enumerate(lines) if ln.startswith(after)) + 1
+    fields = lines[k].split()
+    fields[token] = value
+    lines[k] = " ".join(fields)
+    bad = path.parent / f"bad-{len(list(path.parent.iterdir()))}.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    return str(bad), k + 1
+
+
+def test_verify_truncated_state_is_precondition_error(tmp_path, capsys):
+    circuit, state = _saved_circuit_and_state(tmp_path)
     state.write_bytes(state.read_bytes()[:200])
     assert main(["verify", "--learned", str(state), "--circuit", str(circuit)]) == EXIT_PRECONDITION
     assert "error: line " in capsys.readouterr().err
@@ -96,32 +117,16 @@ def test_verify_missing_state_file_is_precondition_error(tmp_path, capsys):
 
 
 def test_verify_non_finite_input_is_precondition_error(tmp_path, capfd):
-    circuit, state = tmp_path / "circuit.txt", tmp_path / "learned.txt"
-    assert main(["prepare", "--n", "4", "--t", "1", "--kappa", "3", "--seed", "5",
-                 "--out", str(tmp_path / "p.json"), "--save-circuit", str(circuit)]) == EXIT_OK
-    assert main(["learn", "--n", "4", "--t", "1", "--kappa", "3", "--seed", "5", "--mode", "exact",
-                 "--out", str(tmp_path / "l.json"), "--save-state", str(state)]) == EXIT_OK
+    circuit, state = _saved_circuit_and_state(tmp_path)
     capfd.readouterr()
-
-    def corrupt(path, after, token, value):
-        """A copy of ``path``: field ``token`` of the line after ``after...`` is ``value``."""
-        lines = path.read_text().splitlines()
-        k = next(i for i, ln in enumerate(lines) if ln.startswith(after)) + 1
-        fields = lines[k].split()
-        fields[token] = value
-        lines[k] = " ".join(fields)
-        bad = tmp_path / f"bad-{len(list(tmp_path.iterdir()))}.txt"
-        bad.write_text("\n".join(lines) + "\n")
-        return str(bad), k + 1
-
     rows_of = "a matrix row of {} numbers".format
-    phi, phi_line = corrupt(state, "phi", 0, "nan")
-    o_hat, o_line = corrupt(state, "O", 0, "nan")
-    theta, theta_line = corrupt(circuit, "gate 1 terms", -1, "nan")
-    gaussian, gaussian_line = corrupt(circuit, "gaussian 0", 0, "inf")
+    phi, phi_line = _corrupt(state, "phi", 0, "nan")
+    o_hat, o_line = _corrupt(state, "O", 0, "nan")
+    theta, theta_line = _corrupt(circuit, "gate 1 terms", -1, "nan")
+    gaussian, gaussian_line = _corrupt(circuit, "gaussian 0", 0, "inf")
     # finite, but no entry of a unit vector or an orthogonal matrix; numpy would overflow on it
-    huge_phi, huge_phi_line = corrupt(state, "phi", 1, "1e308")
-    huge_gaussian, huge_gaussian_line = corrupt(circuit, "gaussian 0", 1, "-1e308")
+    huge_phi, huge_phi_line = _corrupt(state, "phi", 1, "1e308")
+    huge_gaussian, huge_gaussian_line = _corrupt(circuit, "gaussian 0", 1, "-1e308")
     cases = (  # (--learned, --circuit, line of the error, what it expected)
         (phi, str(circuit), phi_line, rows_of(2)),
         (o_hat, str(circuit), o_line, rows_of(8)),
@@ -137,6 +142,24 @@ def test_verify_non_finite_input_is_precondition_error(tmp_path, capfd):
         assert code == EXIT_PRECONDITION and caught == [], (learned, circuit_path)
         # capfd reads the stderr descriptor, so LAPACK messages written past sys.stderr show too
         assert capfd.readouterr() == ("", f"error: line {line}: expected {expected}\n")
+
+
+def test_non_orthogonal_rotations_are_rejected_at_their_line(tmp_path, capfd):
+    circuit, state = _saved_circuit_and_state(tmp_path)
+    capfd.readouterr()
+    # 0.5 passes every row check, but the 8 rows no longer form an orthogonal matrix
+    o_hat, o_line = _corrupt(state, "O", 0, "0.5")
+    gaussian, gaussian_line = _corrupt(circuit, "gaussian 1", 0, "0.5")
+    orthogonal = "expected 8 rows ending here that form an orthogonal matrix"
+    last_row = 7  # the error names the block's last row
+    for path, loader, line in ((o_hat, LearnedState.loads, o_line + last_row),
+                               (gaussian, circuit_loads, gaussian_line + last_row)):
+        with open(path) as f, pytest.raises(ValueError, match=f"^line {line}: {orthogonal}$"):
+            loader(f.read())
+    for learned, circuit_path, line in ((o_hat, str(circuit), o_line + last_row),
+                                        (str(state), gaussian, gaussian_line + last_row)):
+        assert main(["verify", "--learned", learned, "--circuit", circuit_path]) == EXIT_PRECONDITION
+        assert capfd.readouterr() == ("", f"error: line {line}: {orthogonal}\n")
 
 
 @functools.cache

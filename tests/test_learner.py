@@ -18,6 +18,7 @@ from fermidope.learner import (
     boosting_iterations,
     hoeffding_budget,
     learn,
+    pauli_expectations,
     pauli_strings,
     plan_budget,
     tomography_t_qubits,
@@ -27,6 +28,7 @@ from fermidope.metrology import correlation_exact
 from fermidope.pauli import PauliString
 from fermidope.states import (
     StateVector,
+    basis_state,
     born_probability,
     embed_with_zero_tail,
     expectation,
@@ -36,7 +38,7 @@ from fermidope.states import (
     zero_state,
 )
 
-from conftest import compressible_fixture, doped_sweep_cells, kron_chain, text_prefixes
+from conftest import compressible_fixture, doped_sweep_cells, kron_chain, text_prefixes, tplus_state
 
 
 def test_budget_formula_fixture():
@@ -253,13 +255,36 @@ def kron_loop_tomography(core: StateVector, shots: int, rng) -> StateVector:
 
 
 def test_tomography_matches_the_kron_loop_bit_for_bit():
-    # same strings in the same order, one binomial draw each: the RNG stream is unchanged
-    for t in (1, 3, 5):  # 5 is the benchmark's t
+    # one vectorised draw over the strings in the loop's order reads the loop's RNG stream
+    for t in (1, 3, 5, 6):  # 5 is the benchmark's t, 6 is TOMOGRAPHY_LIMIT
         core = random_state(t, np.random.default_rng(30 + t))
         shots = (4**t - 1) * 500
-        got = tomography_t_qubits(core, shots=shots, rng=np.random.default_rng(31))
-        want = kron_loop_tomography(core, shots, np.random.default_rng(31))
+        got_rng, want_rng = np.random.default_rng(31), np.random.default_rng(31)
+        got = tomography_t_qubits(core, shots=shots, rng=got_rng)
+        want = kron_loop_tomography(core, shots, want_rng)
         assert got.amps.tobytes() == want.amps.tobytes(), t
+        # the generator ends where the loop's does, so a trial's later draws match too
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state, t
+
+
+@settings(max_examples=60, deadline=None)
+@given(t=st.integers(1, 6), kind=st.sampled_from(["random", "basis", "plus", "tplus"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_pauli_expectations_match_states_expectation(t, kind, seed):
+    rng = np.random.default_rng(seed)
+    core = {
+        "random": lambda: random_state(t, rng),
+        "basis": lambda: basis_state(t, int(rng.integers(2**t))),
+        "plus": lambda: StateVector(t, np.full(2**t, 2 ** (-t / 2))),
+        "tplus": lambda: tplus_state(t),
+    }[kind]()
+    got = pauli_expectations(core)
+    want = np.array([expectation(core, p) for _, p in pauli_strings(t)[1:]])
+    if kind == "basis" or (kind == "plus" and t % 2 == 0):
+        # amplitudes 0, 1 or an exact power of two: every product and sum is exact
+        assert np.array_equal(got, want)
+    else:
+        assert np.abs(got - want).max() <= 6e-16
 
 
 def test_pauli_strings_are_built_once_per_t():
