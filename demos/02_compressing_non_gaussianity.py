@@ -19,7 +19,7 @@ from fermidope import (
     prepare,
     random_doped_circuit,
 )
-from fermidope.states import apply_dense_unitary, random_state
+from fermidope.states import apply_dense_unitary, postselect_zero_tail, random_state
 
 rng = np.random.default_rng(7)
 
@@ -28,8 +28,8 @@ for n, kappa, t in [(6, 3, 1), (6, 3, 2), (8, 4, 2)]:
     circuit = random_doped_circuit(n, t, kappa, rng)
     psi = prepare(circuit)
     form = compress_state(circuit)
-    rotated = form.G.adjoint().apply(psi)
-    tail_weight = 1.0 - np.linalg.norm(rotated.amps.reshape(2**form.core_qubits, -1)[:, 0]) ** 2
+    prob, _ = postselect_zero_tail(form.G.adjoint().apply(psi), form.core_qubits)
+    tail_weight = 1.0 - prob
     print(f"n={n} kappa={kappa} t={t}: core = {form.core_qubits} qubits, "
           f"tail weight {tail_weight:.2e}, "
           f"reassembly fidelity {fidelity(form.reassemble(), psi):.12f}")

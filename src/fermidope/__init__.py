@@ -26,7 +26,6 @@ from .harness import ExperimentConfig, ResultDocument, run, sweep
 from .learner import (
     BoostingFailureError,
     LearnBudget,
-    LearnedState,
     boosting_iterations,
     hoeffding_budget,
     learn,

@@ -18,9 +18,9 @@ import sys
 
 import numpy as np
 
-from .doped import CompressionError, circuit_dumps, circuit_loads, prepare
+from .doped import CompressedForm, CompressionError, circuit_dumps, circuit_loads, prepare
 from .harness import ConfigError, ExperimentConfig, run, sweep, trials_csv
-from .learner import LearnedState
+from .learner import verify
 from .states import ZeroProbabilityError
 
 EXIT_OK = 0
@@ -184,13 +184,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .learner import verify as verify_learned
-
     with open(args.learned) as fh:
-        learned = LearnedState.loads(fh.read())
+        learned = CompressedForm.loads(fh.read())
     with open(args.circuit) as fh:
         circuit = circuit_loads(fh.read())
-    report = verify_learned(learned, prepare(circuit))
+    report = verify(learned, prepare(circuit))
     print(f"trace_distance {report.trace_distance!r}")
     print(f"fidelity {report.fidelity!r}")
     print(f"postselect_rate {report.postselect_rate!r}")

@@ -3,9 +3,11 @@
 A circuit G_t W_t ... G_1 W_1 G_0 |0^n> with t non-Gaussian gates, each
 generated by at most kappa Majorana operators, prepares a state whose
 non-Gaussianity can be moved onto the first kappa*t qubits by a single
-Gaussian rotation.  `compress_state` builds that rotation constructively;
-`compress_unitary` does the same for the circuit unitary, shrinking the
-non-Gaussian core to ceil(kappa*t / 2) qubits.
+Gaussian rotation.  `compress_state` builds that rotation constructively
+and returns the state as a `CompressedForm`, the type `learner.learn`
+returns too; `compress_unitary` does the same for the circuit unitary,
+shrinking the non-Gaussian core to ceil(kappa*t / 2) qubits.  The text
+formats of circuits and compressed forms both live here.
 """
 
 from __future__ import annotations
@@ -26,6 +28,10 @@ from .states import (
     postselect_zero_tail,
     zero_state,
 )
+
+
+# how far from 1 the norm of a normalized amplitude vector can round
+_UNIT_TOL = 1e-14
 
 
 class CompressionError(RuntimeError):
@@ -113,11 +119,44 @@ class CompressedForm:
     """psi = G (phi (x) |0^(n-m)>) with phi on m = core_qubits qubits."""
 
     G: GaussianUnitary
-    core_qubits: int
     phi: StateVector
 
+    @property
+    def n(self) -> int:
+        return self.G.n
+
+    @property
+    def core_qubits(self) -> int:
+        return self.phi.n
+
     def reassemble(self) -> StateVector:
-        return self.G.apply(embed_with_zero_tail(self.phi, self.G.n))
+        return self.G.apply(embed_with_zero_tail(self.phi, self.n))
+
+    def dumps(self) -> str:
+        """Structured text; floats round-trip exactly via repr."""
+        lines = ["learned-state v1", f"n {self.n}", f"t {self.core_qubits}", "O"]
+        lines.append(ortho.matrix_to_text(self.G.O).rstrip("\n"))
+        lines.append("phi")
+        lines.extend(f"{float(a.real)!r} {float(a.imag)!r}" for a in self.phi.amps)
+        return "\n".join(lines) + "\n"
+
+    @classmethod
+    def loads(cls, text: str) -> "CompressedForm":
+        lines = ortho.LineReader(text)
+        lines.keyword("learned-state v1")
+        n, t = lines.count("n"), lines.count("t")
+        if t > n:  # also keeps 2**t below from growing with the digits of t
+            raise lines.error(f"'t <count>' at most n = {n}")
+        lines.keyword("O")
+        g = GaussianUnitary(lines.orthogonal(2 * n), check=False)  # the reader checked it
+        lines.keyword("phi")
+        amps = lines.matrix(2**t, 2).view(complex).ravel()  # (re, im) rows, bit-exact
+        phi = StateVector(t, amps)  # checks the shape and the norm
+        if abs(np.linalg.norm(amps) - 1.0) <= _UNIT_TOL:
+            # a written unit vector loads as written: normalizing it again can move its last bit
+            amps.setflags(write=False)
+            object.__setattr__(phi, "amps", amps)
+        return cls(G=g, phi=phi)
 
 
 def _support_vectors(circuit: DopedCircuit):
@@ -158,7 +197,7 @@ def compress_state(circuit: DopedCircuit, tol: float = 1e-8) -> CompressedForm:
         raise CompressionError(
             f"trailing qubits carry weight {1.0 - prob:.3e} after compression (tol {tol})"
         )
-    return CompressedForm(G=g, core_qubits=m, phi=phi)
+    return CompressedForm(G=g, phi=phi)
 
 
 def compress_unitary(circuit: DopedCircuit, tol: float = 1e-8):

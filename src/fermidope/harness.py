@@ -30,7 +30,7 @@ from .learner import (
     plan_budget,
     verify,
 )
-from .states import StateVector, embed_with_zero_tail, fidelity, product, random_state, zero_state
+from .states import StateVector, embed_with_zero_tail, fidelity, postselect_zero_tail, product, random_state, zero_state
 
 KINDS = ("prepare", "compress", "learn", "test")
 FIXTURES = ("doped", "compressible", "gaussian", "tplus")
@@ -248,9 +248,8 @@ def _trial_prepare(config, rng):
 def _trial_compress(config, rng):
     psi, meta = _fixture(config, rng)
     form = compress_state(meta["circuit"])
-    rotated = form.G.adjoint().apply(psi)
-    block = rotated.amps.reshape(2**form.core_qubits, -1)
-    tail_weight = float(1.0 - np.linalg.norm(block[:, 0]) ** 2)
+    prob, _ = postselect_zero_tail(form.G.adjoint().apply(psi), form.core_qubits)
+    tail_weight = 1.0 - prob
     gdim = metrology.gaussian_dimension(metrology.correlation_exact(psi))
     return {
         "core_qubits": form.core_qubits,
@@ -322,7 +321,6 @@ def _trial_learn(config, rng):
 def _trial_test(config, rng):
     psi, meta = _fixture(config, rng)
     expected = "far" if config.fixture == "tplus" else "close"
-    scheme = "exact" if config.mode == "exact" else "grouped"
     result = metrology.test_gaussian_dimension(
         psi,
         config.t,
@@ -331,7 +329,7 @@ def _trial_test(config, rng):
         config.delta,
         rng=rng,
         shot_override=config.shots_override,
-        scheme=scheme,
+        mode=config.mode,
     )
     return {
         "verdict": result.verdict,

@@ -3,8 +3,8 @@
 Pipeline: estimate the correlation matrix, rotate by the Gaussian unitary
 of its normal form, post-select the trailing qubits on zero, run plain
 Pauli tomography on the surviving core, and reassemble.  The returned
-representation is the orthogonal matrix plus the core state, which is
-enough to rebuild the full statevector.
+representation is a `doped.CompressedForm`: the Gaussian unitary plus the
+core state, which is enough to rebuild the full statevector.
 
 Copy budgets follow the explicit formulas (`plan_budget`); the Hoeffding
 variant (`hoeffding_budget`) sizes the correlation stage by the union bound
@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cache
 
 import numpy as np
 
 from . import ortho
+from .doped import CompressedForm
 from .gaussian import GaussianUnitary, identity_gaussian
 from .metrology import copy_count, correlation_exact, correlation_sampled
 from .pauli import LETTERS, PauliString
@@ -37,8 +38,6 @@ from .states import (
 
 TOMOGRAPHY_LIMIT = 6
 DRAW_LIMIT = 2**63  # numpy's binomial draws take their counts as int64
-# how far from 1 the norm of a normalized amplitude vector can round
-_UNIT_TOL = 1e-14
 
 
 class BoostingFailureError(RuntimeError):
@@ -64,10 +63,6 @@ class LearnBudget:
     def pure_tomography(self) -> bool:
         """t = n leaves no qubits to post-select; learning is tomography alone."""
         return self.t == self.n
-
-    @property
-    def total(self) -> int:
-        return self.N_corr + self.N_loop
 
     def with_overrides(self, n_corr=None, n_tom=None, n_loop=None) -> "LearnBudget":
         new_tom = self.N_tom if n_tom is None else int(n_tom)
@@ -236,61 +231,7 @@ def tomography_t_qubits(
     return StateVector(t, vecs[:, -1])
 
 
-@dataclass(frozen=True)
-class LearnedState:
-    """Output representation: rotation O_hat plus the t-qubit core phi_hat.
-
-    ``gaussian`` is G_hat, the Gaussian unitary of O_hat, built from O_hat
-    when not given; a given one must have O_hat as its O.  ``learn`` passes
-    its own, whose adjoint it has already compiled, so G_hat and every
-    adjoint of it derive their programs from that one compile.
-    """
-
-    O_hat: np.ndarray
-    phi_hat: StateVector
-    t: int
-    gaussian: GaussianUnitary | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.gaussian is None:
-            object.__setattr__(self, "gaussian", GaussianUnitary(self.O_hat, check=False))
-        elif not np.array_equal(self.gaussian.O, self.O_hat):
-            raise ValueError("gaussian is not the Gaussian unitary of O_hat")
-
-    @property
-    def n(self) -> int:
-        return self.O_hat.shape[0] // 2
-
-    def reassemble(self) -> StateVector:
-        return self.gaussian.apply(embed_with_zero_tail(self.phi_hat, self.n))
-
-    def dumps(self) -> str:
-        lines = ["learned-state v1", f"n {self.n}", f"t {self.t}", "O"]
-        lines.append(ortho.matrix_to_text(self.O_hat).rstrip("\n"))
-        lines.append("phi")
-        lines.extend(f"{float(a.real)!r} {float(a.imag)!r}" for a in self.phi_hat.amps)
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def loads(cls, text: str) -> "LearnedState":
-        lines = ortho.LineReader(text)
-        lines.keyword("learned-state v1")
-        n, t = lines.count("n"), lines.count("t")
-        if t > n:  # also keeps 2**t below from growing with the digits of t
-            raise lines.error(f"'t <count>' at most n = {n}")
-        lines.keyword("O")
-        o_hat = lines.orthogonal(2 * n)
-        lines.keyword("phi")
-        amps = lines.matrix(2**t, 2).view(complex).ravel()  # (re, im) rows, bit-exact
-        phi_hat = StateVector(t, amps)  # checks the shape and the norm
-        if abs(np.linalg.norm(amps) - 1.0) <= _UNIT_TOL:
-            # a written unit vector loads as written: normalizing it again can move its last bit
-            amps.setflags(write=False)
-            object.__setattr__(phi_hat, "amps", amps)
-        return cls(O_hat=o_hat, phi_hat=phi_hat, t=t)
-
-
-def learn(state_source, n: int, t: int, budget: LearnBudget, mode: str = "sampled", rng=None) -> LearnedState:
+def learn(state_source, n: int, t: int, budget: LearnBudget, mode: str = "sampled", rng=None) -> CompressedForm:
     """Learn a t-compressible state from a copy oracle.
 
     Exact mode replaces every statistical estimate with the exact quantity
@@ -313,9 +254,8 @@ def learn(state_source, n: int, t: int, budget: LearnBudget, mode: str = "sample
     if (budget.n, budget.t) != (n, t):
         raise ValueError(f"budget planned for (n, t) = ({budget.n}, {budget.t}), learning ({n}, {t})")
     if t == n:  # pure tomography: no qubits to post-select, every loop copy reaches the core
-        g_hat = identity_gaussian(n)
         phi_hat = tomography_t_qubits(psi, mode=mode, shots=budget.N_loop, rng=rng)
-        return LearnedState(O_hat=g_hat.O, phi_hat=phi_hat, t=t, gaussian=g_hat)
+        return CompressedForm(identity_gaussian(n), phi_hat)
 
     if mode == "exact":
         c_hat = correlation_exact(psi)
@@ -323,12 +263,10 @@ def learn(state_source, n: int, t: int, budget: LearnBudget, mode: str = "sample
         _check_draw("boosting, N_loop", budget.N_loop)  # before any stage runs
         c_hat = correlation_sampled(fresh_copy(state_source), budget.N_corr, rng)
     g_hat = GaussianUnitary(ortho.normal_form(c_hat).O, check=False)
-    rotated = g_hat.adjoint().apply(fresh_copy(state_source))
+    p_zero, core = postselect_zero_tail(g_hat.adjoint().apply(fresh_copy(state_source)), t)
 
     if mode == "sampled":
         # every iteration is i.i.d., so the success count is one binomial draw
-        block = rotated.amps.reshape(2**t, -1)
-        p_zero = float(np.linalg.norm(block[:, 0]) ** 2)
         successes = int(rng.binomial(budget.N_loop, p_zero)) if p_zero < 1.0 else budget.N_loop
         if successes < budget.N_tom:
             raise BoostingFailureError(
@@ -337,10 +275,8 @@ def learn(state_source, n: int, t: int, budget: LearnBudget, mode: str = "sample
             )
     else:
         successes = budget.N_tom
-    _, core = postselect_zero_tail(rotated, t)
-
-    phi_hat = tomography_t_qubits(core, mode=mode, shots=successes, rng=rng)
-    return LearnedState(O_hat=g_hat.O, phi_hat=phi_hat, t=t, gaussian=g_hat)
+    # g_hat's adjoint has compiled, so verify's adjoint of the returned G derives its program
+    return CompressedForm(g_hat, tomography_t_qubits(core, mode=mode, shots=successes, rng=rng))
 
 
 @dataclass(frozen=True)
@@ -357,17 +293,19 @@ def verify(learned, psi_true: StateVector) -> LearnReport:
 
     Reports the total trace distance plus the two triangle-inequality
     terms: the tomography error on the core and the projection error of
-    the rotated state onto its zero tail.  Accepts a LearnedState or its
-    serialized text.
+    the rotated state onto its zero tail.  Accepts a CompressedForm or its
+    serialized text; raises ValueError when its register size is not the
+    true state's.
     """
     if isinstance(learned, str):
-        learned = LearnedState.loads(learned)
+        learned = CompressedForm.loads(learned)
+    if learned.n != psi_true.n:
+        raise ValueError(f"learned state has {learned.n} qubits, true state has {psi_true.n}")
     psi_hat = learned.reassemble()
     d_total = trace_distance(psi_hat, psi_true)
-    g_hat = learned.gaussian
-    rotated = g_hat.adjoint().apply(psi_true)
-    rate, core = postselect_zero_tail(rotated, learned.t)
-    term_tom = trace_distance(learned.phi_hat, core)
+    rotated = learned.G.adjoint().apply(psi_true)
+    rate, core = postselect_zero_tail(rotated, learned.core_qubits)
+    term_tom = trace_distance(learned.phi, core)
     term_proj = trace_distance(embed_with_zero_tail(core, psi_true.n), rotated)
     return LearnReport(
         trace_distance=d_total,

@@ -278,7 +278,7 @@ class DimensionTestResult:
     lambda_t1: float
     eps_corr: float
     eps_test: float
-    copies: int  # drawn by the sampled scheme, rounding included; 0 for the exact one
+    copies: int  # drawn in sampled mode, rounding included; 0 in exact mode
 
 
 def dimension_verdict(lambda_t1: float, eps_test: float) -> str:
@@ -323,7 +323,7 @@ def test_gaussian_dimension(
     delta: float,
     rng=None,
     shot_override: int | None = None,
-    scheme: str = "grouped",
+    mode: str = "sampled",
 ) -> DimensionTestResult:
     """Decide whether a state is eps_a-close or eps_b-far from t-compressible.
 
@@ -346,12 +346,12 @@ def test_gaussian_dimension(
         )
     if shot_override is not None and shot_override < 1:
         raise ValueError(f"shot_override must be >= 1, got {shot_override}")
-    if scheme not in ("exact", "grouped"):
-        raise ValueError(f"unknown scheme {scheme!r}, expected 'exact' or 'grouped'")
+    if mode not in ("exact", "sampled"):
+        raise ValueError(f"unknown mode {mode!r}, expected 'exact' or 'sampled'")
     eps_corr = eps_b**2 / (n - t) - eps_a
     eps_test = eps_b**2 / (n - t) + eps_a
 
-    if scheme == "exact":
+    if mode == "exact":
         copies = 0
         c_hat = correlation_exact(psi)
     else:

@@ -201,8 +201,8 @@ def test_criterion_09_dimension_tester():
     exact_ok = True
     for i in range(20):
         gaussian = GaussianUnitary(ortho.random_orthogonal(8, rng)).apply(zero_state(4))
-        r1 = metrology.test_gaussian_dimension(gaussian, 0, 0.0, 0.4, 1 / 3, scheme="exact")
-        r2 = metrology.test_gaussian_dimension(tplus_state(4), 0, 0.0, 0.4, 1 / 3, scheme="exact")
+        r1 = metrology.test_gaussian_dimension(gaussian, 0, 0.0, 0.4, 1 / 3, mode="exact")
+        r2 = metrology.test_gaussian_dimension(tplus_state(4), 0, 0.0, 0.4, 1 / 3, mode="exact")
         exact_ok = exact_ok and r1.verdict == "close" and r2.verdict == "far"
     # sampled scheme at desk-scale override: error rate <= delta + 3 sigma
     delta, trials, errors = 1.0 / 3.0, 100, 0

@@ -14,9 +14,8 @@ from hypothesis import strategies as st
 
 from fermidope import harness
 from fermidope.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_PRECONDITION, EXIT_STATISTICAL, main
-from fermidope.doped import CompressionError, circuit_dumps, circuit_loads
+from fermidope.doped import CompressedForm, CompressionError, circuit_dumps, circuit_loads
 from fermidope.harness import ExperimentConfig, run
-from fermidope.learner import LearnedState
 from fermidope.states import ZeroProbabilityError
 
 
@@ -116,6 +115,16 @@ def test_verify_missing_state_file_is_precondition_error(tmp_path, capsys):
     assert err.startswith("error: ") and "missing.txt" in err and "Traceback" not in err
 
 
+def test_verify_of_another_register_size_names_both_sizes(tmp_path, capsys):
+    circuit, _ = _saved_circuit_and_state(tmp_path)
+    state = tmp_path / "learned-n5.txt"
+    assert main(["learn", "--n", "5", "--t", "1", "--kappa", "3", "--seed", "5", "--mode", "exact",
+                 "--out", str(tmp_path / "l5.json"), "--save-state", str(state)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["verify", "--learned", str(state), "--circuit", str(circuit)]) == EXIT_PRECONDITION
+    assert capsys.readouterr().err == "error: learned state has 5 qubits, true state has 4\n"
+
+
 def test_verify_non_finite_input_is_precondition_error(tmp_path, capfd):
     circuit, state = _saved_circuit_and_state(tmp_path)
     capfd.readouterr()
@@ -152,7 +161,7 @@ def test_non_orthogonal_rotations_are_rejected_at_their_line(tmp_path, capfd):
     gaussian, gaussian_line = _corrupt(circuit, "gaussian 1", 0, "0.5")
     orthogonal = "expected 8 rows ending here that form an orthogonal matrix"
     last_row = 7  # the error names the block's last row
-    for path, loader, line in ((o_hat, LearnedState.loads, o_line + last_row),
+    for path, loader, line in ((o_hat, CompressedForm.loads, o_line + last_row),
                                (gaussian, circuit_loads, gaussian_line + last_row)):
         with open(path) as f, pytest.raises(ValueError, match=f"^line {line}: {orthogonal}$"):
             loader(f.read())
@@ -167,7 +176,7 @@ def _dumped_files() -> dict:
     """Trial 0's circuit and learned state at n = 3, as their loaders' inputs."""
     doc = run(ExperimentConfig(kind="learn", n=3, t=1, kappa=2, seed=5, mode="exact"))
     return {circuit_loads: circuit_dumps(doc.artifacts["circuit"]),
-            LearnedState.loads: doc.artifacts["learned"].dumps()}
+            CompressedForm.loads: doc.artifacts["learned"].dumps()}
 
 
 # numbers past each bound the loaders check, edge numbers within them, a non-number, a keyword
@@ -175,7 +184,7 @@ FUZZ_TOKENS = ("1e308", "-1e200", "1.5", "nan", "-0.0", "5e-324", "9" * 30, "x",
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=st.data(), loader=st.sampled_from([circuit_loads, LearnedState.loads]),
+@given(data=st.data(), loader=st.sampled_from([circuit_loads, CompressedForm.loads]),
        edits=st.lists(st.sampled_from(["mutate", "delete", "duplicate", "reorder", "truncate"]),
                       min_size=1, max_size=3))
 def test_loaders_return_or_raise_value_error_on_mangled_files(data, loader, edits):

@@ -9,12 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermidope import ortho
-from fermidope.doped import prepare, random_doped_circuit
+from fermidope.doped import CompressedForm, compress_state, prepare, random_doped_circuit
 from fermidope.gaussian import GaussianUnitary
 from fermidope.learner import (
     TOMOGRAPHY_LIMIT,
     BoostingFailureError,
-    LearnedState,
     boosting_iterations,
     hoeffding_budget,
     learn,
@@ -28,6 +27,7 @@ from fermidope.metrology import correlation_exact
 from fermidope.pauli import PauliString
 from fermidope.states import (
     StateVector,
+    ZeroProbabilityError,
     basis_state,
     born_probability,
     embed_with_zero_tail,
@@ -136,28 +136,18 @@ def test_exact_learning_on_gaussian_state(rng):
 
 def test_verify_decomposes_the_learned_gaussian_once(rng, givens_calls):
     # a state from learn carries learn's G_hat, whose adjoint learn has compiled, so verify
-    # decomposes nothing; a loaded state decomposes O_hat once for G_hat and its adjoint
+    # decomposes nothing; a loaded state decomposes its O once for G_hat and its adjoint
     psi = prepare(random_doped_circuit(6, 1, 3, rng))
     learned = learn(psi, 6, 3, plan_budget(6, 3, 0.25, 1 / 3), mode="exact")
     givens_calls.clear()
     report = verify(learned, psi)
     assert report.trace_distance <= 1e-6
     assert givens_calls == []
-    loaded = verify(LearnedState.loads(learned.dumps()), psi)
-    assert len(givens_calls) == 1 and np.array_equal(givens_calls[0], learned.O_hat)
+    loaded = verify(CompressedForm.loads(learned.dumps()), psi)
+    assert len(givens_calls) == 1 and np.array_equal(givens_calls[0], learned.G.O)
     # a derived program runs the same rotations in another block form
     assert loaded.trace_distance == pytest.approx(report.trace_distance, abs=1e-12)
     assert loaded.fidelity == pytest.approx(report.fidelity, abs=1e-12)
-
-
-def test_learned_state_rejects_a_gaussian_of_another_rotation(rng):
-    o_hat = ortho.random_orthogonal(6, rng)
-    phi = random_state(1, rng)
-    kept = LearnedState(O_hat=o_hat, phi_hat=phi, t=1, gaussian=GaussianUnitary(o_hat))
-    assert np.array_equal(kept.gaussian.O, kept.O_hat)
-    other = GaussianUnitary(ortho.random_orthogonal(6, rng))
-    with pytest.raises(ValueError, match="not the Gaussian unitary of O_hat"):
-        LearnedState(O_hat=o_hat, phi_hat=phi, t=1, gaussian=other)
 
 
 def test_exact_learning_sweep():
@@ -181,14 +171,14 @@ def test_learned_state_serialization(rng):
     psi, _, _ = compressible_fixture(4, 1, seed=3)
     learned = learn(psi, 4, 1, plan_budget(4, 1, 0.25, 1 / 3), mode="exact")
     text = learned.dumps()
-    back = LearnedState.loads(text)
+    back = CompressedForm.loads(text)
     assert back.dumps() == text
     assert trace_distance(back.reassemble(), psi) <= 1e-7
     # verify() accepts the serialized form directly
     assert verify(text, psi).trace_distance <= 1e-7
     # a core larger than the register is rejected before any amplitude is read
     with pytest.raises(ValueError, match="^line 3: expected 't <count>' at most n = 4$"):
-        LearnedState.loads(text.replace("\nt 1\n", "\nt " + "9" * 30 + "\n"))
+        CompressedForm.loads(text.replace("\nt 1\n", "\nt " + "9" * 30 + "\n"))
 
 
 @settings(max_examples=100, deadline=None)
@@ -197,17 +187,21 @@ def test_learned_state_serialization(rng):
     t=st.integers(0, 3),
     det=st.sampled_from([1, -1]),
     seed=st.integers(0, 2**32 - 1),
+    source=st.sampled_from(["random", "compress_state"]),
 )
-def test_learned_state_round_trip_is_bit_exact(n, t, det, seed):
+def test_learned_state_round_trip_is_bit_exact(n, t, det, seed, source):
     rng = np.random.default_rng(seed)
     t = min(t, n)
-    o_hat = ortho.random_orthogonal(2 * n, rng, haar=False)
-    o_hat[:, 0] *= det
-    learned = LearnedState(O_hat=o_hat, phi_hat=random_state(t, rng), t=t)
-    back = LearnedState.loads(learned.dumps())
-    assert back.t == t
-    assert back.O_hat.tobytes() == learned.O_hat.tobytes()
-    assert back.phi_hat.amps.tobytes() == learned.phi_hat.amps.tobytes()
+    if source == "compress_state":  # t single-Majorana gates compress onto t qubits
+        form = compress_state(random_doped_circuit(n, t, 1, rng))
+    else:
+        o_hat = ortho.random_orthogonal(2 * n, rng, haar=False)
+        o_hat[:, 0] *= det
+        form = CompressedForm(GaussianUnitary(o_hat, check=False), random_state(t, rng))
+    back = CompressedForm.loads(form.dumps())
+    assert back.core_qubits == t
+    assert back.G.O.tobytes() == form.G.O.tobytes()
+    assert back.phi.amps.tobytes() == form.phi.amps.tobytes()
 
 
 def test_learned_state_loads_rejects_every_truncation():
@@ -215,7 +209,7 @@ def test_learned_state_loads_rejects_every_truncation():
     text = learn(psi, 3, 2, plan_budget(3, 2, 0.25, 1 / 3), mode="exact").dumps()
     for prefix, at_line_boundary in text_prefixes(text):
         try:
-            LearnedState.loads(prefix)
+            CompressedForm.loads(prefix)
         except ValueError as exc:
             assert not at_line_boundary or str(exc).endswith("got end of document")
         else:
@@ -398,6 +392,23 @@ def test_boosting_failure_reported():
     budget = plan_budget(4, 1, 0.9, 1 / 3).with_overrides(n_corr=2000, n_tom=300, n_loop=300)
     with pytest.raises(BoostingFailureError):
         learn(psi, 4, 1, budget, mode="sampled", rng=np.random.default_rng(5))
+
+
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+def test_an_empty_zero_tail_raises_zero_probability(mode):
+    # every copy but the one learn rotates is the vacuum, so G_hat maps the vacuum to itself
+    # and keeps parity; the rotated copy is odd, so its zero tail is empty
+    n, rotated_copy = 3, 2 if mode == "exact" else 3
+    copies = []
+
+    def source():
+        copies.append(None)
+        return basis_state(n, 1) if len(copies) == rotated_copy else zero_state(n)
+
+    budget = hoeffding_budget(n, 0, 0.25, 1 / 3)
+    with pytest.raises(ZeroProbabilityError, match="^all-zero tail outcome has probability"):
+        learn(source, n, 0, budget, mode=mode, rng=np.random.default_rng(1))
+    assert len(copies) == rotated_copy
 
 
 def test_union_bound_inequality_with_injected_perturbations(rng):

@@ -100,17 +100,17 @@ def test_correlation_transport_of_gaussian(rng):
 
 
 def test_exact_scheme_identical_to_exact(rng):
-    # the tester's exact scheme reads lambda_{t+1} off the exact correlation matrix
+    # the tester's exact mode reads lambda_{t+1} off the exact correlation matrix
     psi = prepare(random_doped_circuit(3, 1, 3, rng))
-    res = metrology.test_gaussian_dimension(psi, 1, 0.0, 0.5, 1 / 3, scheme="exact")
+    res = metrology.test_gaussian_dimension(psi, 1, 0.0, 0.5, 1 / 3, mode="exact")
     assert res.lambda_t1 == ortho.normal_eigenvalues(correlation_exact(psi))[1]
     assert res.copies == 0
 
 
 def test_unknown_scheme_rejected(rng):
-    with pytest.raises(ValueError, match="^unknown scheme 'shadow'"):
+    with pytest.raises(ValueError, match="^unknown mode 'shadow'"):
         metrology.test_gaussian_dimension(zero_state(2), 0, 0.0, 0.4, 1 / 3, rng=rng,
-                                          scheme="shadow")
+                                          mode="shadow")
 
 
 def test_sampled_schemes_need_an_rng():
@@ -429,7 +429,7 @@ def test_nearest_compressible_t_equals_n_is_trivial(rng):
 
 def test_tester_close_on_gaussian_exact(rng):
     psi = GaussianUnitary(ortho.random_orthogonal(8, rng)).apply(zero_state(4))
-    res = metrology.test_gaussian_dimension(psi, 0, 0.0, 0.4, 1 / 3, scheme="exact")
+    res = metrology.test_gaussian_dimension(psi, 0, 0.0, 0.4, 1 / 3, mode="exact")
     assert res.verdict == "close"
 
 
@@ -437,7 +437,7 @@ def test_tester_far_on_magic_product_exact():
     psi = tplus_state(4)
     lam = ortho.normal_eigenvalues(correlation_exact(psi))
     assert lam[0] == pytest.approx(0.0, abs=1e-10)  # lower bound 1/2 > eps_b
-    res = metrology.test_gaussian_dimension(psi, 0, 0.0, 0.4, 1 / 3, scheme="exact")
+    res = metrology.test_gaussian_dimension(psi, 0, 0.0, 0.4, 1 / 3, mode="exact")
     assert res.verdict == "far"
 
 
@@ -447,7 +447,7 @@ def test_tester_boundary_is_close():
     assert metrology.dimension_verdict(np.nextafter(1.0 - 0.04, 0.0), 0.04) == "far"
     # and a state estimated epsilon above the threshold is also close
     plus = StateVector(1, np.array([1.0, 1.0]) / np.sqrt(2.0))
-    res = metrology.test_gaussian_dimension(plus, 0, 0.0, 1.0, 0.5, scheme="exact")
+    res = metrology.test_gaussian_dimension(plus, 0, 0.0, 1.0, 0.5, mode="exact")
     assert res.eps_test == 1.0 and res.verdict == "close"
 
 
