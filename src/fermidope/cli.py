@@ -66,7 +66,7 @@ def _add_common(p: argparse.ArgumentParser):
 def _add_learn_flags(p: argparse.ArgumentParser):
     p.add_argument("--eps", type=float, default=0.25, help="target trace distance")
     p.add_argument("--delta", type=float, default=1.0 / 3.0, help="failure probability")
-    p.add_argument("--fixture", choices=("doped", "compressible"), default="doped")
+    p.add_argument("--fixture", choices=("doped", "compressible"), help="default doped; gaussian for sweep --kind test")
     p.add_argument("--budget", choices=("default", "hoeffding"), default="hoeffding")
     p.add_argument("--c-tom", type=float, default=1.0, help="tomography budget constant")
     p.add_argument("--shots-override", type=int, help="replace the correlation copy count")
@@ -153,6 +153,8 @@ def _cmd_run(args, kind: str) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.kind == "test" and args.fixture is None:
+        args.fixture = "gaussian"  # as the test command's default
     base = _config_from_args(args, args.kind)
     grid = {}
     for key, attr, cast in (("n", "grid_n", int), ("t", "grid_t", int),

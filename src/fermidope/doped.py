@@ -6,8 +6,10 @@ non-Gaussianity can be moved onto the first kappa*t qubits by a single
 Gaussian rotation.  `compress_state` builds that rotation constructively
 and returns the state as a `CompressedForm`, the type `learner.learn`
 returns too; `compress_unitary` does the same for the circuit unitary,
-shrinking the non-Gaussian core to ceil(kappa*t / 2) qubits.  The text
-formats of circuits and compressed forms both live here.
+shrinking the non-Gaussian core to ceil(kappa*t / 2) qubits.  A gate
+rotates one copy of the amplitudes in place, term by term, through
+``PauliString.rotate``, the kernel the unfused planes of a Gaussian layer
+use too.  The text formats of circuits and compressed forms both live here.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .gaussian import GaussianUnitary
 from .pauli import hermitize, majorana_monomial
 from .states import (
     StateVector,
-    apply_pauli_rotation,
     basis_state,
     embed_with_zero_tail,
     postselect_zero_tail,
@@ -69,9 +70,10 @@ class NonGaussianGate:
         return cls(((tuple(indices), theta),))
 
     def apply(self, psi: StateVector) -> StateVector:
+        amps = psi.amps.copy()
         for s, theta in self.terms:
-            psi = apply_pauli_rotation(psi, hermitize(majorana_monomial(s, psi.n)), theta)
-        return psi
+            hermitize(majorana_monomial(s, psi.n)).rotate(amps, theta)
+        return StateVector(psi.n, amps)
 
 
 @dataclass(frozen=True)
@@ -230,23 +232,11 @@ def compress_unitary(circuit: DopedCircuit, tol: float = 1e-8):
     return g_a, u_core, g_b
 
 
-def random_doped_circuit(n, t, kappa, rng, haar_gaussians: bool = True) -> DopedCircuit:
-    """Random circuit: Haar Gaussian layers, uniform kappa-subsets and angles.
-
-    With haar_gaussians=False the layers are Haar symplectic-orthogonal,
-    i.e. particle-number preserving.
-    """
+def random_doped_circuit(n, t, kappa, rng) -> DopedCircuit:
+    """Random circuit: Haar Gaussian layers, uniform kappa-subsets and angles."""
     if kappa > 2 * n:
         raise ValueError(f"kappa = {kappa} exceeds 2n = {2 * n}")
-
-    def layer():
-        if haar_gaussians:
-            return GaussianUnitary(ortho.random_orthogonal(2 * n, rng), check=False)
-        return GaussianUnitary(
-            ortho.symplectic_from_unitary(ortho.random_unitary(n, rng)), check=False
-        )
-
-    gaussians = [layer() for _ in range(t + 1)]
+    gaussians = [GaussianUnitary(ortho.random_orthogonal(2 * n, rng), check=False) for _ in range(t + 1)]
     gates = []
     for _ in range(t):
         support = np.sort(rng.choice(2 * n, size=kappa, replace=False)) + 1

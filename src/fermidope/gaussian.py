@@ -13,9 +13,9 @@ test suite checks the angle/sign convention against the Heisenberg identity
 on dense matrices (see ``heisenberg_matrix``).
 
 Under Jordan-Wigner, P is a two-qubit gate dressed by a Z-string (Jozsa &
-Miyake 2008), so ``rotate_plane`` applies it in place on a reshaped view
-of the amplitudes; ``rotation_generator`` and ``apply_pauli_rotation`` give
-the same rotation on the dense Pauli path, the oracle the tests hold it to.
+Miyake 2008); an unfused plane runs through the in-place kernel
+``rotation_generator(mu, nu, n).rotate``, which the tests hold to the
+dense oracle ``apply_pauli_rotation``.
 
 The Givens chain of ``ortho.givens_decompose`` gives a dense O only
 adjacent planes (mu, mu + 1), i.e. gates on one or two neighbouring qubits
@@ -31,7 +31,7 @@ each block as one matrix product over the amplitudes: a single GEMM when
 the block touches either end of the register, 2^(lo-1) small batched ones
 otherwise, so a block near the end is padded at compile time to u (x) I up
 to the register end when that stays within FUSE_QUBITS + 1 qubits.  A
-plane wider than the window stays a single ``rotate_plane`` pass.  The
+plane wider than the window stays a single kernel pass.  The
 packing depends only on the plane sequence, which repeats (every dense O
 at one n has the same staircase), so it is planned once per sequence and
 cached; all blocks are then built together in one stack, a block longer
@@ -47,8 +47,6 @@ compiles once per n.
 from __future__ import annotations
 
 import bisect
-import cmath
-import math
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 from typing import NamedTuple
@@ -63,58 +61,13 @@ FUSE_QUBITS = 4  # widest window of adjacent qubits fused into one dense block
 FUSION_PLANS = 64  # plane sequences whose fusion plan stays cached
 
 
+@cache
 def rotation_generator(mu: int, nu: int, n: int) -> PauliString:
-    """Hermitian Pauli string -i gamma_mu gamma_nu."""
+    """Hermitian Pauli string -i gamma_mu gamma_nu, built once per plane and n."""
     if mu == nu:
         raise ValueError("rotation plane needs two distinct Majorana indices")
     g = pauli_mul(majorana(mu, n), majorana(nu, n))
-    p = PauliString(g.n, g.x_mask, g.z_mask, g.phase_exp + 3)  # multiply by -i
-    if not p.is_hermitian:
-        raise AssertionError("rotation generator failed to be Hermitian")
-    return p
-
-
-@cache
-def _parity_signs(n: int) -> np.ndarray:
-    """(-1)^popcount(m) for m < 2^(n-2): the sign of a Z-string on the middle bits m."""
-    signs = np.ones(1)
-    for _ in range(n - 2):
-        signs = np.concatenate([signs, -signs])
-    signs.setflags(write=False)
-    return signs
-
-
-def rotate_plane(amps: np.ndarray, n: int, mu: int, nu: int, phi: float) -> None:
-    """amps <- exp(i * phi * P) amps in place, P = -i gamma_mu gamma_nu, mu < nu.
-
-    With k = ceil(mu/2) and l = ceil(nu/2), P = Z_k when k = l; otherwise
-    P = (-Y_k if mu is odd else X_k) Z_{k+1..l-1} (X_l if nu is odd else Y_l),
-    which flips bits k and l and multiplies by edge factors of the output
-    bits and the Z-string parity of the bits between them.  An adjacent
-    plane (2k, 2k + 1) is X_k X_{k+1}: no Z-string and both edge factors 1.
-    """
-    k, l = (mu + 1) // 2, (nu + 1) // 2
-    if k == l:
-        v = amps.reshape(2 ** (k - 1), 2, 2 ** (n - k))
-        phase = cmath.exp(1j * phi)
-        v[:, 0] *= phase
-        v[:, 1] *= phase.conjugate()
-        return
-    if nu == mu + 1:
-        v = amps.reshape(2 ** (k - 1), 2, 2, 2 ** (n - l))
-        flipped = v[:, ::-1, ::-1] * (1j * math.sin(phi))
-        v *= math.cos(phi)
-        v += flipped
-        return
-    middle = 2 ** (l - k - 1)
-    v = amps.reshape(2 ** (k - 1), 2, middle, 2, 2 ** (n - l))
-    y_edge = np.array([-1j, 1j])  # <b| Y |1-b> = -i (-1)^b
-    left = -y_edge if mu % 2 else np.ones(2)
-    right = np.ones(2) if nu % 2 else y_edge
-    coef = (1j * math.sin(phi)) * left[:, None, None] * _parity_signs(n)[:middle, None] * right
-    flipped = coef[..., None] * v[:, ::-1, :, ::-1, :]
-    v *= math.cos(phi)
-    v += flipped
+    return PauliString(g.n, g.x_mask, g.z_mask, g.phase_exp + 3)  # multiply by -i
 
 
 class Block(NamedTuple):
@@ -410,7 +363,7 @@ class GaussianUnitary:
         spare = np.empty_like(amps)
         for op in prog.ops:
             if not isinstance(op, Block):
-                rotate_plane(amps, n, op[0], op[1], op[2] / 2.0)
+                rotation_generator(op[0], op[1], n).rotate(amps, op[2] / 2.0)
                 continue
             # a window touching either end of the register is one GEMM
             dim = len(op.u)

@@ -109,6 +109,8 @@ class ExperimentConfig:
             if self._learn_t() > self.n:
                 raise ConfigError("learned core exceeds the register; reduce t or kappa")
         if self.kind == "test":
+            if self.fixture == "doped":  # kappa*t > t: generally outside the tester's promise
+                raise ConfigError("kind 'test' needs the gaussian, tplus or compressible fixture")
             if self.t >= self.n:
                 raise ConfigError("test needs t < n")
             if self.eps_b <= np.sqrt((self.n - self.t) * self.eps_a):
@@ -349,6 +351,14 @@ _TRIALS = {
 }
 
 
+def _median(values: list) -> float:
+    """np.median's float, without the import of numpy.ma that its NaN check makes a fresh process pay."""
+    ordered, mid = sorted(map(float, values)), len(values) // 2
+    if any(map(math.isnan, ordered)):
+        return math.nan
+    return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2.0
+
+
 def _summarize(config: ExperimentConfig, records: list) -> dict:
     ok_rate = float(np.mean([r.get("ok", False) for r in records]))
     summary = {"trials": len(records), "ok_rate": ok_rate}
@@ -358,7 +368,7 @@ def _summarize(config: ExperimentConfig, records: list) -> dict:
         arr = np.asarray(values, dtype=float)
         summary[metric] = {
             "mean": float(arr.mean()),
-            "median": float(np.median(arr)),
+            "median": _median(values),
             "min": float(arr.min()),
             "max": float(arr.max()),
         }

@@ -26,7 +26,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import ortho
-from .gaussian import GaussianUnitary, _parity_signs
+from .gaussian import GaussianUnitary
+from .pauli import _parity_signs
 from .states import (
     StateVector,
     embed_with_zero_tail,
@@ -55,7 +56,7 @@ def _majorana_rows(psi: StateVector) -> np.ndarray:
     n = psi.n
     rows = np.empty((2, 2 * n, 2**n))
     parts = np.stack((psi.amps.real, psi.amps.imag))
-    signs = _parity_signs(n + 1)  # (-1)^popcount(a) for a < 2^(n-1)
+    signs = _parity_signs(n)  # (-1)^popcount(a); a < 2^(n-1) is read
     for k in range(1, n + 1):
         shape = (2, 2 ** (k - 1), 2, -1)
         x = rows[:, 2 * k - 2].reshape(shape)
@@ -151,19 +152,19 @@ def _grouped_sampling(n: int) -> tuple:
     tau = np.eye(2 * n)
     tau[1:, 1:] = np.roll(tau[1:, 1:], 1, axis=1)  # tau[a, tau(a)] = 1
     first, step = (start, [None, None]), (start @ tau @ start.T, [None, None])
-    outcomes = np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1) & 1  # canonical bits
+    bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1) & 1).astype(float)  # canonical bits
     groups = []
     for k, pairs in enumerate(walk):
         order = np.argsort([min(pair) for pair in pairs])  # walk qubit of each sorted pair
         flips = np.array([a > b for a, b in pairs])[order]
-        index = ((outcomes ^ flips) << (n - 1 - order)).sum(axis=1)
+        weights = 2.0 ** (n - 1 - order)  # the walk bit of each canonical qubit: one exact product
+        index = (bits @ weights).astype(np.intp) ^ int(weights @ flips)
         rows, cols = (np.sort(pairs, axis=1)[order] - 1).T
         for array in (index, rows, cols):
             array.setflags(write=False)
         groups.append((*(step if k else first), index, rows, cols))
     for o, _ in (first, step):
         o.setflags(write=False)
-    bits = outcomes.astype(float)
     bits.setflags(write=False)
     return tuple(groups), bits
 

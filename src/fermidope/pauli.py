@@ -12,11 +12,14 @@ and phase is computed in exact integer arithmetic:
 
 with the X factor to the left of the Z factor on each qubit.  Bit k-1 of a
 mask refers to qubit k.  Qubit 1 is the most significant bit of a
-computational basis index (see `fermidope.states`).
+computational basis index (see `fermidope.states`).  ``PauliString.rotate``
+is the package's one in-place state kernel.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -41,6 +44,14 @@ def _basis(n: int) -> np.ndarray:
     b = np.arange(2**n)
     b.setflags(write=False)
     return b
+
+
+@cache
+def _parity_signs(bits: int) -> np.ndarray:
+    """(-1)^popcount(m) for m < 2^bits, read-only: the sign of a Z-string on the bits of m."""
+    signs = 1.0 - 2.0 * (np.bitwise_count(_basis(bits)) & 1)
+    signs.setflags(write=False)
+    return signs
 
 
 @dataclass(frozen=True)
@@ -113,6 +124,37 @@ class PauliString:
         src.setflags(write=False)
         coef.setflags(write=False)
         return src, coef
+
+    def rotate(self, amps: np.ndarray, phi: float) -> None:
+        """amps <- exp(i * phi * P) amps = cos(phi) amps + i sin(phi) P amps, in place.
+
+        P amps is read off the runs of equal letters (``_runs``): each X or Y
+        run reversed (its bits flipped), each amplitude multiplied once by
+        the exact +-1/+-i product of the phase and the Z and Y parity signs.
+        """
+        if not self.is_hermitian:
+            raise ValueError("rotation generator must be Hermitian")
+        shape, flip, signs = self._runs
+        v = amps.reshape(shape)
+        flipped = math.prod(signs, start=(1j * math.sin(phi)) * self.phase) * v[flip]
+        v *= math.cos(phi)
+        v += flipped
+
+    @cached_property
+    def _runs(self) -> tuple:
+        """(shape, flip, signs): one axis of 2^L amplitudes per run of L equal letters.
+
+        ``flip`` reverses the X and Y axes; ``signs`` holds the parity table
+        of each Z or Y axis (a Y run reads its source bits: the table
+        reversed), each a view of the shared ``_parity_signs``.
+        """
+        letters = [((self.x_mask >> k) & 1, (self.z_mask >> k) & 1) for k in range(self.n)]
+        runs = [(x, z, len(list(group))) for (x, z), group in itertools.groupby(letters)]
+        shape = tuple(2**bits for *_, bits in runs)
+        flip = tuple(slice(None, None, -1 if x else 1) for x, *_ in runs)
+        signs = tuple(_parity_signs(bits)[::-1 if x else 1].reshape((-1,) + (1,) * (len(runs) - 1 - axis))
+                      for axis, (x, z, bits) in enumerate(runs) if z)
+        return shape, flip, signs
 
     def to_matrix(self) -> np.ndarray:
         """Dense 2^n x 2^n matrix, new on each call: coef[b] in row b, column src[b]."""

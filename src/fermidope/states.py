@@ -35,7 +35,7 @@ class StateVector:
         # written as "not <=" so that the NaN or infinite norm of a non-finite amplitude fails too
         if not abs(norm - 1.0) <= _NORM_TOL:
             raise ValueError(f"state not normalized: |amps| = {norm}")
-        amps = amps / norm
+        amps = amps * (1.0 / norm)  # = amps / norm, which numpy computes as this multiply
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
 

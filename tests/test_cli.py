@@ -392,6 +392,14 @@ def test_sweep_writes_csv(tmp_path):
     assert len(lines) == 1 + 4 * 3
 
 
+def test_test_kind_sweeps_the_gaussian_fixture_and_rejects_the_doped_one(tmp_path, capsys):
+    csv_path = tmp_path / "grid.csv"
+    assert main(["sweep", "--kind", "test", "--t", "0", "--grid-n", "3", "--csv", str(csv_path)]) == EXIT_OK
+    code = main(["sweep", "--kind", "test", "--fixture", "doped", "--grid-n", "6", "--csv", str(csv_path)])
+    assert code == EXIT_PRECONDITION
+    assert "ConfigError: kind 'test' needs the gaussian, tplus or compressible fixture" in capsys.readouterr().err
+
+
 def test_sweep_with_a_failing_cell_exits_like_its_single_run(tmp_path, capsys):
     # t = 5 >= n = 4 is a configuration error: exit 2, as `test --n 4 --t 5` gives
     csv_path = tmp_path / "grid.csv"

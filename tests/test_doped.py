@@ -211,12 +211,6 @@ def test_random_circuit_kappa_bound():
         random_doped_circuit(2, 1, 5, np.random.default_rng(0))
 
 
-def test_random_circuit_particle_number_preserving_layers():
-    c = random_doped_circuit(3, 1, 3, np.random.default_rng(12), haar_gaussians=False)
-    for g in c.gaussians:
-        assert ortho.is_symplectic(g.O)
-
-
 def test_gate_counts():
     rng = np.random.default_rng(13)
     empty = DopedCircuit(n=3, kappa=4, gaussians=(identity_gaussian(3),), gates=())

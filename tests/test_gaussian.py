@@ -16,7 +16,6 @@ from fermidope.gaussian import (
     apply_pauli_rotation,
     heisenberg_matrix,
     identity_gaussian,
-    rotate_plane,
     rotation_generator,
 )
 from fermidope.metrology import _group_permutation, _grouped_sampling, commuting_groups, correlation_exact
@@ -137,7 +136,7 @@ def test_rotation_generator_is_hermitian_pauli():
 
 
 def test_plane_kernel_matches_pauli_rotation_oracle():
-    # every plane: k = l (Z_k), adjacent qubits, and the widest Z-string
+    # every plane through the in-place kernel: k = l (Z_k), adjacent qubits, the widest Z-string
     rng = np.random.default_rng(31)
     for n in range(1, 7):
         psi = random_state(n, rng)
@@ -145,7 +144,7 @@ def test_plane_kernel_matches_pauli_rotation_oracle():
             for nu in range(mu + 1, 2 * n + 1):
                 phi = rng.uniform(-np.pi, np.pi)
                 amps = psi.amps.copy()
-                rotate_plane(amps, n, mu, nu, phi)
+                rotation_generator(mu, nu, n).rotate(amps, phi)
                 oracle = apply_pauli_rotation(psi, rotation_generator(mu, nu, n), phi)
                 assert np.abs(amps - oracle.amps).max() <= 1e-13, (n, mu, nu)
 
@@ -343,7 +342,7 @@ def _plan_ops(rotations: tuple, n: int) -> list:
 
 
 def _sequential_blocks(rotations: tuple, n: int) -> list:
-    """Oracle for the fused ops: each planned window's product, one rotate_plane at a time.
+    """Oracle for the fused ops: each planned window's product, one kernel rotation at a time.
 
     The windows and their rotations come from the fusion plan; each block is
     built on the identity of its min(FUSE_QUBITS, n) qubits, and a block
@@ -359,7 +358,7 @@ def _sequential_blocks(rotations: tuple, n: int) -> list:
         # the flattened identity is a 2m-qubit register whose leading m qubits index the rows
         u = np.eye(2**m, dtype=complex).reshape(-1)
         for mu, nu, theta in (rotations[i] for i in indices):
-            rotate_plane(u, 2 * m, mu - 2 * (lo - 1), nu - 2 * (lo - 1), theta / 2.0)
+            rotation_generator(mu - 2 * (lo - 1), nu - 2 * (lo - 1), 2 * m).rotate(u, theta / 2.0)
         u = u.reshape(2**m, 2**m)
         if lo > 1 and n - lo + 1 <= FUSE_QUBITS + 1:
             u = np.kron(u, np.eye(2 ** (n - lo - m + 1)))

@@ -2,14 +2,22 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fermidope import metrology
 from fermidope.doped import prepare
 from fermidope.harness import (
     ConfigError,
     ExperimentConfig,
+    _median,
     run,
     sweep,
     trials_csv,
@@ -39,7 +47,16 @@ def test_config_rejects_shots_override_below_one():
             cfg = ExperimentConfig(kind=kind, t=0, mode="sampled", shots_override=bad)
             with pytest.raises(ConfigError, match="^shots_override must be >= 1$"):
                 cfg.validate()
-    ExperimentConfig(kind="test", t=0, mode="sampled", shots_override=1).validate()
+    ExperimentConfig(kind="test", t=0, mode="sampled", shots_override=1, fixture="gaussian").validate()
+
+
+def test_config_rejects_the_test_kind_on_the_doped_fixture():
+    # a doped state with kappa*t > t is generally outside the tester's promise, and the
+    # trial would score it as "close" without checking
+    with pytest.raises(ConfigError, match="^kind .test. needs the gaussian, tplus or compressible fixture$"):
+        ExperimentConfig(kind="test", fixture="doped", n=6, t=1).validate()
+    for fixture in ("gaussian", "compressible"):
+        ExperimentConfig(kind="test", fixture=fixture, n=6, t=1).validate()
 
 
 def test_run_prepare_document():
@@ -283,3 +300,31 @@ def test_document_validation_rejects_a_mistyped_config_with_value_error(config, 
     with pytest.raises(ValueError) as caught:
         validate_document(payload)
     assert str(caught.value) == message
+
+
+@given(st.lists(st.floats(-1e300, 1e300) | st.sampled_from([math.nan, 0.0, -0.0, 1.0]),
+                min_size=1, max_size=9))
+def test_median_is_numpys_median(values):
+    # odd and even counts, repeated values, NaN anywhere
+    want = float(np.median(np.asarray(values, dtype=float)))
+    got = _median(values)
+    assert (math.isnan(got) and math.isnan(want)) or got == want
+
+
+def test_median_cases():
+    assert _median([3.0]) == 3.0
+    assert _median([4.0, 1.0, 3.0]) == 3.0
+    assert _median([4.0, 1.0, 3.0, 2.0]) == 2.5
+    assert math.isnan(_median([1.0, math.nan, 2.0]))
+
+
+def test_a_run_imports_no_masked_arrays():
+    # np.median's NaN check imports numpy.ma; a fresh process running a document must not
+    code = ("import sys; from fermidope.harness import ExperimentConfig, run; "
+            "run(ExperimentConfig(kind='compress', n=4, t=1, trials=3)).to_json(); "
+            "print('numpy.ma' in sys.modules)")
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

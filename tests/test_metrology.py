@@ -217,6 +217,23 @@ def test_shared_group_programs_equal_a_fresh_compile(n):
     assert not bits.flags.writeable
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_group_gather_is_the_bit_permutation_of_its_walk_pairs(n):
+    # outcome by outcome: canonical qubit i (sorted pair i) is the walk qubit j holding that
+    # pair, its bit flipped when the walk holds the pair as (b, a) with b > a
+    groups, bits = metrology._grouped_sampling(n)
+    for (_, _, index, _, _), pairs in zip(groups, metrology._walk_pairs(n)):
+        walk_qubit = {tuple(sorted(pair)): j for j, pair in enumerate(pairs)}
+        for x in range(2**n):
+            expected = 0
+            for i, pair in enumerate(sorted(tuple(sorted(pair)) for pair in pairs)):
+                j = walk_qubit[pair]
+                bit = (x >> (n - 1 - i)) & 1
+                expected |= (bit ^ (pairs[j][0] > pairs[j][1])) << (n - 1 - j)
+            assert index[x] == expected, (n, pairs, x)
+            assert bits[x].tolist() == [(x >> (n - 1 - i)) & 1 for i in range(n)]
+
+
 @settings(max_examples=15, deadline=None)
 @given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
 def test_walk_probabilities_equal_a_fresh_basis_change_per_group(n, seed):

@@ -4,11 +4,12 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from fermidope.pauli import PauliString, hermitize, majorana, majorana_monomial, pauli_mul
+from fermidope.pauli import PauliString, _parity_signs, hermitize, majorana, majorana_monomial, pauli_mul
+from fermidope.states import StateVector, apply_pauli_rotation, random_state
 
 from conftest import I2, X2, Z2, kron_chain
 
@@ -222,3 +223,40 @@ def test_to_matrix_is_a_fresh_writable_matrix_on_every_call():
     first *= 3.0  # the caller owns it: the next matrix and the action are untouched
     assert np.array_equal(second, kron_of_factors(ps))
     assert np.array_equal(ps.to_matrix(), kron_of_factors(ps))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    letters=st.text(alphabet="IXYZ", min_size=1, max_size=7),
+    negative=st.booleans(),
+    phi=st.floats(-4.0, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_in_place_rotation_matches_the_dense_oracle(letters, negative, phi, seed):
+    # runs of every letter, a Y run reading its source bits, either sign of the string
+    n = len(letters)
+    x = sum(1 << k for k, c in enumerate(letters) if c in "XY")
+    z = sum(1 << k for k, c in enumerate(letters) if c in "ZY")
+    p = PauliString(n, x, z, letters.count("Y") + 2 * negative)
+    assert p.is_hermitian
+    psi = random_state(n, np.random.default_rng(seed))
+    amps = psi.amps.copy()
+    p.rotate(amps, phi)
+    assert np.abs(amps - apply_pauli_rotation(psi, p, phi).amps).max() <= 1e-13
+
+
+def test_in_place_rotation_rejects_a_non_hermitian_string():
+    amps = np.array([1.0, 0.0], dtype=complex)
+    with pytest.raises(ValueError, match="Hermitian"):
+        PauliString(1, 1, 0, 1).rotate(amps, 0.3)
+    assert amps.tolist() == [1.0, 0.0]
+
+
+def test_rotation_layout_keeps_only_views_of_the_shared_parity_tables():
+    # no 2^n table per string: every sign table is a view of one cached table per run length
+    p = hermitize(majorana_monomial((1, 6, 7, 24), 12))
+    shape, flip, signs = p._runs
+    assert np.prod(shape) == 2**12 and len(flip) == len(shape)
+    assert signs and all(any(t.base is _parity_signs(b) for b in range(1, 13)) for t in signs)
+    assert p._runs is p._runs
+

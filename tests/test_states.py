@@ -206,3 +206,16 @@ def test_norm_preserved_by_gates():
     psi = apply_pauli_rotation(psi, majorana(5, 4), 0.83)
     psi = apply_dense_unitary(psi, [2], kron_chain("Y"))
     assert abs(psi.norm - 1.0) <= 1e-10
+
+
+def test_normalisation_equals_division_by_the_norm():
+    # the reciprocal multiply gives the bytes of a / |a| on generic vectors, and the same
+    # values where a part is zero (only the sign of such a zero may differ)
+    rng = np.random.default_rng(41)
+    for n in (0, 1, 5, 12):
+        for _ in range(20):
+            a = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+            a /= np.linalg.norm(a)
+            assert StateVector(n, a).amps.tobytes() == (a / np.linalg.norm(a)).tobytes()
+    a = np.array([-0.0 + 0.6j, 0.8 - 0.0j, 0.0, -0.0])
+    assert np.array_equal(StateVector(2, a).amps, a / np.linalg.norm(a))
