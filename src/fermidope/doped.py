@@ -15,7 +15,7 @@ use too.  The text formats of circuits and compressed forms both live here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,9 +45,12 @@ class NonGaussianGate:
 
     ``terms`` is an ordered tuple of (indices, theta) pairs; the gate's
     support is the union of all index sets and bounds its Majorana locality.
+    Each term's Pauli string is built once per register size and kept on
+    the gate, so it lives as long as the gate does.
     """
 
     terms: tuple
+    _strings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         terms = tuple((tuple(int(i) for i in s), float(theta)) for s, theta in self.terms)
@@ -70,10 +73,13 @@ class NonGaussianGate:
         return cls(((tuple(indices), theta),))
 
     def apply(self, psi: StateVector) -> StateVector:
+        n = psi.n
+        if n not in self._strings:
+            self._strings[n] = tuple(hermitize(majorana_monomial(s, n)) for s, _ in self.terms)
         amps = psi.amps.copy()
-        for s, theta in self.terms:
-            hermitize(majorana_monomial(s, psi.n)).rotate(amps, theta)
-        return StateVector(psi.n, amps)
+        for string, (_, theta) in zip(self._strings[n], self.terms):
+            string.rotate(amps, theta)
+        return StateVector(n, amps)
 
 
 @dataclass(frozen=True)

@@ -37,11 +37,13 @@ at one n has the same staircase), so it is planned once per sequence and
 cached; all blocks are then built together in one stack, a block longer
 than the second longest in several rows multiplied at the end.
 G and G^dag come in pairs (rotate by G^dag, reassemble with G), and the
-second of the two derives its program from the first's.  Both share one
-program cell (``GaussianUnitary.sharing``), the single mechanism by which
-instances share programs; ``metrology`` keeps two such cells per n, the
-first step and the repeated step of its grouped-sampling walk, so each
-compiles once per n.
+pair has one program: G = ops X_1^r, so G^dag = X_1^r ops^dag runs the
+same ops backwards, each block as u^dag and each wide plane at the negated
+angle, and swaps the halves on qubit 1 last.  Both read one program cell
+(``GaussianUnitary.sharing``), the single mechanism by which instances
+share programs; ``metrology`` keeps two such cells per n, the first step
+and the repeated step of its grouped-sampling walk, so each compiles once
+per n.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -97,17 +100,15 @@ def _window_generators(m: int) -> tuple:
     """Every plane (mu, nu) of an m-qubit register as a signed permutation.
 
     Returns (ids, src, coef): ids maps the plane to its row of the stacked
-    (src, coef) of ``rotation_generator(mu, nu, m).action()``, composed from
-    the 2m Majorana actions: (gamma_mu gamma_nu psi)[b] = c_mu[b]
-    c_nu[s_mu[b]] psi[s_nu[s_mu[b]]].
+    (src, coef) of ``rotation_generator(mu, nu, m).action()``, the source
+    the wide planes read too.
     """
-    s, c = (np.array(a) for a in zip(*(majorana(mu, m).action() for mu in range(1, 2 * m + 1))))
-    first, second = np.triu_indices(2 * m, 1)
-    src = s[second[:, None], s[first]]
-    coef = -1j * c[first] * c[second[:, None], s[first]]
+    ids = {plane: i for i, plane in enumerate(combinations(range(1, 2 * m + 1), 2))}
+    actions = [rotation_generator(mu, nu, m).action() for mu, nu in ids]
+    src, coef = np.array([s for s, _ in actions]), np.array([c for _, c in actions], dtype=complex)
     src.setflags(write=False)
     coef.setflags(write=False)
-    return {(mu + 1, nu + 1): i for i, (mu, nu) in enumerate(zip(first.tolist(), second.tolist()))}, src, coef
+    return ids, src, coef
 
 
 class _FusionPlan(NamedTuple):
@@ -270,44 +271,14 @@ def _product(u: np.ndarray, rows: tuple) -> np.ndarray:
     return out
 
 
-def _adjoint_program(prog: GateProgram) -> GateProgram:
-    """The program of G^dag from the program of G.
-
-    G = ops X_1^r, so G^dag = X_1^r ops^dag: the ops reversed, each block
-    u -> u^dag and each angle negated.  With the reflection, G^dag =
-    (X_1 ops^dag X_1) X_1, and conjugating by X_1 = gamma_1 negates the
-    angle of a plane with mu = 1 once more and flips the leading qubit of
-    a block on qubit 1.
-    """
-    flip = prog.reflect_first
-
-    def inverse(mu, nu, theta):
-        return mu, nu, theta if flip and mu == 1 else -theta
-
-    ops = []
-    for op in reversed(prog.ops):
-        if not isinstance(op, Block):
-            ops.append(inverse(*op))
-            continue
-        u = op.u.conj().T
-        if flip and op.lo == 1:
-            half = np.arange(len(u)) ^ (len(u) // 2)
-            u = u[half][:, half]
-        u = np.ascontiguousarray(u)
-        u.setflags(write=False)
-        ops.append(Block(op.lo, u))
-    rotations = tuple(inverse(*rot) for rot in reversed(prog.rotations))
-    return GateProgram(rotations, flip, tuple(ops))
-
-
 class GaussianUnitary:
     """A Gaussian unitary, built from its orthogonal matrix.
 
     The gate program is compiled lazily and cached; instances are immutable.
-    Each instance reads and fills one slot of a cell [program of G, program
-    of G^dag], its own unless built by ``sharing``: a filled slot is taken
-    as is, an empty one is derived from the other slot when that is filled,
-    and only when both are empty does ``program`` compile.
+    G and G^dag = G_{O^T} share one program cell [program], its own unless
+    built by ``sharing`` or ``adjoint``: the program is compiled once, from
+    the O of the instance the cell was built for, and the adjoint runs it
+    backwards (``apply``).
     """
 
     def __init__(self, o: np.ndarray, check: bool = True):
@@ -318,7 +289,7 @@ class GaussianUnitary:
             raise ValueError("matrix is not orthogonal within tolerance")
         o.setflags(write=False)
         self.O = o
-        self._programs, self._side = [None, None], 0
+        self._cell, self._inverse = [None], False
 
     @property
     def n(self) -> int:
@@ -326,56 +297,54 @@ class GaussianUnitary:
 
     @cached_property
     def program(self) -> GateProgram:
-        programs, side = self._programs, self._side
-        if programs[side] is None:
-            if programs[1 - side] is not None:
-                programs[side] = _adjoint_program(programs[1 - side])
-            else:
-                givens = ortho.givens_decompose(self.O)
-                ops = _fuse(givens.rotations, self.n)
-                programs[side] = GateProgram(givens.rotations, givens.reflect_first, ops)
-        return programs[side]
+        """The pair's one program, whose rotations realise the O of G: ``self.O.T`` on an adjoint."""
+        cell = self._cell
+        if cell[0] is None:
+            givens = ortho.givens_decompose(self.O.T if self._inverse else self.O)
+            cell[0] = GateProgram(givens.rotations, givens.reflect_first, _fuse(givens.rotations, self.n))
+        return cell[0]
 
     @classmethod
-    def sharing(cls, o: np.ndarray, cell: list, side: int = 0) -> "GaussianUnitary":
-        """The Gaussian unitary of ``o`` whose program lives in ``cell[side]``.
+    def sharing(cls, o: np.ndarray, cell: list) -> "GaussianUnitary":
+        """The Gaussian unitary of ``o`` whose program lives in ``cell``, a [program] list.
 
-        The one way programs are shared between instances: ``cell`` is a
-        [program of G, program of G^dag] list, and ``o`` must be the O of
-        G (side 0) or of G^dag (side 1).  Every instance built on one cell
-        reads the same program objects, so a cell kept across calls
-        compiles once for all of them.
+        The one way programs are shared between instances: every instance
+        built on one cell, and every adjoint of one, reads the same program
+        object, so a cell kept across calls compiles once for all of them.
         """
         out = cls(o, check=False)
-        out._programs, out._side = cell, side
+        out._cell = cell
         return out
 
     def adjoint(self) -> "GaussianUnitary":
-        return GaussianUnitary.sharing(self.O.T, self._programs, 1 - self._side)
+        out = GaussianUnitary.sharing(self.O.T, self._cell)
+        out._inverse = not self._inverse
+        return out
 
     def apply(self, psi: StateVector) -> StateVector:
+        """G psi, or on an adjoint G^dag psi = X_1^r ops^dag psi: the ops reversed, each inverted."""
         if psi.n != self.n:
             raise ValueError(f"state has {psi.n} qubits, unitary expects {self.n}")
-        n, prog = self.n, self.program
-        # the one copy; the reflection gamma_1 = X_1 swaps the halves on qubit 1
-        source = psi.amps.reshape(2, -1)[::-1] if prog.reflect_first else psi.amps
+        n, prog, inverse = self.n, self.program, self._inverse
+        # the one copy; G = ops X_1^r swaps the halves on qubit 1 (gamma_1 = X_1) first, G^dag last
+        source = psi.amps.reshape(2, -1)[::-1] if prog.reflect_first and not inverse else psi.amps
         amps = source.copy().reshape(-1)
         spare = np.empty_like(amps)
-        for op in prog.ops:
+        for op in reversed(prog.ops) if inverse else prog.ops:
             if not isinstance(op, Block):
-                rotation_generator(op[0], op[1], n).rotate(amps, op[2] / 2.0)
+                phi = op[2] / 2.0
+                rotation_generator(op[0], op[1], n).rotate(amps, -phi if inverse else phi)
                 continue
-            # a window touching either end of the register is one GEMM
-            dim = len(op.u)
-            front = 2 ** (op.lo - 1)
-            if front == 1:
-                np.matmul(op.u, amps.reshape(dim, -1), out=spare.reshape(dim, -1))
-            elif front * dim == amps.size:
-                np.matmul(amps.reshape(-1, dim), op.u.T, out=spare.reshape(-1, dim))
-            else:
+            u = op.u.conj().T if inverse else op.u
+            dim, front = len(u), 2 ** (op.lo - 1)
+            if front > 1 and front * dim == amps.size:  # a window at the register end: one GEMM
+                np.matmul(amps.reshape(-1, dim), u.T, out=spare.reshape(-1, dim))
+            else:  # 2^(lo-1) batched GEMMs, one at qubit 1
                 shape = (front, dim, -1)
-                np.matmul(op.u, amps.reshape(shape), out=spare.reshape(shape))
+                np.matmul(u, amps.reshape(shape), out=spare.reshape(shape))
             amps, spare = spare, amps
+        if prog.reflect_first and inverse:
+            amps = amps.reshape(2, -1)[::-1].reshape(-1)
         return StateVector(n, amps)
 
     def matrix(self) -> np.ndarray:

@@ -195,20 +195,6 @@ def validate_document(payload: dict) -> None:
             raise ValueError(f"summary is missing {key!r}")
 
 
-def _jsonable(value):
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    return value
-
-
 def _tplus_state(n: int) -> StateVector:
     one = StateVector(1, np.array([1.0, np.exp(1j * np.pi / 4.0)]) / np.sqrt(2.0))
     out = one
@@ -265,9 +251,7 @@ def _trial_compress(config, rng):
 def _learn_budget(config: ExperimentConfig, t_learn: int):
     make = plan_budget if config.budget == "default" else hoeffding_budget
     budget = make(config.n, t_learn, config.eps, config.delta, config.c_tom)
-    if config.shots_override is not None:
-        budget = budget.with_overrides(n_corr=config.shots_override)
-    return budget
+    return budget if config.shots_override is None else replace(budget, N_corr=config.shots_override)
 
 
 def _ledger(config: ExperimentConfig) -> dict:
@@ -401,10 +385,10 @@ def run(config: ExperimentConfig) -> ResultDocument:
         if i == 0:
             artifacts = built
         record["trial"] = i
-        records.append(_jsonable(record))
-    summary = _jsonable(_summarize(config, records))
+        records.append(record)
+    summary = _summarize(config, records)
     doc = ResultDocument(
-        config=_jsonable(asdict(config)),
+        config=asdict(config),
         seed=config.seed,
         version=__version__,
         records=records,

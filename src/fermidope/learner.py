@@ -57,28 +57,11 @@ class LearnBudget:
     N_tom: int
     N_loop: int
     eps_c: float
-    source: str = "default"
 
     @property
     def pure_tomography(self) -> bool:
         """t = n leaves no qubits to post-select; learning is tomography alone."""
         return self.t == self.n
-
-    def with_overrides(self, n_corr=None, n_tom=None, n_loop=None) -> "LearnBudget":
-        new_tom = self.N_tom if n_tom is None else int(n_tom)
-        if n_loop is not None:
-            new_loop = int(n_loop)
-        elif n_tom is not None:  # keep the boosting relation when N_tom moves
-            new_loop = boosting_iterations(new_tom, self.delta / 3.0)
-        else:
-            new_loop = self.N_loop
-        return replace(
-            self,
-            N_corr=self.N_corr if n_corr is None else int(n_corr),
-            N_tom=new_tom,
-            N_loop=new_loop,
-            source="custom",
-        )
 
 
 def boosting_iterations(n_needed: int, delta: float) -> int:
@@ -111,7 +94,7 @@ def plan_budget(n: int, t: int, eps: float, delta: float, c_tom: float = 1.0) ->
     eps_c = math.inf if t == n else eps**2 / (4.0 * (n - t))
     return LearnBudget(
         n=n, t=t, eps=eps, delta=delta, c_tom=c_tom,
-        N_corr=n_corr, N_tom=n_tom, N_loop=n_loop, eps_c=eps_c, source="default",
+        N_corr=n_corr, N_tom=n_tom, N_loop=n_loop, eps_c=eps_c,
     )
 
 
@@ -123,11 +106,11 @@ def hoeffding_budget(n: int, t: int, eps: float, delta: float, c_tom: float = 1.
     """
     base = plan_budget(n, t, eps, delta, c_tom)
     if base.pure_tomography:
-        return replace(base, N_corr=0, source="hoeffding")
+        return replace(base, N_corr=0)
     m = n * (2 * n - 1)
     n_corr = copy_count(
         "N_corr", lambda: 8.0 * n**2 * (2 * n - 1) / base.eps_c**2 * math.log(2.0 * m * 3.0 / delta))
-    return replace(base, N_corr=n_corr, source="hoeffding")
+    return replace(base, N_corr=n_corr)
 
 
 @cache
@@ -275,7 +258,7 @@ def learn(state_source, n: int, t: int, budget: LearnBudget, mode: str = "sample
             )
     else:
         successes = budget.N_tom
-    # g_hat's adjoint has compiled, so verify's adjoint of the returned G derives its program
+    # g_hat's adjoint has compiled the pair's program, so verify's G and G^dag decompose nothing
     return CompressedForm(g_hat, tomography_t_qubits(core, mode=mode, shots=successes, rng=rng))
 
 

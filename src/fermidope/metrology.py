@@ -14,7 +14,8 @@ groups' basis changes run as one cyclic walk, a fermionic swap network
 (Kivlichan et al. 2018): G(O'_0) for group 0, then one fixed step G(V)
 per later group.  Both programs depend only on n, so they are compiled
 once per n and shared with every later call through one program cell
-each (``GaussianUnitary.sharing``, the mechanism ``adjoint()`` uses).
+each (``GaussianUnitary.sharing``, which ``adjoint()`` uses to share its
+pair's one program).
 """
 
 from __future__ import annotations
@@ -137,21 +138,21 @@ def _grouped_sampling(n: int) -> tuple:
     Returns (groups, bits).  Per commuting group, in ``commuting_groups(n)``
     order, groups holds (o, cell, index, rows, cols): the step to apply to
     the previous group's state, O'_0 for group 0 and V for every later one,
-    its program cell [program, program of the adjoint] (two cells in all,
-    compiled by the first call that applies them and read by every later
-    one), the gather that puts the walk register's outcome probabilities
-    in the group's canonical outcome order, and the entries of the group's
-    sorted pairs.  Canonical qubit i reads the sorted pair i, the walk
-    qubit j the walk pair j, so the gather is a bit permutation of the
-    outcome index with a bit flipped wherever a walk pair is (b, a), b > a:
-    -i gamma_b gamma_a = i gamma_a gamma_b.  bits[x, i] is qubit i + 1 of
-    outcome x, a 2^n x n float table.
+    its program cell [program] (two cells in all, compiled by the first
+    call that applies them and read by every later one), the gather that
+    puts the walk register's outcome probabilities in the group's
+    canonical outcome order, and the entries of the group's sorted pairs.
+    Canonical qubit i reads the sorted pair i, the walk qubit j the walk
+    pair j, so the gather is a bit permutation of the outcome index with a
+    bit flipped wherever a walk pair is (b, a), b > a: -i gamma_b gamma_a
+    = i gamma_a gamma_b.  bits[x, i] is qubit i + 1 of outcome x, a 2^n x n
+    float table.
     """
     walk = _walk_pairs(n)
     start = _group_permutation(walk[0], n)
     tau = np.eye(2 * n)
     tau[1:, 1:] = np.roll(tau[1:, 1:], 1, axis=1)  # tau[a, tau(a)] = 1
-    first, step = (start, [None, None]), (start @ tau @ start.T, [None, None])
+    first, step = (start, [None]), (start @ tau @ start.T, [None])
     bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1) & 1).astype(float)  # canonical bits
     groups = []
     for k, pairs in enumerate(walk):

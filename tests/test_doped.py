@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from fermidope import ortho
+from fermidope import doped, ortho
 from fermidope.doped import (
     DopedCircuit,
     NonGaussianGate,
@@ -23,6 +23,7 @@ from fermidope.metrology import correlation_exact, gaussian_dimension
 from fermidope.pauli import PauliString, hermitize, majorana_monomial
 from fermidope.states import (
     apply_dense_unitary,
+    apply_pauli_rotation,
     born_probability,
     expectation,
     fidelity,
@@ -42,6 +43,21 @@ def test_gate_support_and_validation():
     with pytest.raises(ValueError):
         DopedCircuit(n=4, kappa=2, gaussians=(identity_gaussian(4), identity_gaussian(4)),
                      gates=(NonGaussianGate.monomial((1, 2, 3), 0.5),))
+
+
+def test_gate_builds_its_term_strings_once_per_register(monkeypatch):
+    calls, original = [], doped.majorana_monomial
+    monkeypatch.setattr(doped, "majorana_monomial", lambda s, n: calls.append((s, n)) or original(s, n))
+    w = NonGaussianGate((((1, 5, 6, 8), 0.3), ((2, 3), -0.7), ((5, 6), 0.1)))
+    rng = np.random.default_rng(4)
+    for n in (4, 4, 5, 4, 5):
+        psi = random_state(n, rng)
+        oracle = psi
+        for s, theta in w.terms:
+            oracle = apply_pauli_rotation(oracle, hermitize(original(s, n)), theta)
+        assert np.abs(w.apply(psi).amps - oracle.amps).max() <= 1e-13
+    assert calls == [(s, n) for n in (4, 5) for s, _ in w.terms]
+    assert w == NonGaussianGate(w.terms) and hash(w) == hash(NonGaussianGate(w.terms))
 
 
 def test_prepare_t0_is_gaussian():

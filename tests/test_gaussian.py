@@ -1,5 +1,7 @@
 """Compiled Gaussian unitaries: Heisenberg action, transport, vacuum."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -304,28 +306,28 @@ def test_haar_layer_at_n12_compiles_to_276_adjacent_planes():
     n=st.integers(1, 6),
     kind=st.sampled_from(["haar", "signed_permutation", "mix"]),
     negative=st.booleans(),
-    source_first=st.booleans(),
+    adjoint_first=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_derived_adjoint_applies_like_a_fresh_compile(n, kind, negative, source_first, seed):
-    # the second of G, G^dag to compile derives its program from the first's
+def test_adjoint_runs_the_pair_program_backwards(n, kind, negative, adjoint_first, seed):
+    # G^dag applies G's program backwards; a signed permutation reflects wide planes with mu = 1
     rng = np.random.default_rng(seed)
     o = _with_det(compile_input(kind, n, rng), negative)
-    g = GaussianUnitary(o)
-    g_dag = g.adjoint()
-    compiled, derived = (g, g_dag) if source_first else (g_dag, g)
-    compiled.program  # noqa: B018 - compile the first of the pair
-    fresh = GaussianUnitary(derived.O)
-    prog = derived.program
-    assert prog.reflect_first == (np.linalg.det(o) < 0)
-    assert len(prog.rotations) == len(compiled.program.rotations)
-    givens = ortho.GivensProgram(2 * n, prog.rotations, prog.reflect_first)
-    assert ortho.opnorm(givens.matrix() - derived.O) <= 1e-12
     psi = random_state(n, rng)
-    assert 1.0 - fidelity(derived.apply(psi), fresh.apply(psi)) <= 1e-12
-    assert 1.0 - fidelity(g_dag.apply(g.apply(psi)), psi) <= 1e-12
-    # an adjoint of the adjoint shares the same cell and compiles nothing
-    assert g_dag.adjoint().program is g.program
+    fresh = GaussianUnitary(o.T).apply(psi)
+    with mock.patch.object(ortho, "givens_decompose", wraps=ortho.givens_decompose) as decompose:
+        g = GaussianUnitary(o)
+        g_dag = g.adjoint()
+        (g_dag if adjoint_first else g).apply(psi)
+        rotated, back = g_dag.apply(psi), g_dag.apply(g.apply(psi))
+        assert g.program is g_dag.program is g_dag.adjoint().program
+    assert decompose.call_count == 1
+    assert 1.0 - fidelity(rotated, fresh) <= 1e-12
+    assert np.abs(back.amps - psi.amps).max() <= 1e-12
+    # the pair's program realises the O of G on either member
+    prog = g_dag.program
+    assert prog.reflect_first == (np.linalg.det(o) < 0)
+    assert ortho.opnorm(ortho.GivensProgram(2 * n, prog.rotations, prog.reflect_first).matrix() - o) <= 1e-12
 
 
 def _plan_ops(rotations: tuple, n: int) -> list:

@@ -111,6 +111,29 @@ def test_run_test_kinds():
     assert all(r["expected"] == "far" for r in far.records)
 
 
+_PLAIN = (int, float, str, bool, type(None), list, dict)
+
+
+@pytest.mark.parametrize("config", [
+    dict(kind="prepare", n=4, t=1, kappa=3),
+    dict(kind="compress", n=6, t=1, kappa=4),
+    dict(kind="learn", n=4, t=1, kappa=3, mode="exact"),
+    dict(kind="learn", n=4, t=1, mode="sampled", fixture="compressible"),
+    dict(kind="learn", n=3, t=3, mode="sampled", fixture="compressible"),
+    dict(kind="learn", n=4, t=1, mode="sampled", fixture="compressible", shots_override=500),
+    dict(kind="test", n=4, t=1, fixture="gaussian", mode="exact"),
+    dict(kind="test", n=4, t=0, fixture="tplus", mode="sampled", shots_override=1000),
+], ids=["prepare", "compress", "learn-exact", "learn-sampled", "learn-tomography", "learn-override",
+        "test-exact", "test-sampled"])
+def test_payload_holds_only_plain_python_values(config):
+    # a numpy scalar would slip through json.dumps as a float or raise on a bool
+    stack = [run(ExperimentConfig(seed=3, trials=2, **config)).payload()]
+    while stack:
+        value = stack.pop()
+        assert type(value) in _PLAIN, (type(value), value)
+        stack.extend([*value, *value.values()] if isinstance(value, dict) else value if isinstance(value, list) else ())
+
+
 def test_determinism_byte_identical(tmp_path):
     cfg = ExperimentConfig(kind="learn", n=4, t=1, kappa=3, seed=11, mode="sampled",
                            fixture="compressible", trials=2)

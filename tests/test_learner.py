@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -103,14 +104,6 @@ def test_hoeffding_budget_formula():
     m = 4 * 7
     expected = math.ceil(8 * 16 * 7 / budget.eps_c**2 * math.log(2 * m * 9))
     assert budget.N_corr == expected
-    assert budget.source == "hoeffding"
-
-
-def test_budget_overrides():
-    budget = plan_budget(4, 1, 0.25, 1 / 3).with_overrides(n_corr=1000, n_tom=50)
-    assert budget.N_corr == 1000 and budget.N_tom == 50
-    assert budget.N_loop == boosting_iterations(50, (1 / 3) / 3)
-    assert budget.source == "custom"
 
 
 def test_boosting_iterations_formula():
@@ -338,8 +331,8 @@ def test_boosting_counts_past_the_draw_limit_are_rejected():
     psi, _, _ = compressible_fixture(3, 1, seed=6)
     budget = hoeffding_budget(3, 1, 0.25, 1 / 3)
     with pytest.raises(ValueError, match=r"^boosting, N_loop: 9223372036854775808 copies reach"):
-        learn(psi, 3, 1, budget.with_overrides(n_loop=2**63), rng=np.random.default_rng(1))
-    learned = learn(psi, 3, 1, budget.with_overrides(n_loop=2**63 - 1), rng=np.random.default_rng(1))
+        learn(psi, 3, 1, replace(budget, N_loop=2**63), rng=np.random.default_rng(1))
+    learned = learn(psi, 3, 1, replace(budget, N_loop=2**63 - 1), rng=np.random.default_rng(1))
     assert verify(learned, psi).trace_distance <= 0.25
 
 
@@ -389,7 +382,7 @@ def test_boosting_failure_reported():
     # probability is bounded away from 1, so demanding every iteration to
     # succeed must fail
     psi = prepare(random_doped_circuit(4, 2, 4, np.random.default_rng(8)))
-    budget = plan_budget(4, 1, 0.9, 1 / 3).with_overrides(n_corr=2000, n_tom=300, n_loop=300)
+    budget = replace(plan_budget(4, 1, 0.9, 1 / 3), N_corr=2000, N_tom=300, N_loop=300)
     with pytest.raises(BoostingFailureError):
         learn(psi, 4, 1, budget, mode="sampled", rng=np.random.default_rng(5))
 

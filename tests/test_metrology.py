@@ -203,12 +203,10 @@ def test_shared_group_programs_equal_a_fresh_compile(n):
         assert cell[0] is not None  # filled by the call above
         shared = GaussianUnitary.sharing(o, cell)
         fresh = GaussianUnitary(o.copy())
-        assert shared.program is cell[0]
+        assert shared.program is cell[0] is shared.adjoint().program
         _assert_same_ops(shared.program, fresh.program)
-        # G^dag derived through the shared cell, against one derived from a fresh cell
-        _assert_same_ops(shared.adjoint().program, fresh.adjoint().program)
         assert not shared.program.reflect_first  # both steps have det +1
-        for op in shared.program.ops + shared.adjoint().program.ops:
+        for op in shared.program.ops:
             if isinstance(op, Block):
                 assert not op.u.flags.writeable
     for o, cell, index, rows, cols in groups:
