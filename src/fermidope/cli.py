@@ -171,15 +171,11 @@ def _cmd_sweep(args) -> int:
         fh.write(csv_text)
     print(f"wrote {path} ({len(docs)} cells)", file=sys.stderr)
     if failures:
-        # exit as a single run of the first failing cell would
+        # main exits as a single run of the first failing cell would
         cell, exc = failures[0]
         where = ", ".join(f"{key}={value}" for key, value in cell.items())
         print(f"error: {len(failures)} of {len(docs) + len(failures)} cells failed; "
               f"first ({where}): {type(exc).__name__}: {exc}", file=sys.stderr)
-        if isinstance(exc, _NUMERICAL_ERRORS):
-            return EXIT_NUMERICAL
-        if isinstance(exc, _PRECONDITION_ERRORS):
-            return EXIT_PRECONDITION
         raise exc
     bad = [d for d in docs if not d.summary["acceptance_ok"]]
     return EXIT_STATISTICAL if bad else EXIT_OK

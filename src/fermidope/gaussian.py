@@ -8,9 +8,10 @@ Heisenberg action on Majorana operators,
 and composes as G_{O1} G_{O2} = G_{O1 @ O2}.  Compilation factors O into
 plane rotations; the rotation in plane (mu, nu) by angle theta is realized
 as exp(i * theta/2 * P) with P the Hermitian form of -i gamma_mu gamma_nu,
-and a det = -1 factor is realized by applying gamma_1 = X_1 as a gate.  The
-test suite checks the angle/sign convention against the Heisenberg identity
-on dense matrices (see ``heisenberg_matrix``).
+and a det = -1 factor is realized by applying gamma_1 as a gate
+(``majorana(1, n).times``).  The test suite checks the angle/sign
+convention against the Heisenberg identity on dense matrices (see
+``heisenberg_matrix``).
 
 Under Jordan-Wigner, P is a two-qubit gate dressed by a Z-string (Jozsa &
 Miyake 2008); an unfused plane runs through the in-place kernel
@@ -37,11 +38,11 @@ at one n has the same staircase), so it is planned once per sequence and
 cached; all blocks are then built together in one stack, a block longer
 than the second longest in several rows multiplied at the end.
 G and G^dag come in pairs (rotate by G^dag, reassemble with G), and the
-pair has one program: G = ops X_1^r, so G^dag = X_1^r ops^dag runs the
-same ops backwards, each block as u^dag and each wide plane at the negated
-angle, and swaps the halves on qubit 1 last.  Both read one program cell
-(``GaussianUnitary.sharing``), the single mechanism by which instances
-share programs; ``metrology`` keeps two such cells per n, the first step
+pair has one program: G = ops gamma_1^r, so G^dag = gamma_1^r ops^dag runs
+the same ops backwards, each block as u^dag and each wide plane at the
+negated angle, and applies the reflection gamma_1 last.  Both read one
+program cell (``GaussianUnitary.sharing``), the single mechanism by which
+instances share programs; ``metrology`` keeps two such cells per n, the first step
 and the repeated step of its grouped-sampling walk, so each compiles once
 per n.
 """
@@ -322,13 +323,13 @@ class GaussianUnitary:
         return out
 
     def apply(self, psi: StateVector) -> StateVector:
-        """G psi, or on an adjoint G^dag psi = X_1^r ops^dag psi: the ops reversed, each inverted."""
+        """G psi, or on an adjoint G^dag psi = gamma_1^r ops^dag psi: the ops reversed, each inverted."""
         if psi.n != self.n:
             raise ValueError(f"state has {psi.n} qubits, unitary expects {self.n}")
         n, prog, inverse = self.n, self.program, self._inverse
-        # the one copy; G = ops X_1^r swaps the halves on qubit 1 (gamma_1 = X_1) first, G^dag last
-        source = psi.amps.reshape(2, -1)[::-1] if prog.reflect_first and not inverse else psi.amps
-        amps = source.copy().reshape(-1)
+        # the one copy; G = ops gamma_1^r applies the reflection gamma_1 first, G^dag last
+        reflect = majorana(1, n).times if prog.reflect_first else None
+        amps = reflect(psi.amps) if reflect and not inverse else psi.amps.copy()
         spare = np.empty_like(amps)
         for op in reversed(prog.ops) if inverse else prog.ops:
             if not isinstance(op, Block):
@@ -343,8 +344,8 @@ class GaussianUnitary:
                 shape = (front, dim, -1)
                 np.matmul(u, amps.reshape(shape), out=spare.reshape(shape))
             amps, spare = spare, amps
-        if prog.reflect_first and inverse:
-            amps = amps.reshape(2, -1)[::-1].reshape(-1)
+        if reflect and inverse:
+            amps = reflect(amps)
         return StateVector(n, amps)
 
     def matrix(self) -> np.ndarray:

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import ortho
 from .gaussian import GaussianUnitary
-from .pauli import _parity_signs
+from .pauli import majorana
 from .states import (
     StateVector,
     embed_with_zero_tail,
@@ -40,36 +40,25 @@ from .states import (
 READOUT_LIMIT = 2**53  # shots per group up to which the float64 readout is exact
 
 
-# gamma_2k psi from gamma_{2k-1} psi = x: -i x on bit k = 0 and +i x on bit k = 1, so
-# re <- (x_im, -x_im) and im <- (-x_re, x_re); indexed [re/im part, bit k]
-_Y_EDGE = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, None, :, None]
-
-
 def _majorana_rows(psi: StateVector) -> np.ndarray:
     """The 2n states gamma_mu psi as (re, im): re[mu - 1] + i im[mu - 1] = gamma_mu psi.
 
-    Under Jordan-Wigner, gamma_{2k-1} = Z_1 .. Z_{k-1} X_k and gamma_{2k} =
-    Z_1 .. Z_{k-1} Y_k, so both rows of qubit k are psi with bit k flipped
-    times the parity sign of bits 1 .. k-1; Y_k adds the edge factor -i
-    (+i) on output bit 0 (1).  The rows are written straight into one
+    Each row is ``majorana(mu, n).times(psi.amps)``, split into one
     (2, 2n, 2^n) float buffer.
     """
     n = psi.n
     rows = np.empty((2, 2 * n, 2**n))
-    parts = np.stack((psi.amps.real, psi.amps.imag))
-    signs = _parity_signs(n)  # (-1)^popcount(a); a < 2^(n-1) is read
-    for k in range(1, n + 1):
-        shape = (2, 2 ** (k - 1), 2, -1)
-        x = rows[:, 2 * k - 2].reshape(shape)
-        np.multiply(parts.reshape(shape)[:, :, ::-1], signs[:2 ** (k - 1), None, None], out=x)
-        np.multiply(x[::-1], _Y_EDGE, out=rows[:, 2 * k - 1].reshape(shape))
+    for mu in range(1, 2 * n + 1):
+        row = majorana(mu, n).times(psi.amps)
+        rows[0, mu - 1], rows[1, mu - 1] = row.real, row.imag
     return rows
 
 
 def correlation_exact(psi: StateVector) -> np.ndarray:
     """Exact antisymmetric correlation matrix of a pure state.
 
-    With gamma_mu psi = a_mu + i b_mu (rows of a and b, ``_majorana_rows``),
+    With gamma_mu psi = a_mu + i b_mu (rows of a and b, ``_majorana_rows``:
+    the parts of ``majorana(mu, n).times(psi.amps)``),
     the entry C[j, k] = -i <gamma_j psi, gamma_k psi> is (a b^T - b a^T)[j, k];
     its imaginary part, -(a a^T + b b^T)[j, k], must vanish for j != k.
     """

@@ -12,8 +12,12 @@ and phase is computed in exact integer arithmetic:
 
 with the X factor to the left of the Z factor on each qubit.  Bit k-1 of a
 mask refers to qubit k.  Qubit 1 is the most significant bit of a
-computational basis index (see `fermidope.states`).  ``PauliString.rotate``
-is the package's one in-place state kernel.
+computational basis index (see `fermidope.states`).
+
+This is the one module that knows the Jordan-Wigner convention: other
+modules apply a Majorana operator or a product of them to a state through
+``PauliString.times`` (scale * P amps, a new array) and ``rotate`` (built
+on ``times``), the package's one in-place state kernel.
 """
 
 from __future__ import annotations
@@ -66,11 +70,11 @@ class PauliString:
     def __post_init__(self):
         if not 1 <= self.n <= MAX_QUBITS:
             raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {self.n}")
+        if self.x_mask < 0 or self.z_mask < 0:
+            raise ValueError("masks must be non-negative")
         full = (1 << self.n) - 1
         if self.x_mask & ~full or self.z_mask & ~full:
             raise ValueError("mask has bits outside the n-qubit register")
-        if self.x_mask < 0 or self.z_mask < 0:
-            raise ValueError("masks must be non-negative")
         object.__setattr__(self, "phase_exp", self.phase_exp % 4)
 
     @classmethod
@@ -125,28 +129,33 @@ class PauliString:
         coef.setflags(write=False)
         return src, coef
 
-    def rotate(self, amps: np.ndarray, phi: float) -> None:
-        """amps <- exp(i * phi * P) amps = cos(phi) amps + i sin(phi) P amps, in place.
+    def times(self, amps: np.ndarray, scale: complex = 1.0) -> np.ndarray:
+        """scale * P amps for a flat amplitude array, as a new flat array; amps is left as is.
 
         P amps is read off the runs of equal letters (``_runs``): each X or Y
         run reversed (its bits flipped), each amplitude multiplied once by
-        the exact +-1/+-i product of the phase and the Z and Y parity signs.
+        scale times the exact +-1/+-i product of the phase and the Z and Y
+        parity signs.
         """
+        shape, flip, signs = self._runs
+        return (math.prod(signs, start=scale * self.phase) * amps.reshape(shape)[flip]).reshape(-1)
+
+    def rotate(self, amps: np.ndarray, phi: float) -> None:
+        """amps <- exp(i * phi * P) amps = cos(phi) amps + i sin(phi) P amps, in place."""
         if not self.is_hermitian:
             raise ValueError("rotation generator must be Hermitian")
-        shape, flip, signs = self._runs
-        v = amps.reshape(shape)
-        flipped = math.prod(signs, start=(1j * math.sin(phi)) * self.phase) * v[flip]
-        v *= math.cos(phi)
-        v += flipped
+        flipped = self.times(amps, 1j * math.sin(phi))
+        amps *= math.cos(phi)
+        amps += flipped
 
     @cached_property
     def _runs(self) -> tuple:
         """(shape, flip, signs): one axis of 2^L amplitudes per run of L equal letters.
 
-        ``flip`` reverses the X and Y axes; ``signs`` holds the parity table
-        of each Z or Y axis (a Y run reads its source bits: the table
-        reversed), each a view of the shared ``_parity_signs``.
+        The one layout behind ``times`` and so ``rotate``.  ``flip`` reverses
+        the X and Y axes; ``signs`` holds the parity table of each Z or Y
+        axis (a Y run reads its source bits: the table reversed), each a
+        view of the shared ``_parity_signs``.
         """
         letters = [((self.x_mask >> k) & 1, (self.z_mask >> k) & 1) for k in range(self.n)]
         runs = [(x, z, len(list(group))) for (x, z), group in itertools.groupby(letters)]
@@ -188,8 +197,9 @@ def hermitize(p: PauliString) -> PauliString:
     return p if p.is_hermitian else PauliString(p.n, p.x_mask, p.z_mask, p.phase_exp + 1)
 
 
+@cache
 def majorana(mu: int, n: int) -> PauliString:
-    """The Majorana operator gamma_mu on n qubits, mu in [1, 2n]."""
+    """The Majorana operator gamma_mu on n qubits, mu in [1, 2n]; one shared string per (mu, n)."""
     if not 1 <= mu <= 2 * n:
         raise ValueError(f"Majorana index {mu} out of range for n={n}")
     k = (mu + 1) // 2

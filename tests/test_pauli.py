@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from fermidope.pauli import PauliString, _parity_signs, hermitize, majorana, majorana_monomial, pauli_mul
+from fermidope.pauli import MAX_QUBITS, PauliString, _parity_signs, hermitize, majorana, majorana_monomial, pauli_mul
 from fermidope.states import StateVector, apply_pauli_rotation, random_state
 
 from conftest import I2, X2, Z2, kron_chain
@@ -32,6 +32,27 @@ def test_majorana_index_out_of_range():
         majorana(0, 2)
     with pytest.raises(ValueError):
         majorana(5, 2)
+
+
+def test_majorana_is_one_shared_string_per_index_and_register():
+    assert majorana(3, 4) is majorana(3, 4)
+    assert majorana(3, 4) is not majorana(3, 5)
+    for _ in range(2):  # a failed call caches nothing
+        with pytest.raises(ValueError, match="out of range"):
+            majorana(9, 4)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((0, 0, 0), "qubit count"),
+    ((MAX_QUBITS + 1, 0, 0), "qubit count"),
+    ((3, -1, 0), "non-negative"),
+    ((3, 0, -2), "non-negative"),
+    ((3, 0b1000, 0), "outside"),
+    ((3, 0, 0b10000), "outside"),
+])
+def test_string_validation_names_each_fault(args, message):
+    with pytest.raises(ValueError, match=message):
+        PauliString(*args)
 
 
 def test_distinct_majoranas_anticommute():
@@ -243,6 +264,20 @@ def test_in_place_rotation_matches_the_dense_oracle(letters, negative, phi, seed
     amps = psi.amps.copy()
     p.rotate(amps, phi)
     assert np.abs(amps - apply_pauli_rotation(psi, p, phi).amps).max() <= 1e-13
+
+
+@settings(max_examples=80, deadline=None)
+@given(ps=pauli_strings_up_to_8(), phi=st.floats(-4.0, 4.0), seed=st.integers(0, 2**32 - 1))
+def test_times_is_the_dense_product_as_a_new_array(ps, phi, seed):
+    # any string and phase, not only Hermitian ones; the two scales rotate uses and the default
+    psi = random_state(ps.n, np.random.default_rng(seed))
+    amps = psi.amps.copy()
+    for scale in (1.0, 1j * np.sin(phi)):
+        out = ps.times(amps, scale)
+        assert out.shape == amps.shape and not np.shares_memory(out, amps)
+        assert np.abs(out - scale * (ps.to_matrix() @ amps)).max() <= 1e-15
+    assert np.array_equal(ps.times(amps), ps.times(amps, 1.0))
+    assert np.array_equal(amps, psi.amps)
 
 
 def test_in_place_rotation_rejects_a_non_hermitian_string():
