@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -53,22 +54,22 @@ def _write(path: str, text: str) -> None:
 
 
 def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--n", type=int, default=4, help="qubit count")
-    p.add_argument("--t", type=int, default=1, help="non-Gaussian gate count / compression level")
-    p.add_argument("--kappa", type=int, default=4, help="Majorana locality of each gate")
-    p.add_argument("--seed", type=int, default=0, help="master seed; trials derive split streams")
-    p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--mode", choices=("exact", "sampled"), default="exact")
+    p.add_argument("--n", type=int, help="qubit count")
+    p.add_argument("--t", type=int, help="non-Gaussian gate count / compression level")
+    p.add_argument("--kappa", type=int, help="Majorana locality of each gate")
+    p.add_argument("--seed", type=int, help="master seed; trials derive split streams")
+    p.add_argument("--trials", type=int)
+    p.add_argument("--mode", choices=("exact", "sampled"))
     p.add_argument("--out", help="write the result document (JSON) here")
     p.add_argument("--csv", help="write per-trial rows (CSV) here")
 
 
 def _add_learn_flags(p: argparse.ArgumentParser):
-    p.add_argument("--eps", type=float, default=0.25, help="target trace distance")
-    p.add_argument("--delta", type=float, default=1.0 / 3.0, help="failure probability")
+    p.add_argument("--eps", type=float, help="target trace distance")
+    p.add_argument("--delta", type=float, help="failure probability")
     p.add_argument("--fixture", choices=("doped", "compressible"), help="default doped; gaussian for sweep --kind test")
-    p.add_argument("--budget", choices=("default", "hoeffding"), default="hoeffding")
-    p.add_argument("--c-tom", type=float, default=1.0, help="tomography budget constant")
+    p.add_argument("--budget", choices=("default", "hoeffding"))
+    p.add_argument("--c-tom", type=float, help="tomography budget constant")
     p.add_argument("--shots-override", type=int, help="replace the correlation copy count")
 
 
@@ -91,17 +92,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("test", help="close/far test of the Gaussian dimension")
     _add_common(p)
     p.add_argument("--fixture", choices=("gaussian", "tplus", "compressible"), default="gaussian")
-    p.add_argument("--eps-a", type=float, default=0.0)
-    p.add_argument("--eps-b", type=float, default=0.4)
-    p.add_argument("--delta", type=float, default=1.0 / 3.0)
+    p.add_argument("--eps-a", type=float)
+    p.add_argument("--eps-b", type=float)
+    p.add_argument("--delta", type=float)
     p.add_argument("--shots-override", type=int)
 
     p = sub.add_parser("sweep", help="cartesian sweep over n/t/kappa/eps with a CSV summary")
     _add_common(p)
     p.add_argument("--kind", choices=("prepare", "compress", "learn", "test"), default="compress")
     _add_learn_flags(p)
-    p.add_argument("--eps-a", type=float, default=0.0)
-    p.add_argument("--eps-b", type=float, default=0.4)
+    p.add_argument("--eps-a", type=float)
+    p.add_argument("--eps-b", type=float)
     p.add_argument("--grid-n", help="comma list, e.g. 4,6,8")
     p.add_argument("--grid-t", help="comma list")
     p.add_argument("--grid-kappa", help="comma list")
@@ -116,14 +117,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args, kind: str) -> ExperimentConfig:
-    fields = dict(
-        kind=kind, n=args.n, t=args.t, kappa=args.kappa, seed=args.seed,
-        trials=args.trials, mode=args.mode,
-    )
-    for name in ("eps", "delta", "eps_a", "eps_b", "fixture", "budget", "c_tom", "shots_override"):
-        if getattr(args, name, None) is not None:
-            fields[name] = getattr(args, name)
-    return ExperimentConfig(**fields)
+    """The config of the flags given; every other field keeps its ExperimentConfig default."""
+    given = {spec.name: value for spec in fields(ExperimentConfig)
+             if (value := getattr(args, spec.name, None)) is not None}
+    return ExperimentConfig(**{**given, "kind": kind})
 
 
 def _emit(doc, args) -> None:

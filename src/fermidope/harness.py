@@ -299,7 +299,6 @@ def _trial_learn(config, rng):
         "postselect_rate": report.postselect_rate,
         "term_tomography": report.term_tomography,
         "term_projection": report.term_projection,
-        **_ledger(config),
         "ok": report.trace_distance <= threshold,
     }, {**meta, "learned": learned}
 
@@ -321,7 +320,6 @@ def _trial_test(config, rng):
         "verdict": result.verdict,
         "expected": expected,
         "lambda_t1": result.lambda_t1,
-        **_ledger(config),
         "ok": result.verdict == expected,
     }, meta
 
@@ -378,12 +376,15 @@ def run(config: ExperimentConfig) -> ResultDocument:
     config = config.validate()
     start = time.perf_counter()
     streams = np.random.SeedSequence(config.seed).spawn(config.trials)
+    ledger = _ledger(config)
     records = []
     for i, stream in enumerate(streams):
         rng = np.random.default_rng(stream)
         record, built = _TRIALS[config.kind](config, rng)
         if i == 0:
             artifacts = built
+        if "boosting_failure" not in record:  # a failed learn trial spends no reported copies
+            record.update(ledger)
         record["trial"] = i
         records.append(record)
     summary = _summarize(config, records)

@@ -256,8 +256,7 @@ def givens_decompose(o: np.ndarray, tol: float = 1e-10) -> GivensProgram:
     whose only nonzero entry is -1 on the diagonal is fixed by a rotation
     through pi in the plane (j, j + 1); no recorded rotation has theta == 0.
 
-    A column's chain is computed at once (a chain of one plane, each
-    column of a permutation, on Python floats).  With x_0 = a[j, j], x_1, ...,
+    A column's chain is computed at once.  With x_0 = a[j, j], x_1, ...,
     x_m the chain's entries top down and r_t the norm of x_t .. x_m (r_m =
     x_m keeps its sign), the plane (p_{t-1}, p_t) rotates through
     theta_t = arctan2(r_t, x_{t-1}), and the rotated rows follow from the
@@ -274,13 +273,6 @@ def givens_decompose(o: np.ndarray, tol: float = 1e-10) -> GivensProgram:
     programs = []  # per column, the inverse of its eliminations E (E_k ... E_1 A = I) in order
     for j in range(d - 1):
         below = [i for i, x in enumerate(a[j + 1:, j].tolist(), j + 1) if abs(x) >= 1e-15]
-        if len(below) == 1:  # one plane (j, i): the same rotation on the row pair, in scalars
-            i = below[0]
-            x0, x1 = float(a[j, j]), float(a[i, j])
-            pair = a[j:i + 1:i - j, j:]
-            pair[...] = np.array(((x0, x1), (-x1, x0))) / math.hypot(x0, x1) @ pair
-            programs.append([(j + 1, i + 1, -math.atan2(x1, x0))])
-            continue
         if len(below) == d - 1 - j:  # a dense column: the chain is every row from j down
             rows, index = np.arange(j, d), slice(j, d)
         elif below:

@@ -2,12 +2,14 @@
 
 Index convention: a basis index b encodes qubit values as
 b = sum_k x_k 2^(n-k), i.e. qubit 1 is the most significant bit.  All
-modules share this convention.  States are pure and kept normalized to
-within 1e-10 by every public operation.
+modules share this convention.  States are pure, and every public
+operation writes them normalized to within 1e-10, which is all a
+`StateVector` checks: it stores its amplitudes as given, never rescaled.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,12 +17,16 @@ import numpy as np
 from .pauli import PauliString
 
 MAX_SIM_QUBITS = 24
-_NORM_TOL = 1e-8
+_NORM_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
-    """A normalized pure state on n qubits (n = 0 is the trivial register)."""
+    """A normalized pure state on n qubits (n = 0 is the trivial register).
+
+    The amplitude array becomes the state's, as given, and is made read-only;
+    only an array that is not contiguous complex is copied first.
+    """
 
     n: int
     amps: np.ndarray
@@ -28,14 +34,13 @@ class StateVector:
     def __post_init__(self):
         if not 0 <= self.n <= MAX_SIM_QUBITS:
             raise ValueError(f"qubit count must be in [0, {MAX_SIM_QUBITS}], got {self.n}")
-        amps = np.asarray(self.amps, dtype=complex)
+        amps = np.asarray(self.amps, dtype=complex, order="C")
         if amps.shape != (2**self.n,):
             raise ValueError(f"expected {2**self.n} amplitudes, got shape {amps.shape}")
-        norm = np.linalg.norm(amps)
+        norm = math.sqrt(np.vdot(amps, amps).real)
         # written as "not <=" so that the NaN or infinite norm of a non-finite amplitude fails too
         if not abs(norm - 1.0) <= _NORM_TOL:
             raise ValueError(f"state not normalized: |amps| = {norm}")
-        amps = amps * (1.0 / norm)  # = amps / norm, which numpy computes as this multiply
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
 

@@ -5,7 +5,10 @@ import functools
 import io
 import json
 import re
+import shlex
 import warnings
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,10 +16,40 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermidope import harness
-from fermidope.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_PRECONDITION, EXIT_STATISTICAL, main
+from fermidope.cli import (
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    EXIT_PRECONDITION,
+    EXIT_STATISTICAL,
+    _config_from_args,
+    build_parser,
+    main,
+)
 from fermidope.doped import CompressedForm, CompressionError, circuit_dumps, circuit_loads
 from fermidope.harness import ExperimentConfig, run
 from fermidope.states import ZeroProbabilityError
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_command_lines_parse():
+    block = README.read_text().split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+    assert len(commands) == 8 and all(argv[0] == "fermidope" for argv in commands)
+    for argv in commands:
+        build_parser().parse_args(argv[1:])  # an unknown flag or a bad value exits here
+
+
+@pytest.mark.parametrize("kind", ["prepare", "compress", "learn", "test"])
+def test_flags_left_out_keep_the_config_defaults(kind, capsys):
+    main([kind])
+    default = ExperimentConfig(kind=kind, **({"fixture": "gaussian"} if kind == "test" else {}))
+    assert json.loads(capsys.readouterr().out)["config"] == asdict(default)
+
+
+def test_sweep_flags_left_out_keep_the_config_defaults():
+    args = build_parser().parse_args(["sweep"])
+    assert _config_from_args(args, args.kind) == ExperimentConfig(kind="compress")
 
 
 def test_prepare_writes_document_and_circuit(tmp_path, capsys):

@@ -176,25 +176,27 @@ def test_learned_state_serialization(rng):
 
 @settings(max_examples=100, deadline=None)
 @given(
-    n=st.integers(1, 5),
-    t=st.integers(0, 3),
+    n=st.integers(1, 6),
+    data=st.data(),
     det=st.sampled_from([1, -1]),
     seed=st.integers(0, 2**32 - 1),
     source=st.sampled_from(["random", "compress_state"]),
 )
-def test_learned_state_round_trip_is_bit_exact(n, t, det, seed, source):
+def test_learned_state_round_trip_is_bit_exact(n, data, det, seed, source):
     rng = np.random.default_rng(seed)
-    t = min(t, n)
+    t = data.draw(st.integers(0, n))
     if source == "compress_state":  # t single-Majorana gates compress onto t qubits
         form = compress_state(random_doped_circuit(n, t, 1, rng))
     else:
         o_hat = ortho.random_orthogonal(2 * n, rng, haar=False)
         o_hat[:, 0] *= det
         form = CompressedForm(GaussianUnitary(o_hat, check=False), random_state(t, rng))
-    back = CompressedForm.loads(form.dumps())
+    text = form.dumps()
+    back = CompressedForm.loads(text)
     assert back.core_qubits == t
     assert back.G.O.tobytes() == form.G.O.tobytes()
     assert back.phi.amps.tobytes() == form.phi.amps.tobytes()
+    assert back.dumps() == text
 
 
 def test_learned_state_loads_rejects_every_truncation():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fermidope.pauli import PauliString, majorana
@@ -208,14 +210,22 @@ def test_norm_preserved_by_gates():
     assert abs(psi.norm - 1.0) <= 1e-10
 
 
-def test_normalisation_equals_division_by_the_norm():
-    # the reciprocal multiply gives the bytes of a / |a| on generic vectors, and the same
-    # values where a part is zero (only the sign of such a zero may differ)
-    rng = np.random.default_rng(41)
-    for n in (0, 1, 5, 12):
-        for _ in range(20):
-            a = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-            a /= np.linalg.norm(a)
-            assert StateVector(n, a).amps.tobytes() == (a / np.linalg.norm(a)).tobytes()
-    a = np.array([-0.0 + 0.6j, 0.8 - 0.0j, 0.0, -0.0])
-    assert np.array_equal(StateVector(2, a).amps, a / np.linalg.norm(a))
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))
+def test_state_keeps_the_amplitudes_it_is_given(n, seed):
+    made = random_state(n, np.random.default_rng(seed))
+    assert StateVector(n, made.amps).amps is made.amps  # wrapping a state again is a no-op
+    # stored byte for byte, within the tolerance too: never rescaled
+    for a in (made.amps.copy(), made.amps * (1.0 + 1e-12)):
+        written = a.tobytes()
+        psi = StateVector(n, a)
+        assert psi.amps is a and a.tobytes() == written
+        assert not psi.amps.flags.writeable
+    # past the 1e-10 tolerance a vector is rejected, never rescaled
+    bad = [made.amps * (1.0 + 1e-9), made.amps * (1.0 - 1e-9)]
+    for value in (np.nan, np.inf, -np.inf):
+        bad.append(made.amps.copy())
+        bad[-1][seed % 2**n] = value
+    for amps in bad:
+        with pytest.raises(ValueError, match="^state not normalized"):
+            StateVector(n, amps)
