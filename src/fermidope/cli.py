@@ -67,7 +67,7 @@ def _add_common(p: argparse.ArgumentParser):
 def _add_learn_flags(p: argparse.ArgumentParser):
     p.add_argument("--eps", type=float, help="target trace distance")
     p.add_argument("--delta", type=float, help="failure probability")
-    p.add_argument("--fixture", choices=("doped", "compressible"), help="default doped; gaussian for sweep --kind test")
+    p.add_argument("--fixture", choices=("doped", "compressible"))
     p.add_argument("--budget", choices=("default", "hoeffding"))
     p.add_argument("--c-tom", type=float, help="tomography budget constant")
     p.add_argument("--shots-override", type=int, help="replace the correlation copy count")
@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("test", help="close/far test of the Gaussian dimension")
     _add_common(p)
-    p.add_argument("--fixture", choices=("gaussian", "tplus", "compressible"), default="gaussian")
+    p.add_argument("--fixture", choices=("gaussian", "tplus", "compressible"))
     p.add_argument("--eps-a", type=float)
     p.add_argument("--eps-b", type=float)
     p.add_argument("--delta", type=float)
@@ -150,8 +150,6 @@ def _cmd_run(args, kind: str) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.kind == "test" and args.fixture is None:
-        args.fixture = "gaussian"  # as the test command's default
     base = _config_from_args(args, args.kind)
     grid = {}
     for key, attr, cast in (("n", "grid_n", int), ("t", "grid_t", int),

@@ -24,19 +24,21 @@ adjacent planes (mu, mu + 1), i.e. gates on one or two neighbouring qubits
 rotations into dense 2^m x 2^m blocks, all on windows of the same m =
 min(FUSE_QUBITS, n) adjacent qubits.  The packer is greedy: each step,
 every window walks the pending rotations in order with a mask of blocked
-qubits, taking each rotation inside it that touches no blocked qubit and
-blocking the qubits of every other one, and the window that takes the
-most (the lowest on a tie) becomes the next block.  Rotations on disjoint
-qubits commute, so the blocks keep the product.  ``apply`` runs
-each block as one matrix product over the amplitudes: a single GEMM when
-the block touches either end of the register, 2^(lo-1) small batched ones
-otherwise, so a block near the end is padded at compile time to u (x) I up
-to the register end when that stays within FUSE_QUBITS + 1 qubits.  A
-plane wider than the window stays a single kernel pass.  The
-packing depends only on the plane sequence, which repeats (every dense O
-at one n has the same staircase), so it is planned once per sequence and
-cached; all blocks are then built together in one stack, a block longer
-than the second longest in several rows multiplied at the end.
+Majoranas, taking each rotation inside it on no blocked Majorana and
+blocking the two Majoranas of every other one, and the window that takes
+the most (the lowest on a tie) becomes the next block.  Rotations on
+disjoint Majorana pairs commute, even where their Z-strings share qubits,
+so the blocks keep the product; a Haar layer at n = 12 is 15 blocks.
+``apply`` runs each block as one matrix product over the amplitudes: a
+single GEMM when the block touches either end of the register, 2^(lo-1)
+small batched ones otherwise, so a block near the end is padded at
+compile time to u (x) I up to the register end when that stays within
+FUSE_QUBITS + 1 qubits.  A plane wider than the window stays a single
+kernel pass.  The packing depends only on the plane sequence, which
+repeats (every dense O at one n has the same staircase), so it is planned
+once per sequence and cached; all blocks are then built together in one
+stack, a block longer than the median block in rows of the median length
+multiplied at the end.
 G and G^dag come in pairs (rotate by G^dag, reassemble with G), and the
 pair has one program: G = ops gamma_1^r, so G^dag = gamma_1^r ops^dag runs
 the same ops backwards, each block as u^dag and each wide plane at the
@@ -136,30 +138,32 @@ def _pack(planes: tuple, n: int, width: int) -> list:
     """Pack planes greedily into windows of ``width`` adjacent qubits, in dependency order.
 
     The plane (mu, nu) acts on the qubits ceil(mu/2) .. ceil(nu/2), Z-string
-    included, and commutes with every plane on other qubits.  A window can
-    take a pending rotation that lies inside it when it can also take every
-    earlier pending rotation sharing a qubit with it; those taken then move
-    together ahead of the rest.  Each step takes all it can in the window
-    that can take the most (lowest first qubit on a tie).  When no window
-    can take anything, the earliest pending rotation is a plane wider than
-    the window and goes alone.  Returns (lo, rotation indices) per op, lo = 0
-    for an unfused plane.
+    included, and commutes with every plane on two other Majoranas, even one
+    on the same qubits.  A window can take a pending rotation that lies
+    inside it when it can also take every earlier pending rotation sharing a
+    Majorana with it; those taken then move together ahead of the rest.
+    Each step takes all it can in the window that can take the most (lowest
+    first qubit on a tie).  When no window can take anything, the earliest
+    pending rotation is a plane wider than the window and goes alone.
+    Returns (lo, rotation indices) per op, lo = 0 for an unfused plane.
 
     A window finds what it can take in one walk over the pending rotations
-    with a mask of blocked qubits: a rotation inside the window on no
-    blocked qubit is taken, any other blocks its qubits, and the walk stops
-    once the whole window is blocked.
+    with a mask of blocked Majoranas: a rotation inside the window on no
+    blocked Majorana is taken, any other blocks its two Majoranas, and the
+    walk stops once all 2 * width Majoranas of the window are blocked.
     """
     spans = [(2 << (nu + 1) // 2) - (1 << (mu + 1) // 2) for mu, nu in planes]  # qubit bit masks
+    ends = [1 << mu | 1 << nu for mu, nu in planes]  # Majorana bit masks
     pending, ops = list(range(len(planes))), []
     while pending:
         lo, best = 0, []
         for k in range(1, n - width + 2):
             window, blocked, taken = ((1 << width) - 1) << k, 0, []
+            majoranas = ((1 << 2 * width) - 1) << (2 * k - 1)
             for i in pending:
-                if spans[i] & (blocked | ~window):
-                    blocked |= spans[i]
-                    if not window & ~blocked:
+                if ends[i] & blocked or spans[i] & ~window:
+                    blocked |= ends[i]
+                    if not majoranas & ~blocked:
                         break
                 else:
                     taken.append(i)
@@ -177,14 +181,15 @@ def _fusion_plan(planes: tuple, n: int) -> _FusionPlan:
     """Pack planes into blocks on windows of min(FUSE_QUBITS, n) adjacent qubits (``_pack``).
 
     The stack takes one step per rotation of its longest row, and a Haar
-    staircase packs one block far longer than the rest (28 rotations at
-    n = 12, against at most 12 for the others).  So a block longer than the
-    second longest is split into rows of that length, multiplied at the end.
+    staircase packs blocks of uneven length (at n = 12: one of 28
+    rotations, four of 22, ten of 16).  So a block longer than the median
+    block length is split into rows of that length, multiplied at the end:
+    a Haar stack at n = 8 or 12 takes 16 steps.
     """
     width = min(FUSE_QUBITS, n)
     ops = _pack(planes, n, width)
     lengths = sorted((len(indices) for lo, indices in ops if lo), reverse=True)
-    cap = lengths[min(1, len(lengths) - 1)] if lengths else 0
+    cap = lengths[len(lengths) // 2] if lengths else 0
     runs = [(j, indices[k:k + cap]) for j, (lo, indices) in enumerate(ops) if lo
             for k in range(0, len(indices), cap)]
     runs.sort(key=lambda run: -len(run[1]))  # stable: a block's runs stay in order

@@ -17,6 +17,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -76,10 +77,14 @@ class ExperimentConfig:
     seed: int = 0
     mode: str = "exact"
     trials: int = 1
-    fixture: str = "doped"
+    fixture: str = ""  # "" takes the kind's default: gaussian for test, doped for the rest
     budget: str = "hoeffding"
     c_tom: float = 1.0
     shots_override: int | None = None
+
+    def __post_init__(self):
+        if self.fixture == "":
+            object.__setattr__(self, "fixture", "gaussian" if self.kind == "test" else "doped")
 
     def validate(self) -> "ExperimentConfig":
         for spec in fields(self):  # types first, so the checks below compare like with like
@@ -248,7 +253,9 @@ def _trial_compress(config, rng):
     }, meta
 
 
+@lru_cache(maxsize=16)
 def _learn_budget(config: ExperimentConfig, t_learn: int):
+    """The run's one LearnBudget: its trials, its ledger and the document check share it."""
     make = plan_budget if config.budget == "default" else hoeffding_budget
     budget = make(config.n, t_learn, config.eps, config.delta, config.c_tom)
     return budget if config.shots_override is None else replace(budget, N_corr=config.shots_override)

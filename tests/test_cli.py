@@ -52,6 +52,14 @@ def test_sweep_flags_left_out_keep_the_config_defaults():
     assert _config_from_args(args, args.kind) == ExperimentConfig(kind="compress")
 
 
+def test_the_test_kind_takes_its_fixture_default_from_the_config(capsys):
+    # no --fixture: test and sweep --kind test run on the gaussian fixture, as ExperimentConfig says
+    main(["test"])
+    assert json.loads(capsys.readouterr().out)["config"]["fixture"] == "gaussian"
+    args = build_parser().parse_args(["sweep", "--kind", "test"])
+    assert _config_from_args(args, args.kind) == ExperimentConfig(kind="test")
+
+
 def test_prepare_writes_document_and_circuit(tmp_path, capsys):
     out = tmp_path / "doc.json"
     circuit = tmp_path / "circuit.txt"

@@ -5,14 +5,16 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fermidope import metrology
+from fermidope import harness, metrology
 from fermidope.doped import prepare
 from fermidope.harness import (
     ConfigError,
@@ -39,6 +41,15 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig(kind="prepare", fixture="gaussian").validate()
     ExperimentConfig(kind="compress", n=6, t=1, kappa=4).validate()
+
+
+def test_the_test_kind_defaults_to_the_gaussian_fixture():
+    # the one per-kind default; an explicit fixture, and replace(), keep what they are given
+    assert ExperimentConfig(kind="test").validate().fixture == "gaussian"
+    for kind in ("prepare", "compress", "learn"):
+        assert ExperimentConfig(kind=kind).validate().fixture == "doped"
+    assert ExperimentConfig(kind="test", fixture="tplus", t=0).fixture == "tplus"
+    assert replace(ExperimentConfig(kind="test"), n=6).fixture == "gaussian"
 
 
 def test_config_rejects_shots_override_below_one():
@@ -239,6 +250,16 @@ def test_learn_records_the_correlation_copies_drawn():
         record = run(ExperimentConfig(**base, **fields)).records[0]
         assert record["copies_correlation_drawn"] == drawn, fields
     assert record["copies_correlation"] == 100  # at t = n the budget is reported, not drawn
+
+
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+def test_a_learn_run_builds_its_budget_once(mode):
+    # one build serves the trial, run's ledger and validate_document's ledger
+    cfg = ExperimentConfig(kind="learn", n=4, t=1, fixture="compressible", seed=11, mode=mode)
+    harness._learn_budget.cache_clear()
+    with mock.patch.object(harness, "hoeffding_budget", wraps=harness.hoeffding_budget) as build:
+        doc = run(cfg)
+    assert build.call_count == 1 and doc.records[0]["ok"]
 
 
 def test_test_records_state_the_budget_and_an_override_under_it():
