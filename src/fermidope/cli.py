@@ -20,7 +20,7 @@ from dataclasses import fields
 import numpy as np
 
 from .doped import CompressedForm, CompressionError, circuit_dumps, circuit_loads, prepare
-from .harness import ConfigError, ExperimentConfig, run, sweep, trials_csv
+from .harness import KINDS, ConfigError, ExperimentConfig, run, sweep, trials_csv
 from .learner import verify
 from .states import ZeroProbabilityError
 
@@ -99,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="cartesian sweep over n/t/kappa/eps with a CSV summary")
     _add_common(p)
-    p.add_argument("--kind", choices=("prepare", "compress", "learn", "test"), default="compress")
+    p.add_argument("--kind", choices=KINDS, default="compress")
     _add_learn_flags(p)
     p.add_argument("--eps-a", type=float)
     p.add_argument("--eps-b", type=float)
@@ -112,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a saved learned state against a saved circuit")
     p.add_argument("--learned", required=True, help="learned-state file")
     p.add_argument("--circuit", required=True, help="doped-circuit file")
-    p.add_argument("--eps", type=float, default=0.25, help="acceptance threshold")
+    p.add_argument("--eps", type=float, default=ExperimentConfig.eps, help="acceptance threshold")
     return parser
 
 

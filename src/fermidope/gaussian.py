@@ -31,10 +31,8 @@ disjoint Majorana pairs commute, even where their Z-strings share qubits,
 so the blocks keep the product; a Haar layer at n = 12 is 15 blocks.
 ``apply`` runs each block as one matrix product over the amplitudes: a
 single GEMM when the block touches either end of the register, 2^(lo-1)
-small batched ones otherwise, so a block near the end is padded at
-compile time to u (x) I up to the register end when that stays within
-FUSE_QUBITS + 1 qubits.  A plane wider than the window stays a single
-kernel pass.  The packing depends only on the plane sequence, which
+small batched ones otherwise.  A plane wider than the window stays a
+single kernel pass.  The packing depends only on the plane sequence, which
 repeats (every dense O at one n has the same staircase), so it is planned
 once per sequence and cached; all blocks are then built together in one
 stack, a block longer than the median block in rows of the median length
@@ -61,6 +59,8 @@ import numpy as np
 
 from . import ortho
 from .pauli import PauliString, majorana, pauli_mul
+# apply_pauli_rotation is unused here: bench/test_bench.py reads gaussian.apply_pauli_rotation,
+# so the import stays until that oracle leaves src/ (ROADMAP item 13)
 from .states import StateVector, apply_pauli_rotation, operator_matrix  # noqa: F401
 
 FUSE_QUBITS = 4  # widest window of adjacent qubits fused into one dense block
@@ -119,9 +119,8 @@ class _FusionPlan(NamedTuple):
 
     Every block spans the same ``width`` qubits and is built in one or more
     rows of a stack, each row a run of its rotations.  ``order`` lists the
-    ops: (lo, rows, pad) for the block on qubits lo .. lo + width - 1, the
-    product of its ``rows`` in order, padded with the identity on the
-    ``pad`` qubits after it, or (0, (k,), 0) for the unfused rotation k.
+    ops: (lo, rows) for the block on qubits lo .. lo + width - 1, the
+    product of its ``rows`` in order, or (0, (k,)) for the unfused rotation k.
     ``rotations`` and ``generators`` hold per row its rotation indices and
     window-relative generator ids, step by step, rows ordered longest first;
     ``active[s]`` rows have a step s.
@@ -205,35 +204,8 @@ def _fusion_plan(planes: tuple, n: int) -> _FusionPlan:
     table.setflags(write=False)
     negated = [-len(indices) for _, indices in runs]  # ascending
     active = tuple(bisect.bisect_left(negated, -step) for step in range(steps))
-    order = tuple(
-        (lo, tuple(rows[j]), _end_padding(lo, lo + width - 1, n)) if lo else (0, tuple(indices), 0)
-        for j, (lo, indices) in enumerate(ops)
-    )
+    order = tuple((lo, tuple(rows[j]) if lo else tuple(indices)) for j, (lo, indices) in enumerate(ops))
     return _FusionPlan(width, order, table[0], table[1], active)
-
-
-def _end_padding(lo: int, hi: int, n: int) -> int:
-    """Identity qubits to append to the block on qubits lo .. hi so that it ends at qubit n.
-
-    ``apply`` runs a block at either end of the register as one GEMM, but
-    one in between as 2^(lo-1) small batched ones.  A block that starts
-    after qubit 1 and within the last FUSE_QUBITS + 1 qubits is therefore
-    padded to the register end, u (x) I; any other block is left as it is.
-    """
-    return n - hi if lo > 1 and n - lo < FUSE_QUBITS + 1 else 0
-
-
-def _padded(u: np.ndarray, pad: int) -> np.ndarray:
-    """u (x) I on ``pad`` more qubits, read-only; u itself when pad is 0."""
-    if not pad:
-        return u
-    dim, reps = len(u), 2**pad
-    out = np.zeros((dim, reps, dim, reps), dtype=complex)
-    for k in range(reps):
-        out[:, k, :, k] = u
-    out = out.reshape(dim * reps, dim * reps)
-    out.setflags(write=False)
-    return out
 
 
 def _fuse(rotations: tuple, n: int) -> tuple:
@@ -243,8 +215,7 @@ def _fuse(rotations: tuple, n: int) -> tuple:
     vectorised step per rotation of the longest row: u <- cos(phi) u +
     i sin(phi) P u over the rows that still have a rotation, with P u the
     signed row permutation of the window-relative generator.  A block is the
-    product of its rows, padded to the register end when it is near it
-    (``_end_padding``).
+    product of its rows.
     """
     plan = _fusion_plan(tuple((mu, nu) for mu, nu, _ in rotations), n)
     phis = np.array([theta / 2.0 for *_, theta in rotations])
@@ -263,8 +234,8 @@ def _fuse(rotations: tuple, n: int) -> tuple:
         v += flipped
     u.setflags(write=False)
     return tuple(
-        Block(lo, _padded(_product(u, stack_rows), pad)) if lo else rotations[stack_rows[0]]
-        for lo, stack_rows, pad in plan.order
+        Block(lo, _product(u, stack_rows)) if lo else rotations[stack_rows[0]]
+        for lo, stack_rows in plan.order
     )
 
 

@@ -25,6 +25,7 @@ from . import __version__, metrology, ortho
 from .doped import compress_state, prepare, random_doped_circuit, report_gate_counts
 from .gaussian import GaussianUnitary
 from .learner import (
+    TOMOGRAPHY_LIMIT,
     BoostingFailureError,
     hoeffding_budget,
     learn,
@@ -113,6 +114,10 @@ class ExperimentConfig:
                 raise ConfigError("learn supports the doped and compressible fixtures")
             if self._learn_t() > self.n:
                 raise ConfigError("learned core exceeds the register; reduce t or kappa")
+            # checked before any trial samples; exact mode builds no Pauli strings, so has no limit
+            if self.mode == "sampled" and self._learn_t() > TOMOGRAPHY_LIMIT:
+                raise ConfigError(f"sampled learning's tomography is limited to {TOMOGRAPHY_LIMIT} qubits, "
+                                  f"got a core of {self._learn_t()}; reduce t or kappa, or use exact mode")
         if self.kind == "test":
             if self.fixture == "doped":  # kappa*t > t: generally outside the tester's promise
                 raise ConfigError("kind 'test' needs the gaussian, tplus or compressible fixture")

@@ -9,6 +9,7 @@ import shlex
 import warnings
 from dataclasses import asdict
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from fermidope.cli import (
     main,
 )
 from fermidope.doped import CompressedForm, CompressionError, circuit_dumps, circuit_loads
-from fermidope.harness import ExperimentConfig, run
+from fermidope.harness import KINDS, ExperimentConfig, run
 from fermidope.states import ZeroProbabilityError
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -50,6 +51,27 @@ def test_flags_left_out_keep_the_config_defaults(kind, capsys):
 def test_sweep_flags_left_out_keep_the_config_defaults():
     args = build_parser().parse_args(["sweep"])
     assert _config_from_args(args, args.kind) == ExperimentConfig(kind="compress")
+
+
+def test_parser_defaults_and_choices_come_from_the_harness():
+    # verify --eps defaults to ExperimentConfig.eps and sweep --kind offers harness.KINDS;
+    # neither is written again in the parser
+    with mock.patch.object(ExperimentConfig, "eps", 0.125):
+        args = build_parser().parse_args(["verify", "--learned", "s.txt", "--circuit", "c.txt"])
+    assert args.eps == 0.125
+    subcommands = next(action for action in build_parser()._actions if action.dest == "command")
+    kind = next(action for action in subcommands.choices["sweep"]._actions if action.dest == "kind")
+    assert tuple(kind.choices) == KINDS
+
+
+def test_oversized_sampled_learn_is_rejected_before_any_trial(capsys, monkeypatch):
+    # kappa * t = 8 core qubits: past the tomography limit, so the config check refuses the
+    # run before trial 0 samples correlations
+    monkeypatch.setitem(harness._TRIALS, "learn", lambda *args: pytest.fail("a trial ran"))
+    assert main(["learn", "--n", "12", "--t", "2", "--kappa", "4", "--mode", "sampled"]) == EXIT_PRECONDITION
+    assert capsys.readouterr().err == (
+        "error: sampled learning's tomography is limited to 6 qubits, got a core of 8; "
+        "reduce t or kappa, or use exact mode\n")
 
 
 def test_the_test_kind_takes_its_fixture_default_from_the_config(capsys):

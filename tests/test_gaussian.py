@@ -231,36 +231,24 @@ def _fused_unitaries():
 
 
 def test_fused_blocks_span_at_most_four_qubits_and_are_unitary():
-    # wider only when padded to the register end: then u (x) I with u on at most 4 qubits
+    # every block is a full 4-qubit window: these inputs all have n >= FUSE_QUBITS
     for g in _fused_unitaries():
         for op in g.program.ops:
             if isinstance(op, Block):
-                dim = len(op.u)
-                width = dim.bit_length() - 1
-                assert dim <= 2 ** (FUSE_QUBITS + 1) == 32
-                assert 1 <= op.lo and op.lo - 1 + width <= g.n
-                assert ortho.opnorm(op.u.conj().T @ op.u - np.eye(dim)) <= 1e-12
-                if dim > 2**FUSE_QUBITS:
-                    assert op.lo - 1 + width == g.n
-                    reps = 2 ** (width - FUSE_QUBITS)
-                    assert np.array_equal(op.u, np.kron(op.u[::reps, ::reps], np.eye(reps)))
+                assert len(op.u) == 2**FUSE_QUBITS == 16
+                assert 1 <= op.lo <= g.n - FUSE_QUBITS + 1
+                assert ortho.opnorm(op.u.conj().T @ op.u - np.eye(16)) <= 1e-12
             else:  # a plane left unfused spans more qubits than a block may
                 mu, nu, _ = op
                 assert (nu + 1) // 2 - (mu + 1) // 2 + 1 > FUSE_QUBITS
 
 
-def test_haar_program_at_n12_pads_its_near_end_blocks():
-    # a block ending 1-2 qubits before qubit 12 is batched unless it is padded to the end;
-    # only padding within FUSE_QUBITS + 1 = 5 qubits is done, so the 4-qubit blocks on
-    # qubits 7-10 stay as they are; packed by blocked Majoranas, a Haar layer is 15 blocks
-    # on odd windows, so none ends at qubit 11 and none is padded
+def test_haar_program_at_n12_is_15_blocks_on_odd_windows():
+    # packed by blocked Majoranas, a Haar layer is 15 blocks on the windows lo = 1, 3, 5, 7, 9:
+    # the one at qubits 9-12 runs as a single GEMM, the others as 2^(lo-1) batched ones
     n = 12
     g = GaussianUnitary(ortho.random_orthogonal(2 * n, np.random.default_rng(3)))
     blocks = [op for op in g.program.ops if isinstance(op, Block)]
-    for op in blocks:
-        hi = op.lo - 2 + len(op.u).bit_length()
-        if op.lo > 1 and n - hi in (1, 2):
-            assert n - op.lo + 1 > FUSE_QUBITS + 1, (op.lo, hi)
     assert [(op.lo, len(op.u)) for op in blocks] == [
         (9, 16), (7, 16), (9, 16), (5, 16), (3, 16), (1, 16), (7, 16), (9, 16), (5, 16), (3, 16),
         (7, 16), (9, 16), (5, 16), (7, 16), (9, 16),
@@ -331,15 +319,15 @@ def test_adjoint_runs_the_pair_program_backwards(n, kind, negative, adjoint_firs
 
 
 def _plan_ops(rotations: tuple, n: int) -> list:
-    """(lo, rotation indices, pad) per op of the fusion plan; lo = 0 for an unfused plane."""
+    """(lo, rotation indices) per op of the fusion plan; lo = 0 for an unfused plane."""
     plan = _fusion_plan(tuple((mu, nu) for mu, nu, _ in rotations), n)
     out = []
-    for lo, rows, pad in plan.order:
+    for lo, rows in plan.order:
         if not lo:
-            out.append((0, list(rows), 0))
+            out.append((0, list(rows)))
             continue
         lengths = [sum(count > row for count in plan.active) for row in rows]
-        out.append((lo, [i for row, length in zip(rows, lengths) for i in plan.rotations[row, :length]], pad))
+        out.append((lo, [i for row, length in zip(rows, lengths) for i in plan.rotations[row, :length]]))
     return out
 
 
@@ -347,13 +335,11 @@ def _sequential_blocks(rotations: tuple, n: int) -> list:
     """Oracle for the fused ops: each planned window's product, one kernel rotation at a time.
 
     The windows and their rotations come from the fusion plan; each block is
-    built on the identity of its min(FUSE_QUBITS, n) qubits, and a block
-    that starts after qubit 1 and within the last FUSE_QUBITS + 1 qubits is
-    extended to qubit n as u (x) I.
+    built on the identity of its min(FUSE_QUBITS, n) qubits.
     """
     m = min(FUSE_QUBITS, n)
     ops = []
-    for lo, indices, _ in _plan_ops(rotations, n):
+    for lo, indices in _plan_ops(rotations, n):
         if not lo:
             ops.append(rotations[indices[0]])
             continue
@@ -361,10 +347,7 @@ def _sequential_blocks(rotations: tuple, n: int) -> list:
         u = np.eye(2**m, dtype=complex).reshape(-1)
         for mu, nu, theta in (rotations[i] for i in indices):
             rotation_generator(mu - 2 * (lo - 1), nu - 2 * (lo - 1), 2 * m).rotate(u, theta / 2.0)
-        u = u.reshape(2**m, 2**m)
-        if lo > 1 and n - lo + 1 <= FUSE_QUBITS + 1:
-            u = np.kron(u, np.eye(2 ** (n - lo - m + 1)))
-        ops.append(Block(lo, u))
+        ops.append(Block(lo, u.reshape(2**m, 2**m)))
     return ops
 
 
@@ -411,19 +394,19 @@ def test_fusion_plan_packs_every_rotation_once_in_order(n, kind, negative, seed)
     rotations, m = g.program.rotations, min(FUSE_QUBITS, n)
     planned = _plan_ops(rotations, n)
     # each rotation sits in exactly one op
-    order = [i for _, indices, _ in planned for i in indices]
+    order = [i for _, indices in planned for i in indices]
     assert sorted(order) == list(range(len(rotations)))
     # every Majorana sees its rotations in the original order: only disjoint planes pass each other
     for mu in range(1, 2 * n + 1):
         on_mu = [i for i in order if mu in rotations[i][:2]]
         assert on_mu == sorted(on_mu), mu
-    for (lo, indices, pad), op in zip(planned, g.program.ops):
+    for (lo, indices), op in zip(planned, g.program.ops):
         if not lo:  # a plane left alone is wider than any window
             mu, nu, _ = op
             assert (nu + 1) // 2 - (mu + 1) // 2 + 1 > m and op == rotations[indices[0]]
             continue
-        # every block is m qubits wide before end padding, and holds only planes inside it
-        assert 1 <= lo <= n - m + 1 and len(op.u) == 2 ** (m + pad)
+        # every block is one 2^m x 2^m unitary on m qubits, and holds only planes inside it
+        assert 1 <= lo <= n - m + 1 and op.lo == lo and len(op.u) == 2**m
         assert all(lo <= (rotations[i][0] + 1) // 2 and (rotations[i][1] + 1) // 2 < lo + m for i in indices)
     _assert_ops_equal_the_oracle(g)
 
@@ -452,3 +435,16 @@ def test_packed_apply_equals_the_rotations_in_givens_order(n, kind, negative, se
     psi = random_state(n, rng)
     for inverse, unitary in ((False, g), (True, g.adjoint())):
         assert np.abs(unitary.apply(psi).amps - _kernel_oracle(g, psi, inverse)).max() <= 1e-12, inverse
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_the_walk_programs_equal_the_rotations_in_givens_order(n):
+    # the hypothesis "group" inputs are sorted commuting_groups pairs; the walk applies
+    # G(O'_0) of its own pair order and the step G(V), through metrology's program cells
+    rng = np.random.default_rng(n)
+    groups, _ = _grouped_sampling(n)
+    psi = random_state(n, rng)
+    for o, cell, *_ in groups[:2]:
+        g = GaussianUnitary.sharing(o, cell)
+        for inverse, unitary in ((False, g), (True, g.adjoint())):
+            assert np.abs(unitary.apply(psi).amps - _kernel_oracle(g, psi, inverse)).max() <= 1e-12, inverse

@@ -61,6 +61,17 @@ def test_config_rejects_shots_override_below_one():
     ExperimentConfig(kind="test", t=0, mode="sampled", shots_override=1, fixture="gaussian").validate()
 
 
+def test_config_rejects_a_sampled_learn_past_the_tomography_limit():
+    # a doped core of kappa * t qubits, or a compressible one of t; exact mode tomographs nothing
+    limited = "^sampled learning's tomography is limited to 6 qubits, got a core of {}; "
+    for fixture, t, kappa, core in (("doped", 2, 4, 8), ("doped", 7, 1, 7), ("compressible", 7, 4, 7)):
+        cfg = ExperimentConfig(kind="learn", fixture=fixture, n=12, t=t, kappa=kappa, mode="sampled")
+        with pytest.raises(ConfigError, match=limited.format(core)):
+            cfg.validate()
+        replace(cfg, mode="exact").validate()
+    ExperimentConfig(kind="learn", n=12, t=3, kappa=2, mode="sampled").validate()
+
+
 def test_config_rejects_the_test_kind_on_the_doped_fixture():
     # a doped state with kappa*t > t is generally outside the tester's promise, and the
     # trial would score it as "close" without checking
