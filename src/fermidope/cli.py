@@ -20,7 +20,7 @@ from dataclasses import fields
 import numpy as np
 
 from .doped import CompressedForm, CompressionError, circuit_dumps, circuit_loads, prepare
-from .harness import KINDS, ConfigError, ExperimentConfig, run, sweep, trials_csv
+from .harness import KIND_TABLE, KINDS, SWEEPABLE, ConfigError, ExperimentConfig, run, sweep, trials_csv
 from .learner import verify
 from .states import ZeroProbabilityError
 
@@ -53,61 +53,77 @@ def _write(path: str, text: str) -> None:
     print(f"wrote {path}", file=sys.stderr)
 
 
-def _add_common(p: argparse.ArgumentParser):
+def _add_common(p: argparse.ArgumentParser, fixtures: tuple):
     p.add_argument("--n", type=int, help="qubit count")
     p.add_argument("--t", type=int, help="non-Gaussian gate count / compression level")
     p.add_argument("--kappa", type=int, help="Majorana locality of each gate")
     p.add_argument("--seed", type=int, help="master seed; trials derive split streams")
     p.add_argument("--trials", type=int)
-    p.add_argument("--mode", choices=("exact", "sampled"))
-    p.add_argument("--out", help="write the result document (JSON) here")
+    if len(fixtures) > 1:  # a kind with one fixture runs on it, so offers no choice
+        p.add_argument("--fixture", choices=fixtures)
     p.add_argument("--csv", help="write per-trial rows (CSV) here")
+
+
+def _add_run(sub, kind: str, help: str) -> argparse.ArgumentParser:
+    """The subcommand that runs one ``kind`` and writes its result document."""
+    p = sub.add_parser(kind, help=help)
+    _add_common(p, KIND_TABLE[kind][2])
+    p.add_argument("--out", help="write the result document (JSON) here")
+    return p
+
+
+def _add_sampling_flags(p: argparse.ArgumentParser):
+    p.add_argument("--mode", choices=("exact", "sampled"))
+    p.add_argument("--delta", type=float, help="failure probability")
+    p.add_argument("--shots-override", type=int, help="replace the budgeted copy count")
 
 
 def _add_learn_flags(p: argparse.ArgumentParser):
     p.add_argument("--eps", type=float, help="target trace distance")
-    p.add_argument("--delta", type=float, help="failure probability")
-    p.add_argument("--fixture", choices=("doped", "compressible"))
     p.add_argument("--budget", choices=("default", "hoeffding"))
     p.add_argument("--c-tom", type=float, help="tomography budget constant")
-    p.add_argument("--shots-override", type=int, help="replace the correlation copy count")
+
+
+def _add_test_flags(p: argparse.ArgumentParser):
+    p.add_argument("--eps-a", type=float)
+    p.add_argument("--eps-b", type=float)
+
+
+def _comma_list(cast):
+    """An argparse type: a comma list, each value read by ``cast``."""
+    def parse(text: str) -> list:
+        return [cast(value) for value in text.split(",")]
+    parse.__name__ = f"{cast.__name__} list"  # argparse names it in "invalid int list value"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fermidope", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("prepare", help="prepare random doped states and report diagnostics")
-    _add_common(p)
+    p = _add_run(sub, "prepare", "prepare random doped states and report diagnostics")
     p.add_argument("--save-circuit", help="write the first trial's circuit here")
 
-    p = sub.add_parser("compress", help="compress doped states onto kappa*t qubits")
-    _add_common(p)
+    _add_run(sub, "compress", "compress doped states onto kappa*t qubits")
 
-    p = sub.add_parser("learn", help="learn a compressible state and verify it")
-    _add_common(p)
+    p = _add_run(sub, "learn", "learn a compressible state and verify it")
+    _add_sampling_flags(p)
     _add_learn_flags(p)
     p.add_argument("--save-state", help="write the first trial's learned state here")
 
-    p = sub.add_parser("test", help="close/far test of the Gaussian dimension")
-    _add_common(p)
-    p.add_argument("--fixture", choices=("gaussian", "tplus", "compressible"))
-    p.add_argument("--eps-a", type=float)
-    p.add_argument("--eps-b", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--shots-override", type=int)
+    p = _add_run(sub, "test", "close/far test of the Gaussian dimension")
+    _add_sampling_flags(p)
+    _add_test_flags(p)
 
-    p = sub.add_parser("sweep", help="cartesian sweep over n/t/kappa/eps with a CSV summary")
-    _add_common(p)
+    p = sub.add_parser("sweep", help="cartesian sweep over n/t/kappa/eps/seed with a CSV summary")
+    _add_common(p, tuple(dict.fromkeys(name for _, _, fixtures in KIND_TABLE.values() for name in fixtures)))
     p.add_argument("--kind", choices=KINDS, default="compress")
+    _add_sampling_flags(p)
     _add_learn_flags(p)
-    p.add_argument("--eps-a", type=float)
-    p.add_argument("--eps-b", type=float)
-    p.add_argument("--grid-n", help="comma list, e.g. 4,6,8")
-    p.add_argument("--grid-t", help="comma list")
-    p.add_argument("--grid-kappa", help="comma list")
-    p.add_argument("--grid-eps", help="comma list")
-    p.add_argument("--grid-seed", help="comma list")
+    _add_test_flags(p)
+    for name in SWEEPABLE:  # each value read as its config field's annotated type
+        cast = {"int": int, "float": float}[ExperimentConfig.__annotations__[name]]
+        p.add_argument(f"--grid-{name}", type=_comma_list(cast), help="comma list")
 
     p = sub.add_parser("verify", help="check a saved learned state against a saved circuit")
     p.add_argument("--learned", required=True, help="learned-state file")
@@ -151,13 +167,7 @@ def _cmd_run(args, kind: str) -> int:
 
 def _cmd_sweep(args) -> int:
     base = _config_from_args(args, args.kind)
-    grid = {}
-    for key, attr, cast in (("n", "grid_n", int), ("t", "grid_t", int),
-                            ("kappa", "grid_kappa", int), ("eps", "grid_eps", float),
-                            ("seed", "grid_seed", int)):
-        raw = getattr(args, attr)
-        if raw:
-            grid[key] = [cast(x) for x in raw.split(",")]
+    grid = {name: values for name in SWEEPABLE if (values := getattr(args, f"grid_{name}")) is not None}
     if not grid:
         raise ConfigError("sweep needs at least one --grid-* list")
     docs, csv_text, failures = sweep(base, grid)

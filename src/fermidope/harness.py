@@ -34,10 +34,6 @@ from .learner import (
 )
 from .states import StateVector, embed_with_zero_tail, fidelity, postselect_zero_tail, product, random_state, zero_state
 
-KINDS = ("prepare", "compress", "learn", "test")
-FIXTURES = ("doped", "compressible", "gaussian", "tplus")
-
-
 class ConfigError(ValueError):
     """An experiment configuration violates a precondition."""
 
@@ -78,14 +74,14 @@ class ExperimentConfig:
     seed: int = 0
     mode: str = "exact"
     trials: int = 1
-    fixture: str = ""  # "" takes the kind's default: gaussian for test, doped for the rest
+    fixture: str = ""  # "" takes the kind's default, the first fixture KIND_TABLE lists for it
     budget: str = "hoeffding"
     c_tom: float = 1.0
     shots_override: int | None = None
 
     def __post_init__(self):
-        if self.fixture == "":
-            object.__setattr__(self, "fixture", "gaussian" if self.kind == "test" else "doped")
+        if self.fixture == "" and self.kind in KINDS:  # a tuple test: an unhashable kind reaches validate
+            object.__setattr__(self, "fixture", KIND_TABLE[self.kind][2][0])
 
     def validate(self) -> "ExperimentConfig":
         for spec in fields(self):  # types first, so the checks below compare like with like
@@ -98,20 +94,18 @@ class ExperimentConfig:
             raise ConfigError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.mode not in ("exact", "sampled"):
             raise ConfigError(f"mode must be exact or sampled, got {self.mode!r}")
-        if self.fixture not in FIXTURES:
-            raise ConfigError(f"fixture must be one of {FIXTURES}, got {self.fixture!r}")
+        *others, last = fixtures = KIND_TABLE[self.kind][2]
+        if self.fixture not in fixtures:
+            names = f"{', '.join(others)} or {last}" if others else last
+            raise ConfigError(f"kind {self.kind!r} needs the {names} fixture")
         for name, holds, message in _RANGES:
             if not holds(getattr(self, name)):
                 raise ConfigError(message.format(getattr(self, name)))
         if self.budget not in ("default", "hoeffding"):
             raise ConfigError(f"budget must be default or hoeffding, got {self.budget!r}")
-        if self.kind in ("prepare", "compress") and self.fixture != "doped":
-            raise ConfigError(f"kind {self.kind!r} requires the doped fixture")
         if self.kind == "compress" and self.kappa * self.t > self.n:
             raise ConfigError(f"compression needs kappa*t <= n, got {self.kappa * self.t} > {self.n}")
         if self.kind == "learn":
-            if self.fixture not in ("doped", "compressible"):
-                raise ConfigError("learn supports the doped and compressible fixtures")
             if self._learn_t() > self.n:
                 raise ConfigError("learned core exceeds the register; reduce t or kappa")
             # checked before any trial samples; exact mode builds no Pauli strings, so has no limit
@@ -119,8 +113,6 @@ class ExperimentConfig:
                 raise ConfigError(f"sampled learning's tomography is limited to {TOMOGRAPHY_LIMIT} qubits, "
                                   f"got a core of {self._learn_t()}; reduce t or kappa, or use exact mode")
         if self.kind == "test":
-            if self.fixture == "doped":  # kappa*t > t: generally outside the tester's promise
-                raise ConfigError("kind 'test' needs the gaussian, tplus or compressible fixture")
             if self.t >= self.n:
                 raise ConfigError("test needs t < n")
             if self.eps_b <= np.sqrt((self.n - self.t) * self.eps_a):
@@ -336,13 +328,16 @@ def _trial_test(config, rng):
     }, meta
 
 
-# each trial returns (record, artifacts): the fixture's metadata plus what it built
-_TRIALS = {
-    "prepare": _trial_prepare,
-    "compress": _trial_compress,
-    "learn": _trial_learn,
-    "test": _trial_test,
+# kind -> (trial, the record field its summary states, the fixtures it runs on, default first).
+# Each trial returns (record, artifacts): the fixture's metadata plus what it built.  The
+# tester runs on no doped fixture: a doped state with kappa*t > t is generally outside its promise.
+KIND_TABLE = {
+    "prepare": (_trial_prepare, "gaussian_dimension", ("doped",)),
+    "compress": (_trial_compress, "tail_weight", ("doped",)),
+    "learn": (_trial_learn, "trace_distance", ("doped", "compressible")),
+    "test": (_trial_test, "lambda_t1", ("gaussian", "tplus", "compressible")),
 }
+KINDS = tuple(KIND_TABLE)
 
 
 def _median(values: list) -> float:
@@ -356,7 +351,7 @@ def _median(values: list) -> float:
 def _summarize(config: ExperimentConfig, records: list) -> dict:
     ok_rate = float(np.mean([r.get("ok", False) for r in records]))
     summary = {"trials": len(records), "ok_rate": ok_rate}
-    metric = PRIMARY_METRIC[config.kind]
+    metric = KIND_TABLE[config.kind][1]
     values = [r[metric] for r in records if metric in r and not isinstance(r[metric], str)]
     if values:
         arr = np.asarray(values, dtype=float)
@@ -376,23 +371,15 @@ def _summarize(config: ExperimentConfig, records: list) -> dict:
     return summary
 
 
-PRIMARY_METRIC = {
-    "prepare": "gaussian_dimension",
-    "compress": "tail_weight",
-    "learn": "trace_distance",
-    "test": "lambda_t1",
-}
-
-
 def run(config: ExperimentConfig) -> ResultDocument:
     config = config.validate()
     start = time.perf_counter()
     streams = np.random.SeedSequence(config.seed).spawn(config.trials)
-    ledger = _ledger(config)
+    ledger, trial = _ledger(config), KIND_TABLE[config.kind][0]
     records = []
     for i, stream in enumerate(streams):
         rng = np.random.default_rng(stream)
-        record, built = _TRIALS[config.kind](config, rng)
+        record, built = trial(config, rng)
         if i == 0:
             artifacts = built
         if "boosting_failure" not in record:  # a failed learn trial spends no reported copies
@@ -425,7 +412,7 @@ def trials_csv(doc: ResultDocument) -> str:
     return buf.getvalue()
 
 
-SWEEPABLE = ("n", "t", "kappa", "eps", "seed", "mode", "fixture")
+SWEEPABLE = ("n", "t", "kappa", "eps", "seed")
 
 
 def sweep(base: ExperimentConfig, grid: dict) -> tuple:
@@ -441,7 +428,7 @@ def sweep(base: ExperimentConfig, grid: dict) -> tuple:
             raise ConfigError(f"cannot sweep over {key!r}; choose from {SWEEPABLE}")
     names = list(grid)
     metric_keys = ["trace_distance", "tail_weight", "gaussian_dimension", "lambda_t1",
-                   "verdict", "ok"]
+                   "verdict", "ok"]  # the CSV's fixed columns, not KIND_TABLE's kind order
     header = names + ["row", "trial", *metric_keys, "mean", "median", "min", "max",
                       "ok_rate", "error"]
     buf = io.StringIO()
@@ -464,7 +451,7 @@ def sweep(base: ExperimentConfig, grid: dict) -> tuple:
             writer.writerow(prefix + ["trial", r["trial"],
                                       *[r.get(k, "") for k in metric_keys],
                                       "", "", "", "", "", ""])
-        stats = doc.summary.get(PRIMARY_METRIC[base.kind], {})
+        stats = doc.summary.get(KIND_TABLE[base.kind][1], {})
         writer.writerow(prefix + ["summary", "", *[""] * len(metric_keys),
                                   stats.get("mean", ""), stats.get("median", ""),
                                   stats.get("min", ""), stats.get("max", ""),

@@ -27,7 +27,7 @@ from fermidope.cli import (
     main,
 )
 from fermidope.doped import CompressedForm, CompressionError, circuit_dumps, circuit_loads
-from fermidope.harness import KINDS, ExperimentConfig, run
+from fermidope.harness import KIND_TABLE, KINDS, ExperimentConfig, run
 from fermidope.states import ZeroProbabilityError
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -54,20 +54,44 @@ def test_sweep_flags_left_out_keep_the_config_defaults():
 
 
 def test_parser_defaults_and_choices_come_from_the_harness():
-    # verify --eps defaults to ExperimentConfig.eps and sweep --kind offers harness.KINDS;
-    # neither is written again in the parser
+    # verify --eps defaults to ExperimentConfig.eps, sweep --kind offers harness.KINDS and each
+    # --fixture offers the fixtures KIND_TABLE lists; none is written again in the parser
     with mock.patch.object(ExperimentConfig, "eps", 0.125):
         args = build_parser().parse_args(["verify", "--learned", "s.txt", "--circuit", "c.txt"])
     assert args.eps == 0.125
     subcommands = next(action for action in build_parser()._actions if action.dest == "command")
-    kind = next(action for action in subcommands.choices["sweep"]._actions if action.dest == "kind")
-    assert tuple(kind.choices) == KINDS
+
+    def choices(command, dest):
+        found = [action.choices for action in subcommands.choices[command]._actions if action.dest == dest]
+        return tuple(found[0]) if found else None
+
+    assert choices("sweep", "kind") == KINDS
+    assert choices("prepare", "fixture") is None and choices("compress", "fixture") is None
+    assert choices("learn", "fixture") == KIND_TABLE["learn"][2] == ("doped", "compressible")
+    assert choices("test", "fixture") == KIND_TABLE["test"][2] == ("gaussian", "tplus", "compressible")
+    assert choices("sweep", "fixture") == ("doped", "compressible", "gaussian", "tplus")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--kind", "compress", "--t", "0", "--grid-n", "3", "--out", "x.json"],
+     "unrecognized arguments: --out x.json"),  # sweep writes only its CSV
+    (["prepare", "--mode", "sampled"], "unrecognized arguments: --mode sampled"),  # no trial reads it
+    (["compress", "--mode", "exact"], "unrecognized arguments: --mode exact"),
+    (["sweep", "--grid-n", "4,x"], "argument --grid-n: invalid int list value: '4,x'"),
+])
+def test_flags_a_subcommand_would_ignore_or_misread_exit_2(argv, message, capsys):
+    with pytest.raises(SystemExit) as caught:
+        main(argv)
+    err = capsys.readouterr().err
+    assert caught.value.code == EXIT_PRECONDITION
+    assert err.count("error:") == 1 and err.endswith(f"error: {message}\n") and "Traceback" not in err
 
 
 def test_oversized_sampled_learn_is_rejected_before_any_trial(capsys, monkeypatch):
     # kappa * t = 8 core qubits: past the tomography limit, so the config check refuses the
     # run before trial 0 samples correlations
-    monkeypatch.setitem(harness._TRIALS, "learn", lambda *args: pytest.fail("a trial ran"))
+    _, metric, fixtures = harness.KIND_TABLE["learn"]
+    monkeypatch.setitem(harness.KIND_TABLE, "learn", (lambda *args: pytest.fail("a trial ran"), metric, fixtures))
     assert main(["learn", "--n", "12", "--t", "2", "--kappa", "4", "--mode", "sampled"]) == EXIT_PRECONDITION
     assert capsys.readouterr().err == (
         "error: sampled learning's tomography is limited to 6 qubits, got a core of 8; "
@@ -461,6 +485,15 @@ def test_test_kind_sweeps_the_gaussian_fixture_and_rejects_the_doped_one(tmp_pat
     code = main(["sweep", "--kind", "test", "--fixture", "doped", "--grid-n", "6", "--csv", str(csv_path)])
     assert code == EXIT_PRECONDITION
     assert "ConfigError: kind 'test' needs the gaussian, tplus or compressible fixture" in capsys.readouterr().err
+
+
+def test_test_kind_sweeps_the_tplus_fixture(tmp_path):
+    # --fixture on sweep offers every fixture; tplus at t = 0 is the tester's far instance
+    csv_path = tmp_path / "grid.csv"
+    assert main(["sweep", "--kind", "test", "--fixture", "tplus", "--t", "0", "--grid-n", "3,4",
+                 "--csv", str(csv_path)]) == EXIT_OK
+    rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
+    assert [(row[0], row[7]) for row in rows if row[1] == "trial"] == [("3", "far"), ("4", "far")]
 
 
 def test_sweep_with_a_failing_cell_exits_like_its_single_run(tmp_path, capsys):

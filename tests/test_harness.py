@@ -231,8 +231,9 @@ def test_sweep_partial_failure_recorded():
 
 def test_sweep_rejects_unknown_key():
     base = ExperimentConfig(kind="compress", n=4, t=1, kappa=3)
-    with pytest.raises(ConfigError):
-        sweep(base, {"flavour": [1]})
+    for key in ("flavour", "mode", "fixture"):
+        with pytest.raises(ConfigError):
+            sweep(base, {key: [1]})
 
 
 def test_document_schema_validation():
@@ -346,6 +347,10 @@ def test_document_validation_checks_every_learn_copy_field():
     ({"kind": 3}, "kind must be a string, got 3"),
     ({"kind": "test", "bogus": 1}, "config has an unknown field 'bogus'"),
     ({"n": 4}, "config is missing 'kind'"),
+    # the kind table's lookups never see a kind the checks reject
+    ({"kind": "mystery"}, "kind must be one of ('prepare', 'compress', 'learn', 'test'), got 'mystery'"),
+    ({"kind": 7}, "kind must be a string, got 7"),
+    ({"kind": ["learn"]}, "kind must be a string, got ['learn']"),
 ])
 def test_document_validation_rejects_a_mistyped_config_with_value_error(config, message):
     from fermidope.harness import validate_document
