@@ -32,8 +32,8 @@ lams = normal_eigenvalues(correlation_exact(psi))
 print(f"normal eigenvalues: {np.round(lams, 4)}")
 for t in range(3):
     bounds = distance_bounds(lams, t)
-    _, witness = nearest_compressible(psi, t)
-    print(f"t = {t}: {bounds.lower:.4f} <= d_tr(witness) = {witness:.4f} <= {bounds.upper:.4f}")
+    _, distance = nearest_compressible(psi, t)
+    print(f"t = {t}: {bounds.lower:.4f} <= d_tr(witness) = {distance:.4f} <= {bounds.upper:.4f}")
 
 print("\n--- promise tester at n = 4, eps_B = 0.4 ---")
 tplus = StateVector(1, np.array([1.0, np.exp(1j * np.pi / 4)]) / np.sqrt(2))

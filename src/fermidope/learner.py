@@ -4,7 +4,8 @@ Pipeline: estimate the correlation matrix, rotate by the Gaussian unitary
 of its normal form, post-select the trailing qubits on zero, run plain
 Pauli tomography on the surviving core, and reassemble.  The returned
 representation is a `doped.CompressedForm`: the Gaussian unitary plus the
-core state, which is enough to rebuild the full statevector.
+core state, which is enough to rebuild the full statevector.  From exact
+statistics that is the witness `metrology.nearest_compressible` builds.
 
 Copy budgets follow the explicit formulas (`plan_budget`); the Hoeffding
 variant (`hoeffding_budget`) sizes the correlation stage by the union bound
@@ -25,13 +26,12 @@ import numpy as np
 from . import ortho
 from .doped import CompressedForm
 from .gaussian import GaussianUnitary, identity_gaussian
-from .metrology import copy_count, correlation_exact, correlation_sampled
+from .metrology import copy_count, correlation_sampled, nearest_compressible
 from .pauli import LETTERS, PauliString
 from .states import (
     StateVector,
     embed_with_zero_tail,
     fidelity,
-    fresh_copy,
     postselect_zero_tail,
     trace_distance,
 )
@@ -173,24 +173,20 @@ def pauli_expectations(core: StateVector) -> np.ndarray:
     return np.stack((f.real, -f.imag, -f.real, f.imag)).ravel()[flat]
 
 
-def tomography_t_qubits(
-    core: StateVector, mode: str = "sampled", shots: int | None = None, rng=None
-) -> StateVector:
+def tomography_t_qubits(core: StateVector, shots: int | None = None, rng=None) -> StateVector:
     """Estimate a t-qubit pure state from ``shots`` copies of ``core``.
 
-    Sampled mode estimates all 4^t Pauli expectations, splitting the copies
-    evenly, assembles rho_hat = 2^-t * sum <P> P, and returns its top
-    eigenvector.  One Walsh-Hadamard transform (`pauli_expectations`) gives
-    every exact expectation, one vectorised binomial draw estimates them all,
-    and rho_hat is assembled from each string's dense matrix in turn.  Each
-    string's draw takes shots // (4^t - 1) copies, which must stay below
-    DRAW_LIMIT = 2^63.
+    Estimates all 4^t Pauli expectations, splitting the copies evenly,
+    assembles rho_hat = 2^-t * sum <P> P, and returns its top eigenvector;
+    t = 0 returns ``core`` itself.  One Walsh-Hadamard transform
+    (`pauli_expectations`) gives every exact expectation, one vectorised
+    binomial draw estimates them all, and rho_hat is assembled from each
+    string's dense matrix in turn.  Each string's draw takes
+    shots // (4^t - 1) copies, which must stay below DRAW_LIMIT = 2^63.
     """
     t = core.n
-    if mode == "exact" or t == 0:
+    if t == 0:
         return core
-    if mode != "sampled":
-        raise ValueError(f"unknown mode {mode!r}")
     if rng is None:
         raise ValueError("sampled mode needs an rng")
     strings = pauli_strings(t)
@@ -214,11 +210,12 @@ def tomography_t_qubits(
     return StateVector(t, vecs[:, -1])
 
 
-def learn(state_source, n: int, t: int, budget: LearnBudget, mode: str = "sampled", rng=None) -> CompressedForm:
-    """Learn a t-compressible state from a copy oracle.
+def learn(psi: StateVector, n: int, t: int, budget: LearnBudget, mode: str = "sampled", rng=None) -> CompressedForm:
+    """Learn a t-compressible state from single-copy measurements of ``psi``.
 
-    Exact mode replaces every statistical estimate with the exact quantity
-    (for debugging and promise checks); sampled mode consumes the budget.
+    Sampled mode consumes the budget.  Exact mode replaces every statistical
+    estimate with the exact quantity, so it returns the witness of
+    `metrology.nearest_compressible` (for debugging and promise checks).
     Raises BoostingFailureError when fewer than N_tom post-selections
     succeed, ZeroProbabilityError when the promise is violated outright,
     and ValueError when the budget was planned for another (n, t) or a
@@ -229,37 +226,31 @@ def learn(state_source, n: int, t: int, budget: LearnBudget, mode: str = "sample
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "sampled" and rng is None:
         raise ValueError("sampled mode needs an rng")
-    psi = fresh_copy(state_source)
     if psi.n != n:
         raise ValueError(f"copy has {psi.n} qubits, expected {n}")
     if not 0 <= t <= n:
         raise ValueError(f"t must be in [0, {n}], got {t}")
     if (budget.n, budget.t) != (n, t):
         raise ValueError(f"budget planned for (n, t) = ({budget.n}, {budget.t}), learning ({n}, {t})")
+    if mode == "exact":
+        return nearest_compressible(psi, t)[0]
     if t == n:  # pure tomography: no qubits to post-select, every loop copy reaches the core
-        phi_hat = tomography_t_qubits(psi, mode=mode, shots=budget.N_loop, rng=rng)
+        phi_hat = tomography_t_qubits(psi, shots=budget.N_loop, rng=rng)
         return CompressedForm(identity_gaussian(n), phi_hat)
 
-    if mode == "exact":
-        c_hat = correlation_exact(psi)
-    else:
-        _check_draw("boosting, N_loop", budget.N_loop)  # before any stage runs
-        c_hat = correlation_sampled(fresh_copy(state_source), budget.N_corr, rng)
+    _check_draw("boosting, N_loop", budget.N_loop)  # before any stage runs
+    c_hat = correlation_sampled(psi, budget.N_corr, rng)
     g_hat = GaussianUnitary(ortho.normal_form(c_hat).O, check=False)
-    p_zero, core = postselect_zero_tail(g_hat.adjoint().apply(fresh_copy(state_source)), t)
-
-    if mode == "sampled":
-        # every iteration is i.i.d., so the success count is one binomial draw
-        successes = int(rng.binomial(budget.N_loop, p_zero)) if p_zero < 1.0 else budget.N_loop
-        if successes < budget.N_tom:
-            raise BoostingFailureError(
-                f"{successes} post-selection successes < N_tom = {budget.N_tom} "
-                f"(success probability {p_zero:.4f})"
-            )
-    else:
-        successes = budget.N_tom
+    p_zero, core = postselect_zero_tail(g_hat.adjoint().apply(psi), t)
+    # every iteration is i.i.d., so the success count is one binomial draw
+    successes = int(rng.binomial(budget.N_loop, p_zero)) if p_zero < 1.0 else budget.N_loop
+    if successes < budget.N_tom:
+        raise BoostingFailureError(
+            f"{successes} post-selection successes < N_tom = {budget.N_tom} "
+            f"(success probability {p_zero:.4f})"
+        )
     # g_hat's adjoint has compiled the pair's program, so verify's G and G^dag decompose nothing
-    return CompressedForm(g_hat, tomography_t_qubits(core, mode=mode, shots=successes, rng=rng))
+    return CompressedForm(g_hat, tomography_t_qubits(core, shots=successes, rng=rng))
 
 
 @dataclass(frozen=True)
@@ -271,17 +262,14 @@ class LearnReport:
     term_projection: float
 
 
-def verify(learned, psi_true: StateVector) -> LearnReport:
+def verify(learned: CompressedForm, psi_true: StateVector) -> LearnReport:
     """Exact diagnostics of a learned state against the true state.
 
     Reports the total trace distance plus the two triangle-inequality
     terms: the tomography error on the core and the projection error of
-    the rotated state onto its zero tail.  Accepts a CompressedForm or its
-    serialized text; raises ValueError when its register size is not the
-    true state's.
+    the rotated state onto its zero tail.  Raises ValueError when the
+    learned register size is not the true state's.
     """
-    if isinstance(learned, str):
-        learned = CompressedForm.loads(learned)
     if learned.n != psi_true.n:
         raise ValueError(f"learned state has {learned.n} qubits, true state has {psi_true.n}")
     psi_hat = learned.reassemble()

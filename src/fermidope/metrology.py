@@ -27,12 +27,12 @@ from functools import lru_cache
 import numpy as np
 
 from . import ortho
-from .gaussian import GaussianUnitary
+from .doped import CompressedForm
+from .gaussian import GaussianUnitary, identity_gaussian
 from .pauli import majorana
 from .states import (
     StateVector,
     embed_with_zero_tail,
-    fresh_copy,
     postselect_zero_tail,
     trace_distance,
 )
@@ -241,26 +241,26 @@ def distance_bounds(lambdas, t: int) -> DistanceBounds:
     return DistanceBounds(lower=float(lower), upper=upper, lambdas=lambdas, t=t)
 
 
-def nearest_compressible(psi: StateVector, t: int):
-    """Witness t-compressible state built from the state's own normal form.
+def nearest_compressible(psi: StateVector, t: int) -> tuple[CompressedForm, float]:
+    """Witness t-compressible state G(phi (x) |0>) built from the state's own normal form.
 
-    Returns (state, exact trace distance).  The distance always sits inside
-    the bounds of `distance_bounds` evaluated on the exact normal
-    eigenvalues.  Raises ZeroProbabilityError when projecting the rotated
-    state onto the zero tail annihilates it.
+    Returns (witness, exact trace distance to psi); G is the Gaussian
+    unitary of the normal form of psi's exact correlation matrix, and phi
+    the normalised zero-tail core of G^dag psi.  This is what the learner
+    returns from exact statistics.  The distance always sits inside the
+    bounds of `distance_bounds` evaluated on the exact normal eigenvalues.
+    Raises ZeroProbabilityError when projecting the rotated state onto the
+    zero tail annihilates it.
     """
     n = psi.n
     if not 0 <= t <= n:
         raise ValueError(f"t must be in [0, {n}], got {t}")
     if t == n:
-        return psi, 0.0
-    nf = ortho.normal_form(correlation_exact(psi))
-    g = GaussianUnitary(nf.O, check=False)
+        return CompressedForm(identity_gaussian(n), psi), 0.0
+    g = GaussianUnitary(ortho.normal_form(correlation_exact(psi)).O, check=False)
     rotated = g.adjoint().apply(psi)
     _, core = postselect_zero_tail(rotated, t)
-    witness_rotated = embed_with_zero_tail(core, n)
-    distance = trace_distance(witness_rotated, rotated)
-    return g.apply(witness_rotated), distance
+    return CompressedForm(g, core), trace_distance(embed_with_zero_tail(core, n), rotated)
 
 
 @dataclass(frozen=True)
@@ -307,7 +307,7 @@ def dimension_test_budget(n: int, t: int, eps_a: float, eps_b: float, delta: flo
 
 
 def test_gaussian_dimension(
-    state_source,
+    psi: StateVector,
     t: int,
     eps_a: float,
     eps_b: float,
@@ -325,7 +325,6 @@ def test_gaussian_dimension(
     ``dimension_test_budget``; shot_override replaces it for desk-scale runs.  The result's ``copies`` is what the sampled
     estimator draws for that count: ``group_shots`` per group.
     """
-    psi = fresh_copy(state_source)
     n = psi.n
     if not 0 <= t < n:
         raise ValueError(f"t must be in [0, {n - 1}], got {t}")

@@ -127,14 +127,15 @@ def normal_form(c: np.ndarray, zero_tol: float = 1e-10) -> NormalForm:
         kept = np.repeat(planes, 2)
         q, _ = np.linalg.qr(o[:, kept], mode="complete")
         o[:, ~kept] = q[:, np.count_nonzero(kept):]  # orthonormal complement of the kept planes
-    if not opnorm_within(o.T @ o - np.eye(d), 1e-9):
-        # a lambda just above zero_tol splits its +/-lambda pair only to ~eps/lambda, which
-        # skews its plane's basis; the plane itself is accurate, so re-orthonormalize
+    if not is_orthogonal(o):
+        # a small lambda (1e-7 gives ~1e-9) splits its +/-lambda pair only to ~eps/lambda, which
+        # skews its plane's basis; the plane itself is accurate, so re-orthonormalize to the
+        # tolerance givens_decompose demands of every O it compiles
         q, r = np.linalg.qr(o)
         o = q * np.sign(np.diag(r))
 
     nf = NormalForm(O=o, lambdas=lambdas)
-    if not opnorm_within(o.T @ o - np.eye(d), 1e-9):
+    if not is_orthogonal(o):
         raise np.linalg.LinAlgError("normal form produced a non-orthogonal basis")
     if not opnorm_within(nf.reconstruct() - c, 1e-8, relative_to=c):
         raise np.linalg.LinAlgError("normal form reconstruction residual too large")

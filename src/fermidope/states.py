@@ -189,11 +189,6 @@ def embed_with_zero_tail(core: StateVector, n: int) -> StateVector:
     return product(core, zero_state(n - core.n))
 
 
-def fresh_copy(state_source) -> StateVector:
-    """One copy from a copy oracle: a callable returning a state, or the state itself."""
-    return state_source() if callable(state_source) else state_source
-
-
 def operator_matrix(apply_fn, n: int) -> np.ndarray:
     """Dense matrix of a linear map given by its action on statevectors."""
     dim = 2**n

@@ -33,12 +33,18 @@ from fermidope.states import ZeroProbabilityError
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def test_readme_command_lines_parse():
-    block = README.read_text().split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+def test_readme_command_lines_and_quick_start_run(tmp_path, monkeypatch):
+    # the command lines run in order in an empty directory (verify reads the files the two
+    # lines before it write) and each exits 0; then the quick-start block runs as written
+    text = README.read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
     assert len(commands) == 8 and all(argv[0] == "fermidope" for argv in commands)
+    monkeypatch.delenv("FERMIDOPE_OUT", raising=False)
+    monkeypatch.chdir(tmp_path)
     for argv in commands:
-        build_parser().parse_args(argv[1:])  # an unknown flag or a bad value exits here
+        assert main(argv[1:]) == EXIT_OK, argv
+    exec(text.split("## Quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0], {})
 
 
 @pytest.mark.parametrize("kind", ["prepare", "compress", "learn", "test"])

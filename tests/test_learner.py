@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermidope import ortho
+from fermidope import learner, metrology, ortho
 from fermidope.doped import CompressedForm, compress_state, prepare, random_doped_circuit
 from fermidope.gaussian import GaussianUnitary
 from fermidope.learner import (
@@ -24,7 +24,7 @@ from fermidope.learner import (
     tomography_t_qubits,
     verify,
 )
-from fermidope.metrology import correlation_exact
+from fermidope.metrology import correlation_exact, nearest_compressible
 from fermidope.pauli import PauliString
 from fermidope.states import (
     StateVector,
@@ -143,6 +143,17 @@ def test_verify_decomposes_the_learned_gaussian_once(rng, givens_calls):
     assert loaded.fidelity == pytest.approx(report.fidelity, abs=1e-12)
 
 
+def test_exact_learning_is_the_nearest_compressible_witness(rng):
+    # the doped fixture learned below and at t = n, and the compressible fixture
+    doped = prepare(random_doped_circuit(6, 1, 3, rng))
+    compressible, _, _ = compressible_fixture(5, 2, seed=11)
+    for psi, t in ((doped, 3), (doped, 6), (compressible, 2)):
+        learned = learn(psi, psi.n, t, plan_budget(psi.n, t, 0.25, 1 / 3), mode="exact")
+        witness, _ = nearest_compressible(psi, t)
+        assert np.array_equal(learned.G.O, witness.G.O)
+        assert np.array_equal(learned.phi.amps, witness.phi.amps)
+
+
 def test_exact_learning_sweep():
     for n, kappa, t in doped_sweep_cells():
         psi = prepare(random_doped_circuit(n, t, kappa, np.random.default_rng(7 * n + t)))
@@ -167,8 +178,7 @@ def test_learned_state_serialization(rng):
     back = CompressedForm.loads(text)
     assert back.dumps() == text
     assert trace_distance(back.reassemble(), psi) <= 1e-7
-    # verify() accepts the serialized form directly
-    assert verify(text, psi).trace_distance <= 1e-7
+    assert verify(back, psi).trace_distance <= 1e-7
     # a core larger than the register is rejected before any amplitude is read
     with pytest.raises(ValueError, match="^line 3: expected 't <count>' at most n = 4$"):
         CompressedForm.loads(text.replace("\nt 1\n", "\nt " + "9" * 30 + "\n"))
@@ -298,16 +308,9 @@ def test_sampled_tomography_needs_an_rng(rng):
 
 
 def test_sampled_learning_needs_an_rng():
-    copies = []
     psi, _, _ = compressible_fixture(4, 1, seed=3)
     with pytest.raises(ValueError, match="^sampled mode needs an rng$"):
-        learn(lambda: copies.append(psi) or psi, 4, 1, hoeffding_budget(4, 1, 0.25, 1 / 3))
-    assert copies == []  # rejected before the first copy is drawn
-
-
-def test_tomography_exact_mode(rng):
-    core = random_state(2, rng)
-    assert tomography_t_qubits(core, mode="exact") is core
+        learn(psi, 4, 1, hoeffding_budget(4, 1, 0.25, 1 / 3))
 
 
 def test_tomography_limit():
@@ -390,20 +393,18 @@ def test_boosting_failure_reported():
 
 
 @pytest.mark.parametrize("mode", ["exact", "sampled"])
-def test_an_empty_zero_tail_raises_zero_probability(mode):
-    # every copy but the one learn rotates is the vacuum, so G_hat maps the vacuum to itself
-    # and keeps parity; the rotated copy is odd, so its zero tail is empty
-    n, rotated_copy = 3, 2 if mode == "exact" else 3
-    copies = []
-
-    def source():
-        copies.append(None)
-        return basis_state(n, 1) if len(copies) == rotated_copy else zero_state(n)
-
+def test_an_empty_zero_tail_raises_zero_probability(mode, monkeypatch):
+    # the correlation stage reads the vacuum's matrix, so G_hat maps the vacuum to itself and
+    # keeps parity; the learned state is odd, so its zero tail is empty
+    n = 3
+    vacuum = correlation_exact(zero_state(n))
+    if mode == "exact":
+        monkeypatch.setattr(metrology, "correlation_exact", lambda psi: vacuum)
+    else:
+        monkeypatch.setattr(learner, "correlation_sampled", lambda psi, shots, rng: vacuum)
     budget = hoeffding_budget(n, 0, 0.25, 1 / 3)
     with pytest.raises(ZeroProbabilityError, match="^all-zero tail outcome has probability"):
-        learn(source, n, 0, budget, mode=mode, rng=np.random.default_rng(1))
-    assert len(copies) == rotated_copy
+        learn(basis_state(n, 1), n, 0, budget, mode=mode, rng=np.random.default_rng(1))
 
 
 def test_union_bound_inequality_with_injected_perturbations(rng):

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 from fermidope import metrology, ortho
 from fermidope.doped import prepare, random_doped_circuit
 from fermidope.gaussian import Block, GaussianUnitary
-from fermidope.learner import hoeffding_budget
+from fermidope.learner import hoeffding_budget, verify
 from fermidope.metrology import (
     commuting_groups,
     correlation_exact,
@@ -27,6 +27,7 @@ from fermidope.states import (
     basis_state,
     product,
     random_state,
+    trace_distance,
     zero_state,
 )
 
@@ -403,8 +404,9 @@ def test_distance_bounds_vanish_at_doping_level(rng):
 
 def test_nearest_compressible_gaussian_is_exact(rng):
     psi = GaussianUnitary(ortho.random_orthogonal(8, rng)).apply(zero_state(4))
-    _, d = nearest_compressible(psi, 0)
+    witness, d = nearest_compressible(psi, 0)
     assert d <= 1e-7
+    assert trace_distance(witness.reassemble(), psi) <= 1e-7
 
 
 def test_nearest_compressible_on_compressed_fixture():
@@ -419,7 +421,8 @@ def test_nearest_compressible_tplus_within_upper_bound():
     lam = ortho.normal_eigenvalues(correlation_exact(psi))
     witness, d = nearest_compressible(psi, 1)
     assert d <= np.sqrt(max(0.0, 1.0 - lam[1]) / 2.0) + 1e-9
-    assert witness.n == 2
+    assert witness.core_qubits == 1
+    assert trace_distance(witness.reassemble(), psi) == pytest.approx(d, abs=1e-12)
 
 
 def test_nearest_compressible_sandwich(rng):
@@ -434,10 +437,19 @@ def test_nearest_compressible_sandwich(rng):
             assert bounds.lower - 1e-9 <= d <= bounds.upper + 1e-9
 
 
+def test_nearest_compressible_distance_is_the_verified_projection_term(rng):
+    # verify rotates by the witness's G and projects as nearest_compressible does, bit for bit
+    psi = prepare(random_doped_circuit(5, 1, 4, rng))
+    for t in range(5):
+        witness, d = nearest_compressible(psi, t)
+        assert d == verify(witness, psi).term_projection
+
+
 def test_nearest_compressible_t_equals_n_is_trivial(rng):
     psi = prepare(random_doped_circuit(3, 1, 3, rng))
     witness, d = nearest_compressible(psi, 3)
-    assert d == 0.0 and witness is psi
+    assert d == 0.0 and witness.phi is psi
+    assert np.array_equal(witness.G.O, np.eye(6))
     with pytest.raises(ValueError):
         nearest_compressible(psi, 4)
 
@@ -466,9 +478,9 @@ def test_tester_boundary_is_close():
     assert res.eps_test == 1.0 and res.verdict == "close"
 
 
-def test_tester_copy_oracle_and_callable(rng):
+def test_tester_close_on_gaussian_with_shot_override(rng):
     psi = GaussianUnitary(ortho.random_orthogonal(6, rng)).apply(zero_state(3))
-    res = metrology.test_gaussian_dimension(lambda: psi, 0, 0.0, 0.5, 0.5, rng=rng,
+    res = metrology.test_gaussian_dimension(psi, 0, 0.0, 0.5, 0.5, rng=rng,
                                             shot_override=20_000)
     assert res.verdict == "close"
     assert res.copies == 20_000
