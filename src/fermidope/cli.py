@@ -2,9 +2,11 @@
 
 Subcommands mirror the experiment kinds (prepare, compress, learn, test,
 sweep) plus `verify` for checking a saved learned state against a saved
-circuit.  Relative output paths resolve against $FERMIDOPE_OUT when it is
-set.  Exit codes: 0 success, 2 precondition/configuration error,
-3 statistical acceptance failure, 4 numerical failure or violated promise
+circuit.  When $FERMIDOPE_OUT is set, relative paths resolve against it,
+both the files written (--out, --csv, --save-circuit, --save-state) and
+the files `verify` reads (--learned, --circuit), so `verify` finds what the
+other subcommands saved.  Exit codes: 0 success, 2 precondition/configuration
+error, 3 statistical acceptance failure, 4 numerical failure or violated promise
 (a compression that leaves weight outside its core, a failed linear-algebra
 check, a post-selection outcome of zero probability).  A sweep with failing
 cells exits as a single run of its first failing cell would.
@@ -16,6 +18,7 @@ import argparse
 import os
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 
@@ -36,21 +39,19 @@ _NUMERICAL_ERRORS = (CompressionError, np.linalg.LinAlgError, ZeroProbabilityErr
 _PRECONDITION_ERRORS = (ConfigError, ValueError, OSError)
 
 
-def _resolve(path: str | None) -> str | None:
-    if path is None:
-        return None
-    base = os.environ.get(OUT_DIR_ENV)
-    if base and not os.path.isabs(path):
-        os.makedirs(base, exist_ok=True)
-        return os.path.join(base, path)
-    return path
+def _resolve(path: str) -> str:
+    """``path``, under $FERMIDOPE_OUT when that is set and ``path`` is relative."""
+    return os.path.join(os.environ.get(OUT_DIR_ENV, ""), path)
 
 
-def _write(path: str, text: str) -> None:
-    path = _resolve(path)
-    with open(path, "w") as fh:
+def _write(path: str, text: str, note: str = "") -> None:
+    """Write ``text`` to ``path`` resolved; the only place $FERMIDOPE_OUT is created."""
+    resolved = _resolve(path)
+    if resolved != path:  # a relative path, with $FERMIDOPE_OUT set
+        os.makedirs(os.environ[OUT_DIR_ENV], exist_ok=True)
+    with open(resolved, "w") as fh:
         fh.write(text)
-    print(f"wrote {path}", file=sys.stderr)
+    print(f"wrote {resolved}{note}", file=sys.stderr)
 
 
 def _add_common(p: argparse.ArgumentParser, fixtures: tuple):
@@ -140,10 +141,8 @@ def _config_from_args(args, kind: str) -> ExperimentConfig:
 
 
 def _emit(doc, args) -> None:
-    out = _resolve(args.out)
-    if out:
-        doc.write(out)
-        print(f"wrote {out}", file=sys.stderr)
+    if args.out:
+        _write(args.out, doc.to_json())
     else:
         sys.stdout.write(doc.to_json())
     if args.csv:
@@ -171,10 +170,7 @@ def _cmd_sweep(args) -> int:
     if not grid:
         raise ConfigError("sweep needs at least one --grid-* list")
     docs, csv_text, failures = sweep(base, grid)
-    path = _resolve(args.csv) or _resolve(f"sweep-{args.kind}.csv")
-    with open(path, "w") as fh:
-        fh.write(csv_text)
-    print(f"wrote {path} ({len(docs)} cells)", file=sys.stderr)
+    _write(args.csv or f"sweep-{args.kind}.csv", csv_text, f" ({len(docs)} cells)")
     if failures:
         # main exits as a single run of the first failing cell would
         cell, exc = failures[0]
@@ -187,10 +183,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    with open(args.learned) as fh:
-        learned = CompressedForm.loads(fh.read())
-    with open(args.circuit) as fh:
-        circuit = circuit_loads(fh.read())
+    learned = CompressedForm.loads(Path(_resolve(args.learned)).read_text())
+    circuit = circuit_loads(Path(_resolve(args.circuit)).read_text())
     report = verify(learned, prepare(circuit))
     print(f"trace_distance {report.trace_distance!r}")
     print(f"fidelity {report.fidelity!r}")

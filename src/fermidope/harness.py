@@ -17,7 +17,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -199,10 +199,7 @@ def validate_document(payload: dict) -> None:
 
 def _tplus_state(n: int) -> StateVector:
     one = StateVector(1, np.array([1.0, np.exp(1j * np.pi / 4.0)]) / np.sqrt(2.0))
-    out = one
-    for _ in range(n - 1):
-        out = product(out, one)
-    return out
+    return reduce(product, [one] * n)
 
 
 def _fixture(config: ExperimentConfig, rng):
@@ -210,14 +207,12 @@ def _fixture(config: ExperimentConfig, rng):
     if config.fixture == "doped":
         circuit = random_doped_circuit(config.n, config.t, config.kappa, rng)
         return prepare(circuit), {"circuit": circuit}
-    if config.fixture == "compressible":
-        g = GaussianUnitary(ortho.random_orthogonal(2 * config.n, rng), check=False)
-        phi = random_state(config.t, rng)
-        return g.apply(embed_with_zero_tail(phi, config.n)), {}
-    if config.fixture == "gaussian":
-        g = GaussianUnitary(ortho.random_orthogonal(2 * config.n, rng), check=False)
-        return g.apply(zero_state(config.n)), {}
-    return _tplus_state(config.n), {}
+    if config.fixture == "tplus":
+        return _tplus_state(config.n), {}
+    # G(phi (x) |0>): a Haar core phi on t qubits, or for the gaussian fixture an empty one
+    g = GaussianUnitary(ortho.random_orthogonal(2 * config.n, rng), check=False)
+    phi = random_state(config.t, rng) if config.fixture == "compressible" else zero_state(0)
+    return g.apply(embed_with_zero_tail(phi, config.n)), {}
 
 
 def _trial_prepare(config, rng):
@@ -402,13 +397,11 @@ def run(config: ExperimentConfig) -> ResultDocument:
 
 def trials_csv(doc: ResultDocument) -> str:
     """Flat per-trial rows for one result document."""
-    records = doc.records
-    keys = sorted({k for r in records for k in r if k != "lambdas"})
+    keys = sorted({k for r in doc.records for k in r if k != "lambdas"})
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(keys)
-    for r in records:
-        writer.writerow([r.get(k, "") for k in keys])
+    writer = csv.DictWriter(buf, keys, restval="", extrasaction="ignore", lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(doc.records)
     return buf.getvalue()
 
 
@@ -432,28 +425,20 @@ def sweep(base: ExperimentConfig, grid: dict) -> tuple:
     header = names + ["row", "trial", *metric_keys, "mean", "median", "min", "max",
                       "ok_rate", "error"]
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
+    writer = csv.DictWriter(buf, header, restval="", extrasaction="ignore", lineterminator="\n")
+    writer.writeheader()
 
     documents, failures = [], []
     for values in itertools.product(*(grid[k] for k in names)):
         cell = dict(zip(names, values))
-        prefix = [cell[k] for k in names]
         try:
             doc = run(replace(base, **cell))
         except Exception as exc:  # noqa: BLE001 - partial failure is recorded, sweep continues
             failures.append((cell, exc))
-            writer.writerow(prefix + ["error", "", *[""] * len(metric_keys),
-                                      "", "", "", "", "", f"{type(exc).__name__}: {exc}"])
+            writer.writerow({**cell, "row": "error", "error": f"{type(exc).__name__}: {exc}"})
             continue
         documents.append(doc)
-        for r in doc.records:
-            writer.writerow(prefix + ["trial", r["trial"],
-                                      *[r.get(k, "") for k in metric_keys],
-                                      "", "", "", "", "", ""])
+        writer.writerows({**r, **cell, "row": "trial"} for r in doc.records)
         stats = doc.summary.get(KIND_TABLE[base.kind][1], {})
-        writer.writerow(prefix + ["summary", "", *[""] * len(metric_keys),
-                                  stats.get("mean", ""), stats.get("median", ""),
-                                  stats.get("min", ""), stats.get("max", ""),
-                                  doc.summary["ok_rate"], ""])
+        writer.writerow({**cell, "row": "summary", **stats, "ok_rate": doc.summary["ok_rate"]})
     return documents, buf.getvalue(), failures

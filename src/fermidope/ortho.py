@@ -133,10 +133,10 @@ def normal_form(c: np.ndarray, zero_tol: float = 1e-10) -> NormalForm:
         # tolerance givens_decompose demands of every O it compiles
         q, r = np.linalg.qr(o)
         o = q * np.sign(np.diag(r))
+        if not is_orthogonal(o):
+            raise np.linalg.LinAlgError("normal form produced a non-orthogonal basis")
 
     nf = NormalForm(O=o, lambdas=lambdas)
-    if not is_orthogonal(o):
-        raise np.linalg.LinAlgError("normal form produced a non-orthogonal basis")
     if not opnorm_within(nf.reconstruct() - c, 1e-8, relative_to=c):
         raise np.linalg.LinAlgError("normal form reconstruction residual too large")
     return nf

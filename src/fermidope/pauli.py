@@ -38,10 +38,6 @@ _PHASES = (1.0, 1.0j, -1.0, -1.0j)
 _SIGN_LABEL = ("+", "+i", "-", "-i")
 
 
-def _popcount(v: int) -> int:
-    return bin(v).count("1")
-
-
 @cache
 def _basis(n: int) -> np.ndarray:
     """The basis indices arange(2^n), read-only and shared by every string on n qubits."""
@@ -99,7 +95,7 @@ class PauliString:
     @property
     def is_hermitian(self) -> bool:
         # conjugating X^x Z^z on one qubit flips the sign iff both bits are set
-        return (self.phase_exp - _popcount(self.x_mask & self.z_mask)) % 2 == 0
+        return (self.phase_exp - (self.x_mask & self.z_mask).bit_count()) % 2 == 0
 
     def __mul__(self, other: "PauliString") -> "PauliString":
         return pauli_mul(self, other)
@@ -175,7 +171,7 @@ class PauliString:
         return out
 
     def __str__(self):
-        residual = (self.phase_exp - _popcount(self.x_mask & self.z_mask)) % 4
+        residual = (self.phase_exp - (self.x_mask & self.z_mask).bit_count()) % 4
         letters = []
         for k in range(self.n):
             x, z = (self.x_mask >> k) & 1, (self.z_mask >> k) & 1
@@ -188,7 +184,7 @@ def pauli_mul(a: PauliString, b: PauliString) -> PauliString:
     if a.n != b.n:
         raise ValueError(f"qubit counts differ: {a.n} != {b.n}")
     # commuting each X of b through each Z of a picks up a factor of -1
-    phase = a.phase_exp + b.phase_exp + 2 * _popcount(a.z_mask & b.x_mask)
+    phase = a.phase_exp + b.phase_exp + 2 * (a.z_mask & b.x_mask).bit_count()
     return PauliString(a.n, a.x_mask ^ b.x_mask, a.z_mask ^ b.z_mask, phase)
 
 

@@ -33,17 +33,29 @@ from fermidope.states import ZeroProbabilityError
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def test_readme_command_lines_and_quick_start_run(tmp_path, monkeypatch):
+@pytest.mark.parametrize("out_dir", [None, "out"], ids=["unset", "set"])
+def test_readme_command_lines_and_quick_start_run(out_dir, tmp_path, monkeypatch):
     # the command lines run in order in an empty directory (verify reads the files the two
-    # lines before it write) and each exits 0; then the quick-start block runs as written
+    # lines before it write) and each exits 0; with $FERMIDOPE_OUT set to a subdirectory,
+    # every file lands there, verify reads them there, and the working directory holds
+    # nothing else; then the quick-start block runs as written
     text = README.read_text()
     block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
     assert len(commands) == 8 and all(argv[0] == "fermidope" for argv in commands)
-    monkeypatch.delenv("FERMIDOPE_OUT", raising=False)
+    if out_dir is None:
+        monkeypatch.delenv("FERMIDOPE_OUT", raising=False)
+    else:
+        monkeypatch.setenv("FERMIDOPE_OUT", str(tmp_path / out_dir))
     monkeypatch.chdir(tmp_path)
     for argv in commands:
         assert main(argv[1:]) == EXIT_OK, argv
+    written = {"prep.json", "rows.csv", "learn.json", "sweep.csv", "c.txt", "p.json", "s.txt", "l.json"}
+    if out_dir is None:
+        assert {path.name for path in tmp_path.iterdir()} == written
+    else:
+        assert [path.name for path in tmp_path.iterdir()] == [out_dir]
+        assert {path.name for path in (tmp_path / out_dir).iterdir()} == written
     exec(text.split("## Quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0], {})
 
 

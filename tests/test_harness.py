@@ -1,5 +1,7 @@
 """Harness: config validation, determinism, sweeps, result documents."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -194,6 +196,8 @@ def test_trials_csv_shape():
     lines = text.strip().splitlines()
     assert len(lines) == 4  # header + 3 trials
     assert "tail_weight" in lines[0]
+    header, *rows = csv.reader(io.StringIO(text))
+    assert all(len(row) == len(header) for row in rows)
 
 
 def test_sweep_rows_and_summaries():
@@ -225,8 +229,10 @@ def test_sweep_partial_failure_recorded():
     docs, csv_text, failures = sweep(base, {"n": [4, 3]})  # n = 3 violates kappa*t <= n
     assert len(docs) == 1
     assert [(cell, type(exc)) for cell, exc in failures] == [({"n": 3}, ConfigError)]
-    assert any(",error," in ln or ln.endswith("ConfigError: compression needs kappa*t <= n, got 4 > 3")
-               for ln in csv_text.splitlines())
+    header, *rows = csv.reader(io.StringIO(csv_text))
+    assert all(len(row) == len(header) for row in rows)
+    errors = [row for row in rows if row[header.index("row")] == "error"]
+    assert len(errors) == 1 and errors[0][-1] == "ConfigError: compression needs kappa*t <= n, got 4 > 3"
 
 
 def test_sweep_rejects_unknown_key():
