@@ -20,9 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ortho
-from .gaussian import GaussianUnitary
+from .gaussian import GaussianUnitary, compile_programs
 from .pauli import hermitize, majorana_monomial
 from .states import (
+    MAX_QUBITS,
     StateVector,
     basis_state,
     embed_with_zero_tail,
@@ -107,6 +108,7 @@ class DopedCircuit:
         return len(self.gates)
 
     def apply(self, psi: StateVector) -> StateVector:
+        compile_programs(self.gaussians)  # the layers not yet compiled, in one stacked elimination
         psi = self.gaussians[0].apply(psi)
         for w, g in zip(self.gates, self.gaussians[1:]):
             psi = g.apply(w.apply(psi))
@@ -148,7 +150,7 @@ class CompressedForm:
     def loads(cls, text: str) -> "CompressedForm":
         lines = ortho.LineReader(text)
         lines.keyword("learned-state v1")
-        n, t = lines.count("n"), lines.count("t")
+        n, t = _register_size(lines), lines.count("t")
         if t > n:  # also keeps 2**t below from growing with the digits of t
             raise lines.error(f"'t <count>' at most n = {n}")
         lines.keyword("O")
@@ -156,6 +158,14 @@ class CompressedForm:
         lines.keyword("phi")
         amps = lines.matrix(2**t, 2).view(complex).ravel()  # (re, im) rows, bit-exact
         return cls(G=g, phi=StateVector(t, amps))
+
+
+def _register_size(lines: ortho.LineReader) -> int:
+    """The 'n <count>' line of a text format, refused above MAX_QUBITS before any 2^n array is built."""
+    n = lines.count("n")
+    if n > MAX_QUBITS:
+        raise lines.error(f"'n <count>' at most {MAX_QUBITS}, the dense engine's limit")
+    return n
 
 
 def _support_vectors(circuit: DopedCircuit):
@@ -283,7 +293,7 @@ def circuit_dumps(circuit: DopedCircuit) -> str:
 def circuit_loads(text: str) -> DopedCircuit:
     lines = ortho.LineReader(text)
     lines.keyword("doped-circuit v1")
-    n, kappa, t = (lines.count(key) for key in ("n", "kappa", "t"))
+    n, kappa, t = _register_size(lines), lines.count("kappa"), lines.count("t")
 
     gaussians, gates = [], []
     for i in range(t + 1):

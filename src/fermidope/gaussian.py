@@ -18,7 +18,7 @@ Miyake 2008); an unfused plane runs through the in-place kernel
 ``rotation_generator(mu, nu, n).rotate``, which the tests hold to the
 dense oracle ``apply_pauli_rotation``.
 
-The Givens chain of ``ortho.givens_decompose`` gives a dense O only
+The Givens chain of ``ortho.givens_eliminate`` gives a dense O only
 adjacent planes (mu, mu + 1), i.e. gates on one or two neighbouring qubits
 (a nearest-neighbour matchgate circuit).  Compilation therefore fuses the
 rotations into dense 2^m x 2^m blocks, all on windows of the same m =
@@ -32,11 +32,18 @@ so the blocks keep the product; a Haar layer at n = 12 is 15 blocks.
 ``apply`` runs each block as one matrix product over the amplitudes: a
 single GEMM when the block touches either end of the register, 2^(lo-1)
 small batched ones otherwise.  A plane wider than the window stays a
-single kernel pass.  The packing depends only on the plane sequence, which
-repeats (every dense O at one n has the same staircase), so it is planned
-once per sequence and cached; all blocks are then built together in one
-stack, a block longer than the median block in rows of the median length
-multiplied at the end.
+single kernel pass.  The elimination hands the planes and angles over as
+arrays.  The packing depends only on the plane sequence, which repeats
+(every dense O at one n has the same staircase), so it is planned once per
+sequence, keyed by the bytes of the planes array, and cached; all blocks
+are then built together in one stack, a block longer than the median
+block in rows of the median length multiplied at the end.  A block
+preserves parity, so each row is built on only the 2^(m-1) columns of its
+own parity and scattered into the 2^m x 2^m block at the end.
+``compile_programs`` compiles several unitaries of one register size from
+one stacked elimination (``ortho.givens_eliminate``); a lone
+``GaussianUnitary.program`` is that on one unitary, and
+``DopedCircuit.apply`` runs it on all its layers before the first applies.
 G and G^dag come in pairs (rotate by G^dag, reassemble with G), and the
 pair has one program: G = ops gamma_1^r, so G^dag = gamma_1^r ops^dag runs
 the same ops backwards, each block as u^dag and each wide plane at the
@@ -121,19 +128,23 @@ class _FusionPlan(NamedTuple):
     rows of a stack, each row a run of its rotations.  ``order`` lists the
     ops: (lo, rows) for the block on qubits lo .. lo + width - 1, the
     product of its ``rows`` in order, or (0, (k,)) for the unfused rotation k.
-    ``rotations`` and ``generators`` hold per row its rotation indices and
-    window-relative generator ids, step by step, rows ordered longest first;
-    ``active[s]`` rows have a step s.
+    ``rotations`` holds per row its rotation indices, step by step, rows
+    ordered longest first; ``active[s]`` rows have a step s.  ``coefs`` and
+    ``gather`` are each step's window-relative generator as a signed row
+    permutation (``_window_generators``): per row and step the coefficient
+    of each block row and, per step, the index of its source row in the
+    stack flattened to one block row per line.
     """
 
     width: int
     order: tuple
     rotations: np.ndarray  # (rows, steps)
-    generators: np.ndarray  # (rows, steps)
     active: tuple
+    coefs: np.ndarray  # (rows, steps, 2^width)
+    gather: np.ndarray  # (steps, rows * 2^width)
 
 
-def _pack(planes: tuple, n: int, width: int) -> list:
+def _pack(planes: list, n: int, width: int) -> list:
     """Pack planes greedily into windows of ``width`` adjacent qubits, in dependency order.
 
     The plane (mu, nu) acts on the qubits ceil(mu/2) .. ceil(nu/2), Z-string
@@ -176,15 +187,17 @@ def _pack(planes: tuple, n: int, width: int) -> list:
 
 
 @lru_cache(maxsize=FUSION_PLANS)
-def _fusion_plan(planes: tuple, n: int) -> _FusionPlan:
+def _fusion_plan(key: bytes, n: int) -> _FusionPlan:
     """Pack planes into blocks on windows of min(FUSE_QUBITS, n) adjacent qubits (``_pack``).
 
-    The stack takes one step per rotation of its longest row, and a Haar
+    ``key`` is the bytes of the (rotations, 2) intp array of planes.  The
+    stack takes one step per rotation of its longest row, and a Haar
     staircase packs blocks of uneven length (at n = 12: one of 28
     rotations, four of 22, ten of 16).  So a block longer than the median
     block length is split into rows of that length, multiplied at the end:
     a Haar stack at n = 8 or 12 takes 16 steps.
     """
+    planes = np.frombuffer(key, dtype=np.intp).reshape(-1, 2).tolist()
     width = min(FUSE_QUBITS, n)
     ops = _pack(planes, n, width)
     lengths = sorted((len(indices) for lo, indices in ops if lo), reverse=True)
@@ -193,7 +206,7 @@ def _fusion_plan(planes: tuple, n: int) -> _FusionPlan:
             for k in range(0, len(indices), cap)]
     runs.sort(key=lambda run: -len(run[1]))  # stable: a block's runs stay in order
     steps = len(runs[0][1]) if runs else 0
-    ids = _window_generators(width)[0]
+    ids, src, coef = _window_generators(width)
     index_rows, generator_rows, rows = [], [], {}
     for row, (j, indices) in enumerate(runs):
         shift, fill = 2 * (ops[j][0] - 1), [0] * (steps - len(indices))
@@ -201,41 +214,68 @@ def _fusion_plan(planes: tuple, n: int) -> _FusionPlan:
         generator_rows += [ids[planes[i][0] - shift, planes[i][1] - shift] for i in indices] + fill
         rows.setdefault(j, []).append(row)
     table = np.array(index_rows + generator_rows, dtype=np.intp).reshape(2, len(runs), steps)
-    table.setflags(write=False)
+    sources = src[table[1]] + 2**width * np.arange(len(runs))[:, None, None]
+    gather = np.ascontiguousarray(sources.transpose(1, 0, 2)).reshape(steps, len(runs) * 2**width)
+    coefs = coef[table[1]]
+    for array in (table, coefs, gather):
+        array.setflags(write=False)
     negated = [-len(indices) for _, indices in runs]  # ascending
     active = tuple(bisect.bisect_left(negated, -step) for step in range(steps))
     order = tuple((lo, tuple(rows[j]) if lo else tuple(indices)) for j, (lo, indices) in enumerate(ops))
-    return _FusionPlan(width, order, table[0], table[1], active)
+    return _FusionPlan(width, order, table[0], active, coefs, gather)
 
 
-def _fuse(rotations: tuple, n: int) -> tuple:
+@cache
+def _parity_layout(m: int) -> tuple:
+    """The own-parity rows of an m-qubit block: (identity, scatter).
+
+    A block preserves parity, so its row r is zero outside the columns c
+    with popcount(c) of r's parity; such a row is kept as those 2^(m-1)
+    entries, ascending.  ``identity`` is the identity in that layout and
+    ``scatter`` the flat index of each of its entries in the 2^m x 2^m block.
+    """
+    parity = np.array([c.bit_count() & 1 for c in range(2**m)])
+    cols = np.array([np.flatnonzero(parity == p) for p in parity])
+    identity = (cols == np.arange(2**m)[:, None]).astype(complex)
+    scatter = (cols + 2**m * np.arange(2**m)[:, None]).ravel()
+    identity.setflags(write=False)
+    scatter.setflags(write=False)
+    return identity, scatter
+
+
+def _fuse(planes: np.ndarray, angles: np.ndarray, n: int) -> tuple:
     """The ops of a program: dense blocks on windows of adjacent qubits, and wide planes.
 
-    All rows of the plan are built together from the identity, one
-    vectorised step per rotation of the longest row: u <- cos(phi) u +
-    i sin(phi) P u over the rows that still have a rotation, with P u the
-    signed row permutation of the window-relative generator.  A block is the
-    product of its rows.
+    ``planes`` and ``angles`` are the program's rotations as arrays
+    (``ortho.givens_eliminate``).  All rows of the plan are built together
+    from the identity, one vectorised step per rotation of the longest
+    row: u <- cos(phi) u + i sin(phi) P u over the rows that still have a
+    rotation, with P u the signed row permutation of the window-relative
+    generator.  Each block row holds only its own-parity entries
+    (``_parity_layout``), scattered into the full blocks at the end.  A
+    block is the product of its rows.
     """
-    plan = _fusion_plan(tuple((mu, nu) for mu, nu, _ in rotations), n)
-    phis = np.array([theta / 2.0 for *_, theta in rotations])
-    _, src, coef = _window_generators(plan.width)
-    indices, gens = plan.rotations, plan.generators
+    plan = _fusion_plan(planes.tobytes(), n)
+    phis = angles / 2.0
+    indices = plan.rotations
     cos = np.cos(phis[indices])
-    scale = (1j * np.sin(phis[indices]))[..., None] * coef[gens]  # (P u)[r] = coef[r] u[src[r]]
-    sources = src[gens]
-    u = np.tile(np.eye(2**plan.width, dtype=complex), (len(indices), 1, 1))
-    rows = np.arange(len(indices))[:, None]
+    scale = (1j * np.sin(phis[indices]))[..., None] * plan.coefs  # (P u)[r] = coef[r] u[src[r]]
+    identity, scatter = _parity_layout(plan.width)
+    u = np.empty((len(indices), *identity.shape), dtype=complex)
+    u[...] = identity
+    lines = u.reshape(-1, identity.shape[1])
     for step, count in enumerate(plan.active):
         v = u[:count]
-        flipped = v[rows[:count], sources[:count, step]]
+        flipped = lines.take(plan.gather[step, :count * len(identity)], axis=0).reshape(v.shape)
         flipped *= scale[:count, step, :, None]
         v *= cos[:count, step, None, None]
         v += flipped
-    u.setflags(write=False)
+    blocks = np.zeros((len(u), len(identity), len(identity)), dtype=complex)
+    blocks.reshape(-1, len(identity) ** 2)[:, scatter] = u.reshape(-1, scatter.size)
+    blocks.setflags(write=False)
     return tuple(
-        Block(lo, _product(u, stack_rows)) if lo else rotations[stack_rows[0]]
-        for lo, stack_rows in plan.order
+        Block(lo, _product(blocks, rows)) if lo else (*planes[rows[0]].tolist(), float(angles[rows[0]]))
+        for lo, rows in plan.order
     )
 
 
@@ -275,11 +315,8 @@ class GaussianUnitary:
     @cached_property
     def program(self) -> GateProgram:
         """The pair's one program, whose rotations realise the O of G: ``self.O.T`` on an adjoint."""
-        cell = self._cell
-        if cell[0] is None:
-            givens = ortho.givens_decompose(self.O.T if self._inverse else self.O)
-            cell[0] = GateProgram(givens.rotations, givens.reflect_first, _fuse(givens.rotations, self.n))
-        return cell[0]
+        compile_programs((self,))
+        return self._cell[0]
 
     @classmethod
     def sharing(cls, o: np.ndarray, cell: list) -> "GaussianUnitary":
@@ -327,6 +364,22 @@ class GaussianUnitary:
     def matrix(self) -> np.ndarray:
         """Dense 2^n x 2^n unitary; for oracle checks at small n."""
         return operator_matrix(self.apply, self.n)
+
+
+def compile_programs(unitaries) -> None:
+    """Fill the empty program cells of Gaussian unitaries on one register size, in one elimination.
+
+    Each empty cell is compiled once, from the O of G (``self.O.T`` on an
+    adjoint) of one instance given that reads it; the matrices are
+    decomposed as one stack (``ortho.givens_eliminate``), and each program
+    is the one a lone compile gives.
+    """
+    pending = list({id(g._cell): g for g in unitaries if g._cell[0] is None}.values())
+    if not pending:
+        return
+    eliminated = ortho.givens_eliminate([g.O.T if g._inverse else g.O for g in pending])
+    for g, (givens, planes, angles) in zip(pending, eliminated):
+        g._cell[0] = GateProgram(givens.rotations, givens.reflect_first, _fuse(planes, angles, g.n))
 
 
 def identity_gaussian(n: int) -> GaussianUnitary:

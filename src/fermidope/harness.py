@@ -32,7 +32,16 @@ from .learner import (
     plan_budget,
     verify,
 )
-from .states import StateVector, embed_with_zero_tail, fidelity, postselect_zero_tail, product, random_state, zero_state
+from .states import (
+    MAX_QUBITS,
+    StateVector,
+    embed_with_zero_tail,
+    fidelity,
+    postselect_zero_tail,
+    product,
+    random_state,
+    zero_state,
+)
 
 class ConfigError(ValueError):
     """An experiment configuration violates a precondition."""
@@ -48,7 +57,7 @@ _JSON_TYPES = {
 # (field, predicate, message) for every numeric field; each field is named as its CLI flag
 # spells it, with "_" for "-".  eps_a and eps_b are trace distances, so at most 1.
 _RANGES = (
-    ("n", lambda n: 1 <= n <= 12, "n must be in [1, 12] for the dense engine, got {}"),
+    ("n", lambda n: 1 <= n <= MAX_QUBITS, f"n must be in [1, {MAX_QUBITS}] for the dense engine, got {{}}"),
     ("t", lambda t: t >= 0, "t must be >= 0, got {}"),
     ("kappa", lambda kappa: kappa >= 1, "kappa must be >= 1, got {}"),
     ("trials", lambda trials: trials >= 1, "trials must be >= 1, got {}"),

@@ -31,6 +31,7 @@ from .doped import CompressedForm
 from .gaussian import GaussianUnitary, identity_gaussian
 from .pauli import majorana
 from .states import (
+    MAX_QUBITS,
     StateVector,
     embed_with_zero_tail,
     postselect_zero_tail,
@@ -114,7 +115,7 @@ def _group_permutation(pairs, n: int) -> np.ndarray:
     return p
 
 
-@lru_cache(maxsize=12)  # one entry per n under the dense engine's n <= 12 cap
+@lru_cache(maxsize=MAX_QUBITS)  # one entry per n under the dense engine's cap
 def _grouped_sampling(n: int) -> tuple:
     """The n-only part of grouped sampling: one cyclic walk through the groups.
 

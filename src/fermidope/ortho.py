@@ -130,7 +130,7 @@ def normal_form(c: np.ndarray, zero_tol: float = 1e-10) -> NormalForm:
     if not is_orthogonal(o):
         # a small lambda (1e-7 gives ~1e-9) splits its +/-lambda pair only to ~eps/lambda, which
         # skews its plane's basis; the plane itself is accurate, so re-orthonormalize to the
-        # tolerance givens_decompose demands of every O it compiles
+        # tolerance givens_eliminate demands of every O it compiles
         q, r = np.linalg.qr(o)
         o = q * np.sign(np.diag(r))
         if not is_orthogonal(o):
@@ -247,6 +247,31 @@ def reflection_matrix(dim: int) -> np.ndarray:
 def givens_decompose(o: np.ndarray, tol: float = 1e-10) -> GivensProgram:
     """Factor an orthogonal matrix into at most d(d-1)/2 plane rotations.
 
+    ``givens_eliminate`` on a stack of one matrix, which runs on 2-D arrays;
+    its program is the one that matrix gets in any stack.
+    """
+    return givens_eliminate([o], tol)[0][0]
+
+
+def _rotate_chains(block: np.ndarray) -> tuple:
+    """Rotate the chain of a (rows, cols) block, or of each block of a stack, in place; returns (x, r)."""
+    x = block[..., 0].copy()
+    r = np.hypot.accumulate(x[..., ::-1], axis=-1)[..., ::-1]  # running norms; r[..., -1] = x[..., -1]
+    sums = np.add.accumulate((x[..., None] * block)[..., ::-1, :], axis=-2)[..., ::-1, :]
+    r0, r1 = r[..., :-1], r[..., 1:]
+    below = (r1 / r0)[..., None] * block[..., :-1, :]
+    above = (x[..., :-1] / (r1 * r0))[..., None] * sums[..., 1:, :]
+    np.divide(sums[..., 0, :], r[..., :1], out=block[..., 0, :])
+    np.subtract(above, below, out=block[..., 1:, :])
+    return x, r
+
+
+_NO_PLANES, _NO_ANGLES = np.empty(0, dtype=np.intp), np.empty(0)  # heads of possibly empty concatenations
+
+
+def givens_eliminate(matrices, tol: float = 1e-10) -> list:
+    """Factor k >= 1 same-size orthogonal matrices into plane rotations, in one elimination.
+
     Column by column, the below-diagonal entries are eliminated along a
     chain, bottom up: each nonzero entry a[i, j] (|a[i, j]| >= 1e-15) is
     rotated into the next nonzero row p above it, in the plane (p, i), and
@@ -263,42 +288,56 @@ def givens_decompose(o: np.ndarray, tol: float = 1e-10) -> GivensProgram:
     theta_t = arctan2(r_t, x_{t-1}), and the rotated rows follow from the
     suffix sums T_t = sum_{u >= t} x_u a[p_u]: row p_0 becomes T_0 / r_0
     and row p_t becomes (x_{t-1} T_t / r_t - r_t a[p_{t-1}]) / r_{t-1}.
-    """
-    o = np.asarray(o, dtype=float)
-    d = o.shape[0]
-    if not is_orthogonal(o, tol):
-        raise ValueError("input is not orthogonal within tolerance")
-    reflect = np.linalg.det(o) < 0
-    a = (o @ reflection_matrix(d)) if reflect else o.copy()
 
-    programs = []  # per column, the inverse of its eliminations E (E_k ... E_1 A = I) in order
+    The matrices are eliminated as one stack.  A column dense in every
+    matrix is one chain computation over the stack; any other column runs
+    matrix by matrix, a sparse chain by its nonzero rows.  Each matrix has
+    its own orthogonality check, reflection and final identity check, and
+    its own arctan2 per column, so its program does not depend on the
+    others in the stack.  Returns per matrix (program, planes, angles): its
+    ``GivensProgram``, and the same rotations as a (rotations, 2) integer
+    array of planes and a float array of angles.
+    """
+    matrices = [np.asarray(o, dtype=float) for o in matrices]
+    for o in matrices:
+        if not is_orthogonal(o, tol):
+            raise ValueError("input is not orthogonal within tolerance")
+    d = matrices[0].shape[0]
+    reflect = [bool(np.linalg.det(o) < 0) for o in matrices]
+    a = np.array([o @ reflection_matrix(d) if r else o for o, r in zip(matrices, reflect)])
+
+    stack = a if len(a) > 1 else a[0]  # one matrix runs on 2-D arrays, which numpy handles faster
+    # per matrix and column, the inverse of its eliminations E (E_k ... E_1 A = I): planes and arctan2s
+    chains, mus = [[] for _ in matrices], np.arange(1, d + 1)
     for j in range(d - 1):
-        below = [i for i, x in enumerate(a[j + 1:, j].tolist(), j + 1) if abs(x) >= 1e-15]
-        if len(below) == d - 1 - j:  # a dense column: the chain is every row from j down
-            rows, index = np.arange(j, d), slice(j, d)
-        elif below:
-            rows = index = np.array([j, *below])
-        elif a[j, j] < 0:  # the column is -e_j
-            a[j:j + 2, j:] *= -1.0
-            programs.append([(j + 1, j + 2, -math.pi)])
+        chained = np.abs(stack[..., j:, j]) >= 1e-15
+        chained[..., 0] = True  # the diagonal entry heads every chain
+        if np.count_nonzero(chained) == chained.size:  # dense in every matrix: every row from j down
+            x, r = _rotate_chains(stack[..., j:, j:])
+            for chain, x_i, r_i in zip(chains, x.reshape(len(a), -1), r.reshape(len(a), -1)):
+                chain.append((mus[j:-1], mus[j + 1:], np.arctan2(r_i[1:], x_i[:-1])))  # planes (mu, mu + 1)
             continue
-        else:
-            continue
-        block = a[index, j:]
-        x = block[:, 0].copy()
-        r = np.hypot.accumulate(x[::-1])[::-1]  # running norms; r[-1] = x[-1] keeps its sign
-        sums = np.cumsum((x[:, None] * block)[::-1], axis=0)[::-1]
-        rotated = np.empty_like(block)
-        rotated[0] = sums[0] / r[0]
-        rotated[1:] = ((x[:-1] / (r[1:] * r[:-1]))[:, None] * sums[1:]
-                       - (r[1:] / r[:-1])[:, None] * block[:-1])
-        a[index, j:] = rotated
-        mus = (rows + 1).tolist()
-        programs.append(list(zip(mus[:-1], mus[1:], (-np.arctan2(r[1:], x[:-1])).tolist())))
-    if not opnorm_within(a - np.eye(d), 1e-8):
-        raise np.linalg.LinAlgError("Givens elimination did not reach the identity")
-    rotations = [rot for program in reversed(programs) for rot in program]
-    return GivensProgram(dim=d, rotations=tuple(rotations), reflect_first=bool(reflect))
+        for a_i, chained_i, chain in zip(a, chained.reshape(len(a), -1), chains):
+            rows = chained_i.nonzero()[0] + j
+            if len(rows) > 1:
+                block = a_i[rows, j:]
+                x, r = _rotate_chains(block)
+                a_i[rows, j:] = block
+                chain.append((mus[rows[:-1]], mus[rows[1:]], np.arctan2(r[1:], x[:-1])))
+            elif a_i[j, j] < 0:  # the column is -e_j
+                a_i[j:j + 2, j:] *= -1.0
+                chain.append((mus[j:j + 1], mus[j + 1:j + 2], np.array([math.pi])))
+    out = []
+    for a_i, chain, r in zip(a, chains, reflect):
+        if not opnorm_within(a_i - np.eye(d), 1e-8):
+            raise np.linalg.LinAlgError("Givens elimination did not reach the identity")
+        chain.reverse()
+        planes = np.stack([np.concatenate([_NO_PLANES, *(mu for mu, _, _ in chain)]),
+                           np.concatenate([_NO_PLANES, *(nu for _, nu, _ in chain)])], axis=1)
+        angles = -np.concatenate([_NO_ANGLES, *(theta for _, _, theta in chain)])
+        rotations = tuple(zip(*planes.T.tolist(), angles.tolist()))
+        out.append((GivensProgram(dim=d, rotations=rotations, reflect_first=r), planes, angles))
+    return out
 
 
 def random_orthogonal(dim: int, rng, haar: bool = True) -> np.ndarray:

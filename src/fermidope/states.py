@@ -17,6 +17,8 @@ import numpy as np
 from .pauli import PauliString
 
 MAX_SIM_QUBITS = 24
+# the dense engine's cap: the largest n a run, a circuit file or a learned-state file may have
+MAX_QUBITS = 12
 _NORM_TOL = 1e-10
 
 

@@ -118,7 +118,15 @@ def rng():
 
 @pytest.fixture
 def givens_calls(monkeypatch) -> list:
-    """The input of every ortho.givens_decompose call made during the test."""
-    calls, original = [], ortho.givens_decompose
-    monkeypatch.setattr(ortho, "givens_decompose", lambda o, *args: calls.append(o) or original(o, *args))
+    """Every matrix that ortho.givens_eliminate, the one Givens elimination, decomposes during the test.
+
+    A stacked compile decomposes several matrices in one call; each is recorded.
+    """
+    calls, original = [], ortho.givens_eliminate
+
+    def eliminate(matrices, *args):
+        calls.extend(matrices)
+        return original(matrices, *args)
+
+    monkeypatch.setattr(ortho, "givens_eliminate", eliminate)
     return calls

@@ -230,6 +230,22 @@ def test_verify_of_another_register_size_names_both_sizes(tmp_path, capsys):
     assert capsys.readouterr().err == "error: learned state has 5 qubits, true state has 4\n"
 
 
+@pytest.mark.parametrize("n", [13, 40])
+def test_verify_of_a_register_above_the_cap_is_precondition_error(tmp_path, capsys, n):
+    # identity blocks and t = 0, so only n is out of range; each loader refuses it first,
+    # before the verify below could build a 2^n state (16 TiB at n = 40)
+    eye = "\n".join(" ".join(["1.0" if i == k else "0.0" for k in range(2 * n)]) for i in range(2 * n))
+    state, circuit = tmp_path / "s.txt", tmp_path / "c.txt"
+    state.write_text(f"learned-state v1\nn {n}\nt 0\nO\n{eye}\nphi\n1.0 0.0\n")
+    circuit.write_text(f"doped-circuit v1\nn {n}\nkappa 1\nt 0\ngaussian 0\n{eye}\n")
+    expected = "line 2: expected 'n <count>' at most 12, the dense engine's limit"
+    for loads, path in ((CompressedForm.loads, state), (circuit_loads, circuit)):
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            loads(path.read_text())
+    assert main(["verify", "--learned", str(state), "--circuit", str(circuit)]) == EXIT_PRECONDITION
+    assert capsys.readouterr().err == f"error: {expected}\n"
+
+
 def test_verify_non_finite_input_is_precondition_error(tmp_path, capfd):
     circuit, state = _saved_circuit_and_state(tmp_path)
     capfd.readouterr()

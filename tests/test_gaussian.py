@@ -1,5 +1,6 @@
 """Compiled Gaussian unitaries: Heisenberg action, transport, vacuum."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -16,6 +17,7 @@ from fermidope.gaussian import (
     _fusion_plan,
     _window_generators,
     apply_pauli_rotation,
+    compile_programs,
     heisenberg_matrix,
     identity_gaussian,
     rotation_generator,
@@ -24,7 +26,7 @@ from fermidope.metrology import _group_permutation, _grouped_sampling, commuting
 from fermidope.pauli import majorana
 from fermidope.states import apply_pauli, fidelity, overlap, random_state, zero_state
 
-from conftest import compile_input
+from conftest import compile_input, signed_permutation
 
 
 def test_identity_program_is_empty():
@@ -255,6 +257,12 @@ def test_haar_program_at_n12_is_15_blocks_on_odd_windows():
     ]
 
 
+def _plan_of(rotations: tuple, n: int):
+    """The cached fusion plan of a program's planes, keyed as ``_fuse`` keys it."""
+    planes = np.array([(mu, nu) for mu, nu, _ in rotations], dtype=np.intp).reshape(-1, 2)
+    return _fusion_plan(planes.tobytes(), n)
+
+
 @pytest.mark.parametrize("n, ops, rows", [(8, 6, 9), (12, 15, 20)])
 def test_haar_program_op_count(n, ops, rows):
     # the greedy packer fills 4-qubit windows, letting rotations on disjoint Majoranas pass
@@ -265,7 +273,7 @@ def test_haar_program_op_count(n, ops, rows):
     assert all(isinstance(op, Block) for op in g.program.ops)
     # blocks of 16 to 28 rotations are built in rows of at most 16, the median block length,
     # so the stack takes 16 steps, not 28
-    plan = _fusion_plan(tuple((mu, nu) for mu, nu, _ in g.program.rotations), n)
+    plan = _plan_of(g.program.rotations, n)
     assert plan.rotations.shape == (rows, 16) and len(plan.active) == 16
 
 
@@ -303,7 +311,7 @@ def test_adjoint_runs_the_pair_program_backwards(n, kind, negative, adjoint_firs
     o = _with_det(compile_input(kind, n, rng), negative)
     psi = random_state(n, rng)
     fresh = GaussianUnitary(o.T).apply(psi)
-    with mock.patch.object(ortho, "givens_decompose", wraps=ortho.givens_decompose) as decompose:
+    with mock.patch.object(ortho, "givens_eliminate", wraps=ortho.givens_eliminate) as decompose:
         g = GaussianUnitary(o)
         g_dag = g.adjoint()
         (g_dag if adjoint_first else g).apply(psi)
@@ -320,7 +328,7 @@ def test_adjoint_runs_the_pair_program_backwards(n, kind, negative, adjoint_firs
 
 def _plan_ops(rotations: tuple, n: int) -> list:
     """(lo, rotation indices) per op of the fusion plan; lo = 0 for an unfused plane."""
-    plan = _fusion_plan(tuple((mu, nu) for mu, nu, _ in rotations), n)
+    plan = _plan_of(rotations, n)
     out = []
     for lo, rows in plan.order:
         if not lo:
@@ -448,3 +456,90 @@ def test_the_walk_programs_equal_the_rotations_in_givens_order(n):
         g = GaussianUnitary.sharing(o, cell)
         for inverse, unitary in ((False, g), (True, g.adjoint())):
             assert np.abs(unitary.apply(psi).amps - _kernel_oracle(g, psi, inverse)).max() <= 1e-12, inverse
+
+
+def per_matrix_givens(o: np.ndarray, tol: float = 1e-10):
+    """``ortho.givens_decompose`` as it was before the stacked elimination, one matrix at a time.
+
+    Returns (rotations, reflect_first).  Test oracle only.
+    """
+    o = np.asarray(o, dtype=float)
+    d = o.shape[0]
+    if not ortho.is_orthogonal(o, tol):
+        raise ValueError("input is not orthogonal within tolerance")
+    reflect = np.linalg.det(o) < 0
+    a = (o @ ortho.reflection_matrix(d)) if reflect else o.copy()
+
+    programs = []  # per column, the inverse of its eliminations E (E_k ... E_1 A = I) in order
+    for j in range(d - 1):
+        below = [i for i, x in enumerate(a[j + 1:, j].tolist(), j + 1) if abs(x) >= 1e-15]
+        if len(below) == d - 1 - j:  # a dense column: the chain is every row from j down
+            rows, index = np.arange(j, d), slice(j, d)
+        elif below:
+            rows = index = np.array([j, *below])
+        elif a[j, j] < 0:  # the column is -e_j
+            a[j:j + 2, j:] *= -1.0
+            programs.append([(j + 1, j + 2, -math.pi)])
+            continue
+        else:
+            continue
+        block = a[index, j:]
+        x = block[:, 0].copy()
+        r = np.hypot.accumulate(x[::-1])[::-1]  # running norms; r[-1] = x[-1] keeps its sign
+        sums = np.cumsum((x[:, None] * block)[::-1], axis=0)[::-1]
+        rotated = np.empty_like(block)
+        rotated[0] = sums[0] / r[0]
+        rotated[1:] = ((x[:-1] / (r[1:] * r[:-1]))[:, None] * sums[1:]
+                       - (r[1:] / r[:-1])[:, None] * block[:-1])
+        a[index, j:] = rotated
+        mus = (rows + 1).tolist()
+        programs.append(list(zip(mus[:-1], mus[1:], (-np.arctan2(r[1:], x[:-1])).tolist())))
+    if not ortho.opnorm_within(a - np.eye(d), 1e-8):
+        raise np.linalg.LinAlgError("Givens elimination did not reach the identity")
+    return tuple(rot for program in reversed(programs) for rot in program), bool(reflect)
+
+
+_STACK_KINDS = ["haar", "haar_negative", "signed_permutation", "minus_identity", "identity",
+                "compression", "walk_start", "walk_step"]
+
+
+def _stack_member(kind: str, n: int, rng) -> np.ndarray:
+    """A 2n x 2n compile input: Haar (det +1, or -1), the walk's two steps, and exact-zero kinds."""
+    d = 2 * n
+    if kind in ("haar", "haar_negative"):
+        return _with_det(ortho.random_orthogonal(d, rng, haar=False), kind == "haar_negative")
+    if kind == "signed_permutation":
+        return signed_permutation(d, rng)
+    if kind in ("minus_identity", "identity"):
+        return np.eye(d) * (-1.0 if kind == "minus_identity" else 1.0)
+    if kind == "compression":
+        symplectic = bool(rng.integers(2))
+        vectors = [v / np.linalg.norm(v) for v in rng.normal(size=(int(rng.integers(1, n + 1)), d))]
+        return ortho.compression_rotation(vectors, n=n, symplectic=symplectic)
+    groups, _ = _grouped_sampling(n)
+    return groups[min(kind == "walk_step", len(groups) - 1)][0]  # n = 1 has one group, no step
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    kinds=st.lists(st.sampled_from(_STACK_KINDS), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_compile_equals_one_at_a_time_byte_for_byte(n, kinds, seed):
+    rng = np.random.default_rng(seed)
+    matrices = [_stack_member(kind, n, rng) for kind in kinds]
+    stacked = [GaussianUnitary(o) for o in matrices]
+    compile_programs(stacked)
+    parity = np.array([r.bit_count() & 1 for r in range(2 ** min(FUSE_QUBITS, n))])
+    odd = parity[:, None] != parity[None, :]
+    for o, g in zip(matrices, stacked):
+        assert (g.program.rotations, g.program.reflect_first) == per_matrix_givens(o)
+        lone = GaussianUnitary(o).program
+        assert len(g.program.ops) == len(lone.ops)
+        for op, alone in zip(g.program.ops, lone.ops):
+            if isinstance(alone, Block):
+                assert op.lo == alone.lo and op.u.tobytes() == alone.u.tobytes()
+                assert not op.u[odd].any()  # a block preserves parity
+            else:
+                assert op == alone
