@@ -33,7 +33,7 @@ for n, t in [(4, 1), (6, 2), (8, 2)]:
 print("\n--- exact mode on a doped circuit (n=6, kappa=3, t=2 -> core 6) ---")
 circuit = random_doped_circuit(6, 2, 3, rng)
 psi = prepare(circuit)
-learned = learn(psi, 6, 6, plan_budget(6, 6, 0.25, 1 / 3), mode="exact")
+learned = learn(psi, plan_budget(6, 6, 0.25, 1 / 3), mode="exact")
 print(f"trace distance: {verify(learned, psi).trace_distance:.2e}")
 
 print("\n--- sampled mode on 1-compressible fixtures (n=4) ---")
@@ -44,7 +44,7 @@ for i in range(trials):
     g = GaussianUnitary(random_orthogonal(8, r))
     target = g.apply(embed_with_zero_tail(random_state(1, r), 4))
     budget = hoeffding_budget(4, 1, 0.25, 1 / 3)
-    got = learn(target, 4, 1, budget, mode="sampled", rng=r)
+    got = learn(target, budget, mode="sampled", rng=r)
     report = verify(got, target)
     wins += report.trace_distance <= 0.25
     if i < 3:

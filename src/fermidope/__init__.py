@@ -45,10 +45,8 @@ from .metrology import (
     test_gaussian_dimension,
 )
 from .ortho import (
-    GivensProgram,
     NormalForm,
     compression_rotation,
-    givens_decompose,
     is_symplectic,
     matrix_to_text,
     normal_eigenvalues,

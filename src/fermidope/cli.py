@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .doped import CompressedForm, CompressionError, circuit_dumps, circuit_loads, prepare
-from .harness import KIND_TABLE, KINDS, SWEEPABLE, ConfigError, ExperimentConfig, run, sweep, trials_csv
+from .harness import KIND_TABLE, KINDS, SWEEPABLE, ConfigError, ExperimentConfig, check_range, run, sweep, trials_csv
 from .learner import verify
 from .states import ZeroProbabilityError
 
@@ -183,6 +183,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    check_range("eps", args.eps)  # the threshold is a learn run's eps, so it has eps's range
     learned = CompressedForm.loads(Path(_resolve(args.learned)).read_text())
     circuit = circuit_loads(Path(_resolve(args.circuit)).read_text())
     report = verify(learned, prepare(circuit))

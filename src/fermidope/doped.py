@@ -36,6 +36,10 @@ class CompressionError(RuntimeError):
     """The constructed rotation failed to empty the trailing qubits."""
 
 
+# weight a compression may leave outside its core; more signals a convention bug
+COMPRESSION_TOL = 1e-8
+
+
 @dataclass(frozen=True)
 class NonGaussianGate:
     """Product of rotations exp(i * theta * herm(gamma_S)) over Majorana monomials.
@@ -184,13 +188,13 @@ def _support_vectors(circuit: DopedCircuit):
     return vectors, o_cum
 
 
-def compress_state(circuit: DopedCircuit, tol: float = 1e-8) -> CompressedForm:
+def compress_state(circuit: DopedCircuit) -> CompressedForm:
     """Constructive compression of all non-Gaussianity onto kappa*t qubits.
 
     The auxiliary rotation is symplectic, so it fixes the vacuum; the
     returned Gaussian G satisfies G^dag |psi> = phi (x) |0^(n - kappa t)>.
     Raises CompressionError when the trailing qubits carry more weight than
-    ``tol``, which signals a convention bug rather than a statistical event.
+    COMPRESSION_TOL, which signals a convention bug rather than a statistical event.
     """
     n, t = circuit.n, circuit.t
     m = min(circuit.kappa * t, n)
@@ -202,14 +206,14 @@ def compress_state(circuit: DopedCircuit, tol: float = 1e-8) -> CompressedForm:
     psi = prepare(circuit)
     psi_rot = g.adjoint().apply(psi)
     prob, phi = postselect_zero_tail(psi_rot, m)
-    if 1.0 - prob > tol:
+    if 1.0 - prob > COMPRESSION_TOL:
         raise CompressionError(
-            f"trailing qubits carry weight {1.0 - prob:.3e} after compression (tol {tol})"
+            f"trailing qubits carry weight {1.0 - prob:.3e} after compression (tol {COMPRESSION_TOL})"
         )
     return CompressedForm(G=g, phi=phi)
 
 
-def compress_unitary(circuit: DopedCircuit, tol: float = 1e-8):
+def compress_unitary(circuit: DopedCircuit):
     """Factor the circuit unitary as G_A (u_core (x) I) G_B.
 
     The auxiliary rotation here is plain orthogonal, which halves the core:
@@ -233,7 +237,7 @@ def compress_unitary(circuit: DopedCircuit, tol: float = 1e-8):
         out = g_a_dag.apply(circuit.apply(g_b_dag.apply(col)))
         block = out.amps.reshape(dim, -1)
         leak = np.linalg.norm(block[:, 1:])
-        if leak > tol:
+        if leak > COMPRESSION_TOL:
             raise CompressionError(f"core unitary leaks weight {leak:.3e} outside the core")
         u_core[:, b] = block[:, 0]
     return g_a, u_core, g_b
@@ -265,7 +269,7 @@ class GateCounts:
 
 def report_gate_counts(circuit: DopedCircuit) -> GateCounts:
     """Tally of compiled two-Majorana rotations, reflections, and gate terms."""
-    rotations = sum(len(g.program.rotations) for g in circuit.gaussians)
+    rotations = sum(len(g.program.angles) for g in circuit.gaussians)
     reflections = sum(1 for g in circuit.gaussians if g.program.reflect_first)
     terms = sum(len(w.terms) for w in circuit.gates)
     return GateCounts(rotations=rotations, reflections=reflections, non_gaussian_terms=terms)

@@ -32,12 +32,13 @@ so the blocks keep the product; a Haar layer at n = 12 is 15 blocks.
 ``apply`` runs each block as one matrix product over the amplitudes: a
 single GEMM when the block touches either end of the register, 2^(lo-1)
 small batched ones otherwise.  A plane wider than the window stays a
-single kernel pass.  The elimination hands the planes and angles over as
-arrays.  The packing depends only on the plane sequence, which repeats
-(every dense O at one n has the same staircase), so it is planned once per
-sequence, keyed by the bytes of the planes array, and cached; all blocks
-are then built together in one stack, a block longer than the median
-block in rows of the median length multiplied at the end.  A block
+single kernel pass.  A ``GateProgram`` holds the rotations as the
+elimination hands them over, arrays of planes and angles, and the ops
+built from them.  The packing depends only on the plane sequence, which
+repeats (every dense O at one n has the same staircase), so it is planned
+once per sequence, keyed by the bytes of the planes array, and cached; all
+blocks are then built together in one stack, a block longer than the
+median block in rows of the median length multiplied at the end.  A block
 preserves parity, so each row is built on only the 2^(m-1) columns of its
 own parity and scattered into the 2^m x 2^m block at the end.
 ``compile_programs`` compiles several unitaries of one register size from
@@ -90,17 +91,19 @@ class Block(NamedTuple):
     u: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: programs compare by identity
 class GateProgram:
-    """A compiled Gaussian unitary.
+    """A compiled Gaussian unitary, the one program type.
 
-    ``rotations`` and ``reflect_first`` are its Givens program (see
-    ``ortho.GivensProgram``).  ``ops`` runs the same rotations after the
-    reflection: each op is a ``Block`` or, for a plane spanning more than
-    FUSE_QUBITS qubits, one (mu, nu, theta) rotation.
+    ``planes``, ``angles`` and ``reflect_first`` are its rotations as
+    ``ortho.givens_eliminate`` hands them over: read-only arrays, in order,
+    after the reflection gamma_1 when ``reflect_first``.  ``ops`` runs the
+    same rotations after the reflection: each op is a ``Block`` or, for a
+    plane spanning more than FUSE_QUBITS qubits, one (mu, nu, theta) rotation.
     """
 
-    rotations: tuple
+    planes: np.ndarray
+    angles: np.ndarray
     reflect_first: bool
     ops: tuple
 
@@ -378,8 +381,8 @@ def compile_programs(unitaries) -> None:
     if not pending:
         return
     eliminated = ortho.givens_eliminate([g.O.T if g._inverse else g.O for g in pending])
-    for g, (givens, planes, angles) in zip(pending, eliminated):
-        g._cell[0] = GateProgram(givens.rotations, givens.reflect_first, _fuse(planes, angles, g.n))
+    for g, (planes, angles, reflect_first) in zip(pending, eliminated):
+        g._cell[0] = GateProgram(planes, angles, reflect_first, _fuse(planes, angles, g.n))
 
 
 def identity_gaussian(n: int) -> GaussianUnitary:

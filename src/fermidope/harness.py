@@ -54,20 +54,27 @@ _JSON_TYPES = {
     "float": ((int, float), "a number"),
     "int | None": ((int, type(None)), "an integer or None"),
 }
-# (field, predicate, message) for every numeric field; each field is named as its CLI flag
+# field: (predicate, message) for every numeric field; each field is named as its CLI flag
 # spells it, with "_" for "-".  eps_a and eps_b are trace distances, so at most 1.
-_RANGES = (
-    ("n", lambda n: 1 <= n <= MAX_QUBITS, f"n must be in [1, {MAX_QUBITS}] for the dense engine, got {{}}"),
-    ("t", lambda t: t >= 0, "t must be >= 0, got {}"),
-    ("kappa", lambda kappa: kappa >= 1, "kappa must be >= 1, got {}"),
-    ("trials", lambda trials: trials >= 1, "trials must be >= 1, got {}"),
-    ("shots_override", lambda shots: shots is None or shots >= 1, "shots_override must be >= 1"),
-    ("eps", lambda eps: 0 < eps <= 1, "eps must be in (0, 1], got {}"),
-    ("delta", lambda delta: 0 < delta <= 1, "delta must be in (0, 1], got {}"),
-    ("eps_a", lambda eps_a: 0 <= eps_a <= 1, "eps_a must be in [0, 1], got {}"),
-    ("eps_b", lambda eps_b: 0 < eps_b <= 1, "eps_b must be in (0, 1], got {}"),
-    ("c_tom", lambda c_tom: c_tom > 0, "c_tom must be > 0, got {}"),
-)
+_RANGES = {
+    "n": (lambda n: 1 <= n <= MAX_QUBITS, f"n must be in [1, {MAX_QUBITS}] for the dense engine, got {{}}"),
+    "t": (lambda t: t >= 0, "t must be >= 0, got {}"),
+    "kappa": (lambda kappa: kappa >= 1, "kappa must be >= 1, got {}"),
+    "trials": (lambda trials: trials >= 1, "trials must be >= 1, got {}"),
+    "shots_override": (lambda shots: shots is None or shots >= 1, "shots_override must be >= 1"),
+    "eps": (lambda eps: 0 < eps <= 1, "eps must be in (0, 1], got {}"),
+    "delta": (lambda delta: 0 < delta <= 1, "delta must be in (0, 1], got {}"),
+    "eps_a": (lambda eps_a: 0 <= eps_a <= 1, "eps_a must be in [0, 1], got {}"),
+    "eps_b": (lambda eps_b: 0 < eps_b <= 1, "eps_b must be in (0, 1], got {}"),
+    "c_tom": (lambda c_tom: c_tom > 0, "c_tom must be > 0, got {}"),
+}
+
+
+def check_range(name: str, value) -> None:
+    """Raise ConfigError unless ``value`` is in the range of the config field ``name``; NaN never is."""
+    holds, message = _RANGES[name]
+    if not holds(value):
+        raise ConfigError(message.format(value))
 
 
 @dataclass(frozen=True)
@@ -107,9 +114,8 @@ class ExperimentConfig:
         if self.fixture not in fixtures:
             names = f"{', '.join(others)} or {last}" if others else last
             raise ConfigError(f"kind {self.kind!r} needs the {names} fixture")
-        for name, holds, message in _RANGES:
-            if not holds(getattr(self, name)):
-                raise ConfigError(message.format(getattr(self, name)))
+        for name in _RANGES:
+            check_range(name, getattr(self, name))
         if self.budget not in ("default", "hoeffding"):
             raise ConfigError(f"budget must be default or hoeffding, got {self.budget!r}")
         if self.kind == "compress" and self.kappa * self.t > self.n:
@@ -296,7 +302,7 @@ def _trial_learn(config, rng):
     budget = _learn_budget(config, t_learn)
     threshold = 1e-6 if config.mode == "exact" else config.eps
     try:
-        learned = learn(psi, config.n, t_learn, budget, mode=config.mode, rng=rng)
+        learned = learn(psi, budget, mode=config.mode, rng=rng)
     except BoostingFailureError as exc:
         return {"t_learn": t_learn, "boosting_failure": str(exc), "ok": False}, meta
     report = verify(learned, psi)

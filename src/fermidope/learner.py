@@ -210,28 +210,30 @@ def tomography_t_qubits(core: StateVector, shots: int | None = None, rng=None) -
     return StateVector(t, vecs[:, -1])
 
 
-def learn(psi: StateVector, n: int, t: int, budget: LearnBudget, mode: str = "sampled", rng=None) -> CompressedForm:
+def learn(psi: StateVector, budget: LearnBudget, mode: str = "sampled", rng=None) -> CompressedForm:
     """Learn a t-compressible state from single-copy measurements of ``psi``.
+
+    The register size n and the compression level t are those the budget
+    was planned for, ``budget.n`` and ``budget.t``.
 
     Sampled mode consumes the budget.  Exact mode replaces every statistical
     estimate with the exact quantity, so it returns the witness of
     `metrology.nearest_compressible` (for debugging and promise checks).
     Raises BoostingFailureError when fewer than N_tom post-selections
     succeed, ZeroProbabilityError when the promise is violated outright,
-    and ValueError when the budget was planned for another (n, t) or a
-    sampled stage's copy count is past what its draw takes (2^53 shots per
-    correlation group, 2^63 for N_loop).
+    and ValueError when ``psi`` is not on the budget's n qubits, the
+    budget's t is outside [0, n], or a sampled stage's copy count is past
+    what its draw takes (2^53 shots per correlation group, 2^63 for N_loop).
     """
     if mode not in ("exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "sampled" and rng is None:
         raise ValueError("sampled mode needs an rng")
+    n, t = budget.n, budget.t
     if psi.n != n:
-        raise ValueError(f"copy has {psi.n} qubits, expected {n}")
+        raise ValueError(f"copy has {psi.n} qubits, budget planned for n = {n}")
     if not 0 <= t <= n:
         raise ValueError(f"t must be in [0, {n}], got {t}")
-    if (budget.n, budget.t) != (n, t):
-        raise ValueError(f"budget planned for (n, t) = ({budget.n}, {budget.t}), learning ({n}, {t})")
     if mode == "exact":
         return nearest_compressible(psi, t)[0]
     if t == n:  # pure tomography: no qubits to post-select, every loop copy reaches the core

@@ -18,6 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 _IY2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+# the orthogonality an O must have for its Givens elimination, and so for any O compiled
+ORTHOGONAL_TOL = 1e-10
+# normal eigenvalues at or below this are zero: their planes cannot be paired reliably
+NORMAL_ZERO_TOL = 1e-10
 
 
 def opnorm(a: np.ndarray) -> float:
@@ -52,7 +56,7 @@ def is_antisymmetric(c: np.ndarray, tol: float = 1e-12) -> bool:
     return _is_square(c) and opnorm_within(c + c.T, tol, relative_to=c)
 
 
-def is_orthogonal(o: np.ndarray, tol: float = 1e-10) -> bool:
+def is_orthogonal(o: np.ndarray, tol: float = ORTHOGONAL_TOL) -> bool:
     o = np.asarray(o, dtype=float)
     return _is_square(o) and opnorm_within(o.T @ o - np.eye(o.shape[0]), tol)
 
@@ -101,13 +105,13 @@ class NormalForm:
         return self.O @ self.lambda_matrix() @ self.O.T
 
 
-def normal_form(c: np.ndarray, zero_tol: float = 1e-10) -> NormalForm:
+def normal_form(c: np.ndarray) -> NormalForm:
     """Decompose an antisymmetric matrix via the Hermitian eigenproblem of iC.
 
     Eigenvectors of iC for eigenvalue +lambda come in conjugate pairs with
     -lambda; the real and imaginary parts of each +lambda eigenvector span
-    one 2-plane of O.  Planes whose lambda is below ``zero_tol`` cannot be
-    paired reliably (the +/-lambda eigenspaces merge numerically), so they
+    one 2-plane of O.  Planes whose lambda is below NORMAL_ZERO_TOL cannot
+    be paired reliably (the +/-lambda eigenspaces merge numerically), so they
     are filled with an orthonormal completion; any completion is valid
     there because Lambda vanishes on those planes.
     """
@@ -118,7 +122,7 @@ def normal_form(c: np.ndarray, zero_tol: float = 1e-10) -> NormalForm:
     lambdas = np.maximum(s[n:], 0.0)
 
     o = np.empty((d, d))
-    planes = lambdas > zero_tol
+    planes = lambdas > NORMAL_ZERO_TOL
     for j in np.flatnonzero(planes):
         vec = w[:, n + j]
         o[:, 2 * j] = np.sqrt(2.0) * vec.imag  # o_{2j-1}
@@ -205,52 +209,11 @@ def compression_rotation(vectors, n: int | None = None, symplectic: bool = True)
     return o
 
 
-@dataclass(frozen=True)
-class GivensProgram:
-    """Plane rotations realizing an orthogonal matrix.
-
-    The reconstruction applies the reflection first (when ``reflect_first``),
-    then the rotations in list order:  O = R_m ... R_1 D, with D = I or
-    diag(1, -1, ..., -1).  Planes are 1-based (Majorana indices).
-    """
-
-    dim: int
-    rotations: tuple
-    reflect_first: bool = False
-
-    def matrix(self) -> np.ndarray:
-        out = reflection_matrix(self.dim) if self.reflect_first else np.eye(self.dim)
-        for mu, nu, theta in self.rotations:
-            out = plane_rotation(self.dim, mu, nu, theta) @ out
-        return out
-
-
-def plane_rotation(dim: int, mu: int, nu: int, theta: float) -> np.ndarray:
-    """Rotation by theta in the (mu, nu) coordinate plane, 1-based indices."""
-    out = np.eye(dim)
-    c, s = np.cos(theta), np.sin(theta)
-    i, j = mu - 1, nu - 1
-    out[i, i] = c
-    out[i, j] = s
-    out[j, i] = -s
-    out[j, j] = c
-    return out
-
-
 def reflection_matrix(dim: int) -> np.ndarray:
     """diag(1, -1, ..., -1): the Heisenberg action of the gamma_1 gate."""
     out = -np.eye(dim)
     out[0, 0] = 1.0
     return out
-
-
-def givens_decompose(o: np.ndarray, tol: float = 1e-10) -> GivensProgram:
-    """Factor an orthogonal matrix into at most d(d-1)/2 plane rotations.
-
-    ``givens_eliminate`` on a stack of one matrix, which runs on 2-D arrays;
-    its program is the one that matrix gets in any stack.
-    """
-    return givens_eliminate([o], tol)[0][0]
 
 
 def _rotate_chains(block: np.ndarray) -> tuple:
@@ -269,7 +232,7 @@ def _rotate_chains(block: np.ndarray) -> tuple:
 _NO_PLANES, _NO_ANGLES = np.empty(0, dtype=np.intp), np.empty(0)  # heads of possibly empty concatenations
 
 
-def givens_eliminate(matrices, tol: float = 1e-10) -> list:
+def givens_eliminate(matrices) -> list:
     """Factor k >= 1 same-size orthogonal matrices into plane rotations, in one elimination.
 
     Column by column, the below-diagonal entries are eliminated along a
@@ -294,13 +257,19 @@ def givens_eliminate(matrices, tol: float = 1e-10) -> list:
     matrix by matrix, a sparse chain by its nonzero rows.  Each matrix has
     its own orthogonality check, reflection and final identity check, and
     its own arctan2 per column, so its program does not depend on the
-    others in the stack.  Returns per matrix (program, planes, angles): its
-    ``GivensProgram``, and the same rotations as a (rotations, 2) integer
-    array of planes and a float array of angles.
+    others in the stack.
+
+    Returns per matrix (planes, angles, reflect_first), the arrays
+    read-only: a (rotations, 2) integer array of 1-based planes (mu, nu)
+    and the angles theta.  They realize O = R_m ... R_1 D, with D =
+    diag(1, -1, ..., -1) when ``reflect_first`` (else I) and R_k the
+    rotation by theta_k in the plane (mu_k, nu_k): cos(theta_k) on its two
+    diagonal entries, sin(theta_k) at (mu_k, nu_k), -sin(theta_k) at
+    (nu_k, mu_k).
     """
     matrices = [np.asarray(o, dtype=float) for o in matrices]
     for o in matrices:
-        if not is_orthogonal(o, tol):
+        if not is_orthogonal(o, ORTHOGONAL_TOL):
             raise ValueError("input is not orthogonal within tolerance")
     d = matrices[0].shape[0]
     reflect = [bool(np.linalg.det(o) < 0) for o in matrices]
@@ -335,8 +304,9 @@ def givens_eliminate(matrices, tol: float = 1e-10) -> list:
         planes = np.stack([np.concatenate([_NO_PLANES, *(mu for mu, _, _ in chain)]),
                            np.concatenate([_NO_PLANES, *(nu for _, nu, _ in chain)])], axis=1)
         angles = -np.concatenate([_NO_ANGLES, *(theta for _, _, theta in chain)])
-        rotations = tuple(zip(*planes.T.tolist(), angles.tolist()))
-        out.append((GivensProgram(dim=d, rotations=rotations, reflect_first=r), planes, angles))
+        planes.setflags(write=False)
+        angles.setflags(write=False)
+        out.append((planes, angles, r))
     return out
 
 

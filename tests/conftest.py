@@ -91,6 +91,34 @@ def compile_input(kind: str, n: int, rng) -> np.ndarray:
     return mix[rng.permutation(d)][:, rng.permutation(d)]
 
 
+def rotations_of(planes: np.ndarray, angles: np.ndarray) -> tuple:
+    """A Givens program's planes and angles as (mu, nu, theta) tuples, in program order."""
+    return tuple(zip(*planes.T.tolist(), angles.tolist()))
+
+
+def givens(o: np.ndarray) -> tuple:
+    """(rotations, reflect_first) of ``ortho.givens_eliminate`` on ``o`` alone, rotations as tuples."""
+    planes, angles, reflect_first = ortho.givens_eliminate([o])[0]
+    return rotations_of(planes, angles), reflect_first
+
+
+def rotation_product(dim: int, rotations, reflect_first: bool = False) -> np.ndarray:
+    """R_m ... R_1 D: the orthogonal matrix a Givens program realises.  Test oracle only.
+
+    D = diag(1, -1, ..., -1) when ``reflect_first``, else I, and R_k is the
+    rotation by theta_k in the 1-based coordinate plane (mu_k, nu_k) of the
+    k-th (mu, nu, theta) in ``rotations``.  One rotation is a plane rotation.
+    """
+    out = ortho.reflection_matrix(dim) if reflect_first else np.eye(dim)
+    for mu, nu, theta in rotations:
+        r = np.eye(dim)
+        c, s = np.cos(theta), np.sin(theta)
+        i, j = mu - 1, nu - 1
+        r[i, i], r[i, j], r[j, i], r[j, j] = c, s, -s, c
+        out = r @ out
+    return out
+
+
 def text_prefixes(text: str):
     """(prefix, at_line_boundary): every line boundary and each line's midpoint."""
     pos = 0

@@ -132,7 +132,7 @@ def test_criterion_05_exact_learning():
     worst = 0.0
     for n, kappa, t, _, psi in _sweep_fixtures():
         t_learn = min(kappa * t, n)
-        learned = learn(psi, n, t_learn, plan_budget(n, t_learn, 0.25, 1 / 3), mode="exact")
+        learned = learn(psi, plan_budget(n, t_learn, 0.25, 1 / 3), mode="exact")
         worst = max(worst, verify(learned, psi).trace_distance)
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-6 and elapsed < 120
@@ -147,7 +147,7 @@ def test_criterion_06_sampled_learning():
         rng = np.random.default_rng(60_000 + i)
         psi, _, _ = compressible_fixture(4, 1, seed=70_000 + i)
         budget = hoeffding_budget(4, 1, eps, delta, c_tom=1.0)
-        learned = learn(psi, 4, 1, budget, mode="sampled", rng=rng)
+        learned = learn(psi, budget, mode="sampled", rng=rng)
         wins += verify(learned, psi).trace_distance <= eps
     elapsed = time.perf_counter() - start
     rate = wins / trials

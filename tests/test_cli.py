@@ -174,7 +174,16 @@ def test_learn_then_verify_round_trip(tmp_path):
                  "--eps", "1e-6"]) == EXIT_OK
     # an absurdly tight threshold flips the exit code to the statistical failure
     assert main(["verify", "--learned", str(state), "--circuit", str(circuit),
-                 "--eps", "-1"]) == EXIT_STATISTICAL
+                 "--eps", "1e-300"]) == EXIT_STATISTICAL
+
+
+@pytest.mark.parametrize("eps", ["nan", "-1", "0", "5", "inf"])
+def test_verify_eps_outside_the_unit_interval_is_precondition_error(tmp_path, capsys, eps):
+    # a threshold outside (0, 1] once decided the exit code: nan and -1 failed, 5 and inf passed
+    circuit, state = _saved_circuit_and_state(tmp_path)
+    capsys.readouterr()
+    assert main(["verify", "--learned", str(state), "--circuit", str(circuit), "--eps", eps]) == EXIT_PRECONDITION
+    assert capsys.readouterr() == ("", f"error: eps must be in (0, 1], got {float(eps)}\n")
 
 
 def _saved_circuit_and_state(tmp_path):

@@ -235,7 +235,7 @@ def test_gate_counts():
     c = random_doped_circuit(4, 0, 4, rng)
     assert report_gate_counts(c).rotations <= 4 * 7
     c2 = random_doped_circuit(4, 2, 3, rng)
-    manual = sum(len(g.program.rotations) for g in c2.gaussians)
+    manual = sum(len(g.program.planes) for g in c2.gaussians)
     got = report_gate_counts(c2)
     assert got.rotations == manual
     assert got.non_gaussian_terms == 2

@@ -26,12 +26,13 @@ from fermidope.metrology import _group_permutation, _grouped_sampling, commuting
 from fermidope.pauli import majorana
 from fermidope.states import apply_pauli, fidelity, overlap, random_state, zero_state
 
-from conftest import compile_input, signed_permutation
+from conftest import compile_input, rotation_product, rotations_of, signed_permutation
 
 
 def test_identity_program_is_empty():
     g = identity_gaussian(3)
-    assert g.program.rotations == () and not g.program.reflect_first
+    assert rotations_of(g.program.planes, g.program.angles) == () and not g.program.reflect_first
+    assert g.program == g.program != identity_gaussian(3).program  # by identity: no array truth value
     psi = random_state(3, np.random.default_rng(0))
     assert_allclose(g.apply(psi).amps, psi.amps)
 
@@ -54,7 +55,7 @@ def test_reflection_gate_conjugation_dense():
 
 def test_heisenberg_sign_convention_two_planes():
     # compiled rotation angles and signs against the dense conjugation action
-    o = ortho.plane_rotation(4, 1, 3, 0.537) @ ortho.plane_rotation(4, 2, 4, -1.13)
+    o = rotation_product(4, [(1, 3, 0.537)]) @ rotation_product(4, [(2, 4, -1.13)])
     assert ortho.opnorm(heisenberg_matrix(GaussianUnitary(o)) - o) <= 1e-9
 
 
@@ -110,7 +111,7 @@ def test_vacuum_preservation_iff_symplectic(rng):
     assert keeps_vacuum(g)
     assert ortho.is_symplectic(g.O) and ortho.is_symplectic(g.O.T)
     # a rotation mixing the (gamma_1, gamma_4) plane breaks particle number
-    o_bad = ortho.plane_rotation(6, 1, 4, 0.9)
+    o_bad = rotation_product(6, [(1, 4, 0.9)])
     g_bad = GaussianUnitary(o_bad)
     assert not keeps_vacuum(g_bad)
     assert not ortho.is_symplectic(g_bad.O) and not ortho.is_symplectic(g_bad.O.T)
@@ -127,7 +128,7 @@ def test_vacuum_agreement_random(rng):
 def test_gate_count_bound(rng):
     for n in (2, 3, 4):
         g = GaussianUnitary(ortho.random_orthogonal(2 * n, rng))
-        assert len(g.program.rotations) <= n * (2 * n - 1)
+        assert len(rotations_of(g.program.planes, g.program.angles)) <= n * (2 * n - 1)
 
 
 def test_rotation_generator_is_hermitian_pauli():
@@ -200,7 +201,7 @@ def _givens_oracle(g: GaussianUnitary, psi):
     n = g.n
     if g.program.reflect_first:
         psi = apply_pauli(psi, majorana(1, n))
-    for mu, nu, theta in g.program.rotations:
+    for mu, nu, theta in rotations_of(g.program.planes, g.program.angles):
         psi = apply_pauli_rotation(psi, rotation_generator(mu, nu, n), theta / 2.0)
     return psi
 
@@ -268,12 +269,13 @@ def test_haar_program_op_count(n, ops, rows):
     # the greedy packer fills 4-qubit windows, letting rotations on disjoint Majoranas pass
     # each other: every block of a Haar layer is a full 16 x 16 window
     g = GaussianUnitary(ortho.random_orthogonal(2 * n, np.random.default_rng(3)))
-    assert len(g.program.rotations) == n * (2 * n - 1)
+    rotations = rotations_of(g.program.planes, g.program.angles)
+    assert len(rotations) == n * (2 * n - 1)
     assert len(g.program.ops) == ops
     assert all(isinstance(op, Block) for op in g.program.ops)
     # blocks of 16 to 28 rotations are built in rows of at most 16, the median block length,
     # so the stack takes 16 steps, not 28
-    plan = _plan_of(g.program.rotations, n)
+    plan = _plan_of(rotations, n)
     assert plan.rotations.shape == (rows, 16) and len(plan.active) == 16
 
 
@@ -287,12 +289,13 @@ def test_group_programs_op_count(n, start, step):
     for o, expected in ((groups[0][0], start), (groups[1][0], step)):
         prog = GaussianUnitary(o).program
         wide = sum(not isinstance(op, Block) for op in prog.ops)
-        assert (len(prog.rotations), len(prog.ops), wide) == expected
+        assert (len(rotations_of(prog.planes, prog.angles)), len(prog.ops), wide) == expected
 
 
 def test_haar_layer_at_n12_compiles_to_276_adjacent_planes():
     o = ortho.random_orthogonal(24, np.random.default_rng(3))
-    rotations = GaussianUnitary(o).program.rotations
+    prog = GaussianUnitary(o).program
+    rotations = rotations_of(prog.planes, prog.angles)
     assert len(rotations) == 12 * 23
     assert all(nu == mu + 1 for mu, nu, _ in rotations)
 
@@ -323,7 +326,8 @@ def test_adjoint_runs_the_pair_program_backwards(n, kind, negative, adjoint_firs
     # the pair's program realises the O of G on either member
     prog = g_dag.program
     assert prog.reflect_first == (np.linalg.det(o) < 0)
-    assert ortho.opnorm(ortho.GivensProgram(2 * n, prog.rotations, prog.reflect_first).matrix() - o) <= 1e-12
+    rotations = rotations_of(prog.planes, prog.angles)
+    assert ortho.opnorm(rotation_product(2 * n, rotations, prog.reflect_first) - o) <= 1e-12
 
 
 def _plan_ops(rotations: tuple, n: int) -> list:
@@ -361,7 +365,7 @@ def _sequential_blocks(rotations: tuple, n: int) -> list:
 
 def _assert_ops_equal_the_oracle(g: GaussianUnitary) -> None:
     ops = g.program.ops
-    oracle = _sequential_blocks(g.program.rotations, g.n)
+    oracle = _sequential_blocks(rotations_of(g.program.planes, g.program.angles), g.n)
     assert len(ops) == len(oracle)
     for op, expected in zip(ops, oracle):
         if isinstance(expected, Block):
@@ -399,7 +403,7 @@ _PACKED_INPUTS = dict(
 def test_fusion_plan_packs_every_rotation_once_in_order(n, kind, negative, seed):
     rng = np.random.default_rng(seed)
     g = GaussianUnitary(_packing_input(kind, n, negative, rng))
-    rotations, m = g.program.rotations, min(FUSE_QUBITS, n)
+    rotations, m = rotations_of(g.program.planes, g.program.angles), min(FUSE_QUBITS, n)
     planned = _plan_ops(rotations, n)
     # each rotation sits in exactly one op
     order = [i for _, indices in planned for i in indices]
@@ -428,7 +432,8 @@ def _kernel_oracle(g: GaussianUnitary, psi, inverse: bool) -> np.ndarray:
     n, prog = g.n, g.program
     reflect = majorana(1, n).times if prog.reflect_first else np.copy
     amps = psi.amps.copy() if inverse else reflect(psi.amps)
-    for mu, nu, theta in reversed(prog.rotations) if inverse else prog.rotations:
+    rotations = rotations_of(prog.planes, prog.angles)
+    for mu, nu, theta in reversed(rotations) if inverse else rotations:
         rotation_generator(mu, nu, n).rotate(amps, -theta / 2.0 if inverse else theta / 2.0)
     return reflect(amps) if inverse else amps
 
@@ -459,9 +464,10 @@ def test_the_walk_programs_equal_the_rotations_in_givens_order(n):
 
 
 def per_matrix_givens(o: np.ndarray, tol: float = 1e-10):
-    """``ortho.givens_decompose`` as it was before the stacked elimination, one matrix at a time.
+    """``ortho.givens_eliminate`` as it was before the stacked elimination, one matrix at a time.
 
-    Returns (rotations, reflect_first).  Test oracle only.
+    Returns (planes, angles, reflect_first) as ``ortho.givens_eliminate``
+    does, built from the rotations as (mu, nu, theta) tuples.  Test oracle only.
     """
     o = np.asarray(o, dtype=float)
     d = o.shape[0]
@@ -496,7 +502,9 @@ def per_matrix_givens(o: np.ndarray, tol: float = 1e-10):
         programs.append(list(zip(mus[:-1], mus[1:], (-np.arctan2(r[1:], x[:-1])).tolist())))
     if not ortho.opnorm_within(a - np.eye(d), 1e-8):
         raise np.linalg.LinAlgError("Givens elimination did not reach the identity")
-    return tuple(rot for program in reversed(programs) for rot in program), bool(reflect)
+    rotations = [rot for program in reversed(programs) for rot in program]
+    planes = np.array([rot[:2] for rot in rotations], dtype=np.intp).reshape(-1, 2)
+    return planes, np.array([rot[2] for rot in rotations], dtype=float), bool(reflect)
 
 
 _STACK_KINDS = ["haar", "haar_negative", "signed_permutation", "minus_identity", "identity",
@@ -534,7 +542,11 @@ def test_stacked_compile_equals_one_at_a_time_byte_for_byte(n, kinds, seed):
     parity = np.array([r.bit_count() & 1 for r in range(2 ** min(FUSE_QUBITS, n))])
     odd = parity[:, None] != parity[None, :]
     for o, g in zip(matrices, stacked):
-        assert (g.program.rotations, g.program.reflect_first) == per_matrix_givens(o)
+        planes, angles, reflect_first = per_matrix_givens(o)
+        prog = g.program
+        assert prog.planes.tobytes() == planes.tobytes() and prog.angles.tobytes() == angles.tobytes()
+        assert prog.reflect_first == reflect_first
+        assert not prog.planes.flags.writeable and not prog.angles.flags.writeable
         lone = GaussianUnitary(o).program
         assert len(g.program.ops) == len(lone.ops)
         for op, alone in zip(g.program.ops, lone.ops):

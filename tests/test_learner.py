@@ -91,12 +91,14 @@ def test_budget_count_past_the_float_range_names_the_count():
         boosting_iterations(10**400, 0.1)
 
 
-def test_learn_rejects_a_budget_planned_for_another_n_or_t(rng):
-    # a budget for t = n would skip the correlation stage and return the identity as G_hat
+def test_learn_rejects_a_budget_planned_for_another_n(rng):
     psi = random_state(4, rng)
-    for budget in (plan_budget(4, 4, 0.25, 1 / 3), plan_budget(5, 1, 0.25, 1 / 3)):
-        with pytest.raises(ValueError, match="budget planned for"):
-            learn(psi, 4, 1, budget, mode="exact")
+    for budget in (plan_budget(5, 1, 0.25, 1 / 3), plan_budget(3, 3, 0.25, 1 / 3)):
+        with pytest.raises(ValueError, match=f"^copy has 4 qubits, budget planned for n = {budget.n}$"):
+            learn(psi, budget, mode="exact")
+    # a budget edited by hand can still hold a t past its n
+    with pytest.raises(ValueError, match=r"^t must be in \[0, 4\], got 5$"):
+        learn(psi, replace(plan_budget(4, 1, 0.25, 1 / 3), t=5), mode="sampled", rng=rng)
 
 
 def test_hoeffding_budget_formula():
@@ -123,7 +125,7 @@ def test_boosting_lemma_monte_carlo(rng):
 def test_exact_learning_on_gaussian_state(rng):
     # 1e-7 sits above the sqrt(machine eps) floor of the trace-distance form
     psi = GaussianUnitary(ortho.random_orthogonal(8, rng)).apply(zero_state(4))
-    learned = learn(psi, 4, 0, plan_budget(4, 0, 0.25, 1 / 3), mode="exact")
+    learned = learn(psi, plan_budget(4, 0, 0.25, 1 / 3), mode="exact")
     assert verify(learned, psi).trace_distance <= 1e-7
 
 
@@ -131,7 +133,7 @@ def test_verify_decomposes_the_learned_gaussian_once(rng, givens_calls):
     # a state from learn carries learn's G_hat, whose adjoint learn has compiled, so verify
     # decomposes nothing; a loaded state decomposes its O once for G_hat and its adjoint
     psi = prepare(random_doped_circuit(6, 1, 3, rng))
-    learned = learn(psi, 6, 3, plan_budget(6, 3, 0.25, 1 / 3), mode="exact")
+    learned = learn(psi, plan_budget(6, 3, 0.25, 1 / 3), mode="exact")
     givens_calls.clear()
     report = verify(learned, psi)
     assert report.trace_distance <= 1e-6
@@ -148,7 +150,7 @@ def test_exact_learning_is_the_nearest_compressible_witness(rng):
     doped = prepare(random_doped_circuit(6, 1, 3, rng))
     compressible, _, _ = compressible_fixture(5, 2, seed=11)
     for psi, t in ((doped, 3), (doped, 6), (compressible, 2)):
-        learned = learn(psi, psi.n, t, plan_budget(psi.n, t, 0.25, 1 / 3), mode="exact")
+        learned = learn(psi, plan_budget(psi.n, t, 0.25, 1 / 3), mode="exact")
         witness, _ = nearest_compressible(psi, t)
         assert np.array_equal(learned.G.O, witness.G.O)
         assert np.array_equal(learned.phi.amps, witness.phi.amps)
@@ -158,7 +160,7 @@ def test_exact_learning_sweep():
     for n, kappa, t in doped_sweep_cells():
         psi = prepare(random_doped_circuit(n, t, kappa, np.random.default_rng(7 * n + t)))
         t_learn = min(kappa * t, n)
-        learned = learn(psi, n, t_learn, plan_budget(n, t_learn, 0.25, 1 / 3), mode="exact")
+        learned = learn(psi, plan_budget(n, t_learn, 0.25, 1 / 3), mode="exact")
         report = verify(learned, psi)
         assert report.trace_distance <= 1e-6, (n, kappa, t, report.trace_distance)
 
@@ -167,13 +169,13 @@ def test_exact_learning_looser_t_stays_exact(rng):
     # learning with t' > t never hurts in exact mode
     psi = prepare(random_doped_circuit(6, 1, 4, rng))
     for t_learn in (4, 5, 6):
-        learned = learn(psi, 6, t_learn, plan_budget(6, t_learn, 0.25, 1 / 3), mode="exact")
+        learned = learn(psi, plan_budget(6, t_learn, 0.25, 1 / 3), mode="exact")
         assert verify(learned, psi).trace_distance <= 1e-6
 
 
 def test_learned_state_serialization(rng):
     psi, _, _ = compressible_fixture(4, 1, seed=3)
-    learned = learn(psi, 4, 1, plan_budget(4, 1, 0.25, 1 / 3), mode="exact")
+    learned = learn(psi, plan_budget(4, 1, 0.25, 1 / 3), mode="exact")
     text = learned.dumps()
     back = CompressedForm.loads(text)
     assert back.dumps() == text
@@ -211,7 +213,7 @@ def test_learned_state_round_trip_is_bit_exact(n, data, det, seed, source):
 
 def test_learned_state_loads_rejects_every_truncation():
     psi, _, _ = compressible_fixture(3, 2, seed=4)
-    text = learn(psi, 3, 2, plan_budget(3, 2, 0.25, 1 / 3), mode="exact").dumps()
+    text = learn(psi, plan_budget(3, 2, 0.25, 1 / 3), mode="exact").dumps()
     for prefix, at_line_boundary in text_prefixes(text):
         try:
             CompressedForm.loads(prefix)
@@ -310,7 +312,7 @@ def test_sampled_tomography_needs_an_rng(rng):
 def test_sampled_learning_needs_an_rng():
     psi, _, _ = compressible_fixture(4, 1, seed=3)
     with pytest.raises(ValueError, match="^sampled mode needs an rng$"):
-        learn(psi, 4, 1, hoeffding_budget(4, 1, 0.25, 1 / 3))
+        learn(psi, hoeffding_budget(4, 1, 0.25, 1 / 3))
 
 
 def test_tomography_limit():
@@ -336,8 +338,8 @@ def test_boosting_counts_past_the_draw_limit_are_rejected():
     psi, _, _ = compressible_fixture(3, 1, seed=6)
     budget = hoeffding_budget(3, 1, 0.25, 1 / 3)
     with pytest.raises(ValueError, match=r"^boosting, N_loop: 9223372036854775808 copies reach"):
-        learn(psi, 3, 1, replace(budget, N_loop=2**63), rng=np.random.default_rng(1))
-    learned = learn(psi, 3, 1, replace(budget, N_loop=2**63 - 1), rng=np.random.default_rng(1))
+        learn(psi, replace(budget, N_loop=2**63), rng=np.random.default_rng(1))
+    learned = learn(psi, replace(budget, N_loop=2**63 - 1), rng=np.random.default_rng(1))
     assert verify(learned, psi).trace_distance <= 0.25
 
 
@@ -369,7 +371,7 @@ def test_sampled_learning_contract(rng):
         r = np.random.default_rng(1000 + i)
         psi, _, _ = compressible_fixture(4, 1, seed=2000 + i)
         budget = hoeffding_budget(4, 1, 0.25, 1 / 3)
-        learned = learn(psi, 4, 1, budget, mode="sampled", rng=r)
+        learned = learn(psi, budget, mode="sampled", rng=r)
         wins += verify(learned, psi).trace_distance <= 0.25
     assert wins / trials >= 2 / 3
 
@@ -378,7 +380,7 @@ def test_pure_tomography_flagged_path(rng):
     # t = n: no post-selection register; exact mode returns the state itself
     psi = random_state(3, rng)
     budget = plan_budget(3, 3, 0.5, 1 / 3)
-    learned = learn(psi, 3, 3, budget, mode="exact")
+    learned = learn(psi, budget, mode="exact")
     assert verify(learned, psi).trace_distance <= 1e-7
 
 
@@ -389,7 +391,7 @@ def test_boosting_failure_reported():
     psi = prepare(random_doped_circuit(4, 2, 4, np.random.default_rng(8)))
     budget = replace(plan_budget(4, 1, 0.9, 1 / 3), N_corr=2000, N_tom=300, N_loop=300)
     with pytest.raises(BoostingFailureError):
-        learn(psi, 4, 1, budget, mode="sampled", rng=np.random.default_rng(5))
+        learn(psi, budget, mode="sampled", rng=np.random.default_rng(5))
 
 
 @pytest.mark.parametrize("mode", ["exact", "sampled"])
@@ -404,7 +406,7 @@ def test_an_empty_zero_tail_raises_zero_probability(mode, monkeypatch):
         monkeypatch.setattr(learner, "correlation_sampled", lambda psi, shots, rng: vacuum)
     budget = hoeffding_budget(n, 0, 0.25, 1 / 3)
     with pytest.raises(ZeroProbabilityError, match="^all-zero tail outcome has probability"):
-        learn(basis_state(n, 1), n, 0, budget, mode=mode, rng=np.random.default_rng(1))
+        learn(basis_state(n, 1), budget, mode=mode, rng=np.random.default_rng(1))
 
 
 def test_union_bound_inequality_with_injected_perturbations(rng):
@@ -448,7 +450,7 @@ def test_postselect_probability_bound_statistical(rng):
 def test_verify_triangle_terms(rng):
     psi, _, _ = compressible_fixture(5, 2, seed=9)
     budget = hoeffding_budget(5, 2, 0.3, 1 / 3)
-    learned = learn(psi, 5, 2, budget, mode="sampled", rng=rng)
+    learned = learn(psi, budget, mode="sampled", rng=rng)
     report = verify(learned, psi)
     assert report.trace_distance <= report.term_tomography + report.term_projection + 1e-10
     assert 0.0 <= report.postselect_rate <= 1.0

@@ -181,7 +181,8 @@ def test_group_programs_compile_once_per_n(givens_calls):
 
 
 def _assert_same_ops(shared, fresh):
-    assert shared.rotations == fresh.rotations and shared.reflect_first == fresh.reflect_first
+    assert shared.planes.tobytes() == fresh.planes.tobytes() and shared.angles.tobytes() == fresh.angles.tobytes()
+    assert shared.reflect_first == fresh.reflect_first
     assert len(shared.ops) == len(fresh.ops)
     for op, expected in zip(shared.ops, fresh.ops):
         if isinstance(expected, Block):

@@ -13,7 +13,14 @@ from fermidope.metrology import _group_permutation, commuting_groups, correlatio
 from fermidope.pauli import PauliString
 from fermidope.states import expectation
 
-from conftest import compile_input, planted_complement, signed_permutation, tplus_state
+from conftest import (
+    compile_input,
+    givens,
+    planted_complement,
+    rotation_product,
+    signed_permutation,
+    tplus_state,
+)
 
 
 def test_omega_layout():
@@ -62,7 +69,7 @@ def test_normal_form_degenerate_spectrum(rng):
     assert ortho.opnorm(nf.reconstruct() - c) <= 1e-9
 
 
-ZERO_TOL = 1e-10  # normal_form's default
+ZERO_TOL = ortho.NORMAL_ZERO_TOL
 
 
 @settings(max_examples=200, deadline=None)
@@ -75,11 +82,11 @@ ZERO_TOL = 1e-10  # normal_form's default
 def test_normal_form_planted_spectra_at_zero_tol(lams, seed):
     # exact zeros, values either side of zero_tol, a small lambda whose plane's basis eigh skews
     # by ~eps/lambda, and repeated values under a random O(2n); O must pass the orthogonality
-    # check of givens_decompose (1e-10), which compiles the G of every learned state
+    # check of givens_eliminate (1e-10), which compiles the G of every learned state
     dim = 2 * len(lams)
     q = ortho.random_orthogonal(dim, np.random.default_rng(seed))
     c = q @ np.kron(np.diag(lams), np.array([[0.0, 1.0], [-1.0, 0.0]])) @ q.T
-    nf = ortho.normal_form(c, zero_tol=ZERO_TOL)
+    nf = ortho.normal_form(c)
     assert ortho.is_orthogonal(nf.O)
     assert ortho.opnorm(nf.reconstruct() - c) <= 1e-9
     oracle = np.linalg.eigvalsh(1j * c)[dim // 2 :]
@@ -154,7 +161,7 @@ def test_exact_checks_run_no_svd_on_haar_and_group_inputs(rng, monkeypatch):
     monkeypatch.setattr(ortho, "opnorm", lambda a: calls.append(a) or np.linalg.norm(a, 2))
     inputs = list(group_matrices(12)) + [ortho.random_orthogonal(d, rng) for d in (2, 8, 16, 24)]
     for o in inputs:
-        ortho.givens_decompose(o)
+        ortho.givens_eliminate([o])
     ortho.normal_form(ortho.random_antisymmetric(24, rng))
     assert calls == []
 
@@ -263,32 +270,31 @@ def test_compression_rotation_n_minus_one_random_vectors(rng):
 
 
 def test_givens_identity_is_empty():
-    prog = ortho.givens_decompose(np.eye(6))
-    assert prog.rotations == () and not prog.reflect_first
+    rotations, reflect_first = givens(np.eye(6))
+    assert rotations == () and not reflect_first
 
 
 def test_givens_single_plane():
     o = np.kron(np.diag([1.0, 0, 0]), np.array([[0.0, 1.0], [-1.0, 0.0]])) + np.diag([0, 0, 1, 1, 1, 1.0])
-    prog = ortho.givens_decompose(o)
-    assert ortho.opnorm(prog.matrix() - o) <= 1e-12
+    assert ortho.opnorm(rotation_product(6, *givens(o)) - o) <= 1e-12
 
 
 def test_givens_reflection_fixture(rng):
     o = ortho.random_orthogonal(6, rng)
     if np.linalg.det(o) > 0:
         o = o @ ortho.reflection_matrix(6)
-    prog = ortho.givens_decompose(o)
-    assert prog.reflect_first
-    assert ortho.opnorm(prog.matrix() - o) <= 1e-10
+    rotations, reflect_first = givens(o)
+    assert reflect_first
+    assert ortho.opnorm(rotation_product(6, rotations, reflect_first) - o) <= 1e-10
 
 
 def test_givens_random_reconstruction(rng):
     for _ in range(20):
         dim = int(rng.choice([4, 6, 8]))
         o = ortho.random_orthogonal(dim, rng)
-        prog = ortho.givens_decompose(o)
-        assert len(prog.rotations) <= dim * (dim - 1) // 2
-        assert ortho.opnorm(prog.matrix() - o) <= 1e-10
+        rotations, reflect_first = givens(o)
+        assert len(rotations) <= dim * (dim - 1) // 2
+        assert ortho.opnorm(rotation_product(dim, rotations, reflect_first) - o) <= 1e-10
 
 
 def nearest_neighbour_rotations(o: np.ndarray):
@@ -312,7 +318,7 @@ def nearest_neighbour_rotations(o: np.ndarray):
 
 
 def givens_loop(o: np.ndarray):
-    """The chain of ``givens_decompose``, one 2 x 2 rotation of a row pair at a time.
+    """The chain of ``ortho.givens_eliminate``, one 2 x 2 rotation of a row pair at a time.
 
     Returns (rotations, reflect_first) in program order.  Test oracle only.
     """
@@ -344,11 +350,11 @@ def test_givens_chain_matches_the_per_rotation_loop(rng):
                   for _ in range(4)]
         for o in inputs + [o @ ortho.reflection_matrix(2 * n) for o in inputs]:
             expected, reflect = givens_loop(o)
-            prog = ortho.givens_decompose(o)
-            assert [r[:2] for r in prog.rotations] == [r[:2] for r in expected]
-            assert_allclose([r[2] for r in prog.rotations], [r[2] for r in expected],
+            rotations, reflect_first = givens(o)
+            assert [r[:2] for r in rotations] == [r[:2] for r in expected]
+            assert_allclose([r[2] for r in rotations], [r[2] for r in expected],
                             rtol=0, atol=1e-13)
-            assert prog.reflect_first == reflect
+            assert reflect_first == reflect
 
 
 def group_matrices(n_max: int):
@@ -363,29 +369,28 @@ def test_givens_chain_is_the_nearest_neighbour_loop_on_dense_inputs(rng):
         dim = int(rng.choice([2, 4, 8, 12, 16]))
         o = ortho.random_orthogonal(dim, rng)
         expected, reflect = nearest_neighbour_rotations(o)
-        prog = ortho.givens_decompose(o)
-        assert [r[:2] for r in prog.rotations] == [r[:2] for r in expected]
+        rotations, reflect_first = givens(o)
+        assert [r[:2] for r in rotations] == [r[:2] for r in expected]
         # the program rotates row pairs with a 2 x 2 product, the oracle elementwise
-        angles = [r[2] for r in prog.rotations]
+        angles = [r[2] for r in rotations]
         assert_allclose(angles, [r[2] for r in expected], rtol=0, atol=1e-12)
-        assert prog.reflect_first == reflect
+        assert reflect_first == reflect
 
 
 def test_givens_chain_adds_at_most_one_rotation_per_signed_permutation_column(rng):
     inputs = list(group_matrices(12))
     inputs += [signed_permutation(int(rng.choice([2, 4, 8, 12, 16])), rng) for _ in range(60)]
     for o in inputs:
-        prog = ortho.givens_decompose(o)
-        columns = [mu for mu, _, _ in prog.rotations]  # column j is eliminated in planes (j, .)
+        rotations, reflect_first = givens(o)
+        columns = [mu for mu, _, _ in rotations]  # column j is eliminated in planes (j, .)
         assert len(columns) == len(set(columns))
-        assert ortho.opnorm(prog.matrix() - o) <= 1e-12
+        assert ortho.opnorm(rotation_product(len(o), rotations, reflect_first) - o) <= 1e-12
 
 
 def test_givens_group_programs_at_n12_hold_471_rotations():
     # the 23 basis changes of grouped sampling; 1652 when no-op rotations were recorded,
     # 478 under the fan elimination (pivot row j against every row below it)
-    total = sum(len(ortho.givens_decompose(_group_permutation(pairs, 12)).rotations)
-                for pairs in commuting_groups(12))
+    total = sum(len(givens(_group_permutation(pairs, 12))[0]) for pairs in commuting_groups(12))
     assert total == 471
 
 
@@ -410,11 +415,11 @@ def test_givens_round_trip(half, kind, flip, seed):
             o = o * signs[:, None]  # zeros in the negated rows become -0.0
     if flip:
         o = o @ ortho.reflection_matrix(d)
-    prog = ortho.givens_decompose(o)
-    assert ortho.opnorm(prog.matrix() - o) <= 1e-12
-    assert len(prog.rotations) <= d * (d - 1) // 2
-    assert prog.reflect_first == (np.linalg.det(o) < 0)
-    assert all(theta != 0.0 for _, _, theta in prog.rotations)
+    rotations, reflect_first = givens(o)
+    assert ortho.opnorm(rotation_product(d, rotations, reflect_first) - o) <= 1e-12
+    assert len(rotations) <= d * (d - 1) // 2
+    assert reflect_first == (np.linalg.det(o) < 0)
+    assert all(theta != 0.0 for _, _, theta in rotations)
 
 
 @settings(max_examples=200, deadline=None)
@@ -436,19 +441,19 @@ def test_givens_reconstructs_inputs_at_the_nonzero_cut(half, haar, tiny, flip, s
     o = o[rng.permutation(d)][:, rng.permutation(d)]
     for angle in tiny:
         mu, nu = sorted(rng.choice(d, size=2, replace=False) + 1)
-        o = ortho.plane_rotation(d, int(mu), int(nu), angle) @ o
+        o = rotation_product(d, [(int(mu), int(nu), angle)]) @ o
     if flip:
         o = o @ ortho.reflection_matrix(d)
-    prog = ortho.givens_decompose(o)
-    assert ortho.opnorm(prog.matrix() - o) <= 1e-12
-    assert len(prog.rotations) <= d * (d - 1) // 2
-    assert prog.reflect_first == (np.linalg.det(o) < 0)
-    assert all(theta != 0.0 for _, _, theta in prog.rotations)
+    rotations, reflect_first = givens(o)
+    assert ortho.opnorm(rotation_product(d, rotations, reflect_first) - o) <= 1e-12
+    assert len(rotations) <= d * (d - 1) // 2
+    assert reflect_first == (np.linalg.det(o) < 0)
+    assert all(theta != 0.0 for _, _, theta in rotations)
 
 
 def test_givens_rejects_non_orthogonal():
     with pytest.raises(ValueError):
-        ortho.givens_decompose(np.eye(4) * 1.1)
+        ortho.givens_eliminate([np.eye(4) * 1.1])
 
 
 def test_random_orthogonal_properties(rng):
