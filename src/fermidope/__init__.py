@@ -13,8 +13,6 @@ from .doped import (
     CompressionError,
     DopedCircuit,
     NonGaussianGate,
-    circuit_dumps,
-    circuit_loads,
     compress_state,
     compress_unitary,
     prepare,
@@ -48,7 +46,6 @@ from .ortho import (
     NormalForm,
     compression_rotation,
     is_symplectic,
-    matrix_to_text,
     normal_eigenvalues,
     normal_form,
     omega,

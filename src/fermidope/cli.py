@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .doped import CompressedForm, CompressionError, circuit_dumps, circuit_loads, prepare
+from .doped import CompressedForm, CompressionError, DopedCircuit, prepare
 from .harness import KIND_TABLE, KINDS, SWEEPABLE, ConfigError, ExperimentConfig, check_range, run, sweep, trials_csv
 from .learner import verify
 from .states import ZeroProbabilityError
@@ -154,7 +154,7 @@ def _cmd_run(args, kind: str) -> int:
     doc = run(_config_from_args(args, kind))
     _emit(doc, args)
     if kind == "prepare" and args.save_circuit:
-        _write(args.save_circuit, circuit_dumps(doc.artifacts["circuit"]))
+        _write(args.save_circuit, doc.artifacts["circuit"].dumps())
     if kind == "learn" and args.save_state:
         if "learned" not in doc.artifacts:
             print(f"error: trial 0 learned no state ({doc.records[0]['boosting_failure']}); "
@@ -185,7 +185,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify(args) -> int:
     check_range("eps", args.eps)  # the threshold is a learn run's eps, so it has eps's range
     learned = CompressedForm.loads(Path(_resolve(args.learned)).read_text())
-    circuit = circuit_loads(Path(_resolve(args.circuit)).read_text())
+    circuit = DopedCircuit.loads(Path(_resolve(args.circuit)).read_text())
     report = verify(learned, prepare(circuit))
     print(f"trace_distance {report.trace_distance!r}")
     print(f"fidelity {report.fidelity!r}")

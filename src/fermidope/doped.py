@@ -9,7 +9,13 @@ returns too; `compress_unitary` does the same for the circuit unitary,
 shrinking the non-Gaussian core to ceil(kappa*t / 2) qubits.  A gate
 rotates one copy of the amplitudes in place, term by term, through
 ``PauliString.rotate``, the kernel the unfused planes of a Gaussian layer
-use too.  The text formats of circuits and compressed forms both live here.
+use too.
+
+The text formats of circuits (``DopedCircuit.dumps``/``.loads``) and of
+compressed forms (``CompressedForm.dumps``/``.loads``) live here, with the
+line reader that both loaders read through: every malformed line, block or
+value in a document raises ValueError("line k: ...") naming the line where
+the fault shows.
 """
 
 from __future__ import annotations
@@ -54,12 +60,7 @@ class NonGaussianGate:
     _strings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        terms = tuple((tuple(int(i) for i in s), float(theta)) for s, theta in self.terms)
-        for s, _ in terms:
-            if any(b <= a for a, b in zip(s, s[1:])):
-                raise ValueError(f"term indices must be strictly increasing, got {s}")
-            if not s or s[0] < 1:
-                raise ValueError(f"term indices must be positive and non-empty, got {s}")
+        terms = tuple((_term_indices(s), float(theta)) for s, theta in self.terms)
         object.__setattr__(self, "terms", terms)
 
     @property
@@ -101,15 +102,51 @@ class DopedCircuit:
             if g.n != self.n:
                 raise ValueError("Gaussian layer size does not match the register")
         for w in self.gates:
-            supp = w.support
-            if len(supp) > self.kappa:
-                raise ValueError(f"gate support {supp} exceeds Majorana locality {self.kappa}")
-            if supp and supp[-1] > 2 * self.n:
-                raise ValueError(f"gate support {supp} exceeds 2n = {2 * self.n}")
+            _check_support(w.support, self.kappa, self.n)
 
     @property
     def t(self) -> int:
         return len(self.gates)
+
+    def dumps(self) -> str:
+        """Structured text; floats round-trip exactly via repr."""
+        lines = ["doped-circuit v1", f"n {self.n}", f"kappa {self.kappa}", f"t {self.t}"]
+        for i, g in enumerate(self.gaussians):
+            lines.append(f"gaussian {i}")
+            lines.append(matrix_to_text(g.O).rstrip("\n"))
+            if i < self.t:
+                w = self.gates[i]
+                lines.append(f"gate {i + 1} terms {len(w.terms)}")
+                for s, theta in w.terms:
+                    lines.append("term " + " ".join(str(mu) for mu in s) + f" theta {theta!r}")
+        return "\n".join(lines) + "\n"
+
+    @classmethod
+    def loads(cls, text: str) -> "DopedCircuit":
+        """The DopedCircuit that ``dumps`` wrote; any fault raises ValueError naming its line."""
+        return _load(text, "doped-circuit v1", cls._read)
+
+    @classmethod
+    def _read(cls, lines: LineReader, n: int) -> "DopedCircuit":
+        kappa, t = lines.count("kappa"), lines.count("t")
+        gaussians, gates = [], []
+        for i in range(t + 1):
+            lines.keyword(f"gaussian {i}")
+            gaussians.append(lines.gaussian(n))
+            if i < t:
+                terms, support = [], set()
+                for _ in range(lines.count("gate", str(i + 1), "terms")):
+                    expected = "'term <indices> theta <angle>'"
+                    parts = lines.fields(expected)
+                    if parts[0] != "term" or parts[-2:-1] != ["theta"]:
+                        raise lines.error(expected)
+                    indices = lines.checked(_term_indices, lines.convert(parts[1:-2], int, expected))
+                    (theta,) = lines.convert(parts[-1:], float, expected)
+                    support.update(indices)
+                    lines.checked(_check_support, tuple(sorted(support)), kappa, n)
+                    terms.append((indices, theta))
+                gates.append(NonGaussianGate(tuple(terms)))
+        return cls(n=n, kappa=kappa, gaussians=tuple(gaussians), gates=tuple(gates))
 
     def apply(self, psi: StateVector) -> StateVector:
         compile_programs(self.gaussians)  # the layers not yet compiled, in one stacked elimination
@@ -117,6 +154,24 @@ class DopedCircuit:
         for w, g in zip(self.gates, self.gaussians[1:]):
             psi = g.apply(w.apply(psi))
         return psi
+
+
+def _term_indices(s) -> tuple:
+    """The Majorana indices of a gate term, checked positive and strictly increasing."""
+    s = tuple(int(i) for i in s)
+    if any(b <= a for a, b in zip(s, s[1:])):
+        raise ValueError(f"term indices must be strictly increasing, got {s}")
+    if not s or s[0] < 1:
+        raise ValueError(f"term indices must be positive and non-empty, got {s}")
+    return s
+
+
+def _check_support(supp: tuple, kappa: int, n: int) -> None:
+    """Refuse a gate support (sorted indices) with more than kappa Majoranas or one past 2n."""
+    if len(supp) > kappa:
+        raise ValueError(f"gate support {supp} exceeds Majorana locality {kappa}")
+    if supp and supp[-1] > 2 * n:
+        raise ValueError(f"gate support {supp} exceeds 2n = {2 * n}")
 
 
 def prepare(circuit: DopedCircuit) -> StateVector:
@@ -145,31 +200,26 @@ class CompressedForm:
     def dumps(self) -> str:
         """Structured text; floats round-trip exactly via repr."""
         lines = ["learned-state v1", f"n {self.n}", f"t {self.core_qubits}", "O"]
-        lines.append(ortho.matrix_to_text(self.G.O).rstrip("\n"))
+        lines.append(matrix_to_text(self.G.O).rstrip("\n"))
         lines.append("phi")
         lines.extend(f"{float(a.real)!r} {float(a.imag)!r}" for a in self.phi.amps)
         return "\n".join(lines) + "\n"
 
     @classmethod
     def loads(cls, text: str) -> "CompressedForm":
-        lines = ortho.LineReader(text)
-        lines.keyword("learned-state v1")
-        n, t = _register_size(lines), lines.count("t")
+        """The CompressedForm that ``dumps`` wrote; any fault raises ValueError naming its line."""
+        return _load(text, "learned-state v1", cls._read)
+
+    @classmethod
+    def _read(cls, lines: LineReader, n: int) -> "CompressedForm":
+        t = lines.count("t")
         if t > n:  # also keeps 2**t below from growing with the digits of t
             raise lines.error(f"'t <count>' at most n = {n}")
         lines.keyword("O")
-        g = GaussianUnitary(lines.orthogonal(2 * n), check=False)  # the reader checked it
+        g = lines.gaussian(n)
         lines.keyword("phi")
         amps = lines.matrix(2**t, 2).view(complex).ravel()  # (re, im) rows, bit-exact
-        return cls(G=g, phi=StateVector(t, amps))
-
-
-def _register_size(lines: ortho.LineReader) -> int:
-    """The 'n <count>' line of a text format, refused above MAX_QUBITS before any 2^n array is built."""
-    n = lines.count("n")
-    if n > MAX_QUBITS:
-        raise lines.error(f"'n <count>' at most {MAX_QUBITS}, the dense engine's limit")
-    return n
+        return cls(G=g, phi=lines.checked(StateVector, t, amps))
 
 
 def _support_vectors(circuit: DopedCircuit):
@@ -275,43 +325,115 @@ def report_gate_counts(circuit: DopedCircuit) -> GateCounts:
     return GateCounts(rotations=rotations, reflections=reflections, non_gaussian_terms=terms)
 
 
-def circuit_dumps(circuit: DopedCircuit) -> str:
-    """Serialize to structured text; floats round-trip exactly via repr."""
-    lines = [
-        "doped-circuit v1",
-        f"n {circuit.n}",
-        f"kappa {circuit.kappa}",
-        f"t {circuit.t}",
-    ]
-    for i, g in enumerate(circuit.gaussians):
-        lines.append(f"gaussian {i}")
-        lines.append(ortho.matrix_to_text(g.O).rstrip("\n"))
-        if i < circuit.t:
-            w = circuit.gates[i]
-            lines.append(f"gate {i + 1} terms {len(w.terms)}")
-            for s, theta in w.terms:
-                lines.append("term " + " ".join(str(mu) for mu in s) + f" theta {theta!r}")
-    return "\n".join(lines) + "\n"
+def matrix_to_text(a: np.ndarray) -> str:
+    """Row-major decimal text; repr floats reload bit-exactly."""
+    return "\n".join(" ".join(repr(float(x)) for x in row) for row in np.asarray(a)) + "\n"
 
 
-def circuit_loads(text: str) -> DopedCircuit:
-    lines = ortho.LineReader(text)
-    lines.keyword("doped-circuit v1")
-    n, kappa, t = _register_size(lines), lines.count("kappa"), lines.count("t")
+# largest entry a matrix row may hold: 1, with ample room for rounding
+ROW_ENTRY_BOUND = 1.0 + 1e-6
 
-    gaussians, gates = [], []
-    for i in range(t + 1):
-        lines.keyword(f"gaussian {i}")
-        gaussians.append(GaussianUnitary(lines.orthogonal(2 * n), check=False))  # the reader checked it
-        if i < t:
-            terms = []
-            for _ in range(lines.count("gate", str(i + 1), "terms")):
-                expected = "'term <indices> theta <angle>'"
-                parts = lines.fields(expected)
-                if parts[0] != "term" or parts[-2:-1] != ["theta"]:
-                    raise lines.error(expected)
-                indices = lines.convert(parts[1:-2], int, expected)
-                (theta,) = lines.convert(parts[-1:], float, expected)
-                terms.append((tuple(indices), theta))
-            gates.append(NonGaussianGate(tuple(terms)))
-    return DopedCircuit(n=n, kappa=kappa, gaussians=tuple(gaussians), gates=tuple(gates))
+
+class LineReader:
+    """The non-blank lines of a text document, read in order.
+
+    Every read checks that the line is there and has the expected shape;
+    otherwise it raises ValueError("line k: expected ...") with k the 1-based
+    line number in the text.
+    """
+
+    def __init__(self, text: str):
+        raw = text.splitlines()
+        self._lines = [(k, ln.split()) for k, ln in enumerate(raw, 1) if ln.strip()]
+        self._end = len(raw) + 1
+        self._pos = 0
+
+    def error(self, expected: str) -> ValueError:
+        """The error for the line read last."""
+        return ValueError(f"line {self._lines[self._pos - 1][0]}: expected {expected}")
+
+    def checked(self, check, *args):
+        """``check(*args)``, whose ValueError is raised again naming the line read last."""
+        try:
+            return check(*args)
+        except ValueError as exc:
+            raise ValueError(f"line {self._lines[self._pos - 1][0]}: {exc}") from None
+
+    def fields(self, expected: str) -> list:
+        """Whitespace-separated fields of the next line."""
+        if self._pos == len(self._lines):
+            raise ValueError(f"line {self._end}: expected {expected}, got end of document")
+        self._pos += 1
+        return self._lines[self._pos - 1][1]
+
+    def end(self) -> None:
+        """Refuse a non-blank line after the last one read."""
+        if self._pos < len(self._lines):
+            self._pos += 1
+            raise self.error("end of document")
+
+    def convert(self, tokens, cast, expected: str) -> list:
+        """``cast`` of each token; NaN and infinities are rejected like any other non-number."""
+        try:
+            values = [cast(x) for x in tokens]
+        except ValueError:
+            raise self.error(expected) from None
+        if not all(map(math.isfinite, values)):
+            raise self.error(expected)
+        return values
+
+    def keyword(self, line: str) -> None:
+        if self.fields(repr(line)) != line.split():
+            raise self.error(repr(line))
+
+    def count(self, *words: str) -> int:
+        """The nonnegative integer ending a line that starts with ``words``."""
+        expected = repr(" ".join(words) + " <count>")
+        f = self.fields(expected)
+        if f[:-1] != list(words) or not f[-1].isdecimal():
+            raise self.error(expected)
+        return int(f[-1])
+
+    def row(self, width: int) -> list:
+        """A line of exactly ``width`` floats, each at most ROW_ENTRY_BOUND in magnitude.
+
+        Rows are of orthogonal matrices and unit vectors, whose entries are at
+        most 1; a larger one is rejected before arithmetic on it can overflow.
+        """
+        expected = f"a matrix row of {width} numbers"
+        f = self.fields(expected)
+        if len(f) != width:
+            raise self.error(expected)
+        values = self.convert(f, float, expected)
+        if any(abs(x) > ROW_ENTRY_BOUND for x in values):
+            raise self.error(expected)
+        return values
+
+    def matrix(self, rows: int, cols: int) -> np.ndarray:
+        return np.array([self.row(cols) for _ in range(rows)]).reshape(rows, cols)
+
+    def gaussian(self, n: int) -> GaussianUnitary:
+        """The Gaussian unitary of a 2n x 2n block; a non-orthogonal one names its last row's line."""
+        dim = 2 * n
+        o = self.matrix(dim, dim)
+        try:
+            return GaussianUnitary(o)
+        except ValueError:
+            raise self.error(f"{dim} rows ending here that form an orthogonal matrix") from None
+
+
+def _load(text: str, header: str, read):
+    """``read(lines, n)`` of a document that opens with ``header`` and its 'n <count>' line.
+
+    The one way into both text formats: n is refused above MAX_QUBITS
+    before ``read`` can build any 2^n array, and a non-blank line after
+    the last one ``read`` takes is refused as well.
+    """
+    lines = LineReader(text)
+    lines.keyword(header)
+    n = lines.count("n")
+    if n > MAX_QUBITS:
+        raise lines.error(f"'n <count>' at most {MAX_QUBITS}, the dense engine's limit")
+    out = read(lines, n)
+    lines.end()
+    return out

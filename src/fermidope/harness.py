@@ -5,7 +5,10 @@ SeedSequence.spawn, so serial and parallel execution agree and a repeated
 run writes a byte-identical document.  Wall-clock time and trial 0's
 artifacts (its doped circuit and learned state) are kept on the in-memory
 document, never in the serialized payload; re-running with the same
-config + seed reproduces the file exactly.
+config + seed reproduces the file exactly.  One table, ``KIND_TABLE``,
+gives each kind its trial, summary metric and fixtures, and the copy
+fields of every record come from one ledger computed from the config
+(``_ledger``), which ``validate_document`` checks.
 """
 
 from __future__ import annotations

@@ -11,7 +11,9 @@ Copy budgets follow the explicit formulas (`plan_budget`); the Hoeffding
 variant (`hoeffding_budget`) sizes the correlation stage by the union bound
 over matrix entries instead and is the practical choice at desk scale.
 Sample draws use exact-distribution counts, so even astronomically large
-budgets execute quickly.
+budgets execute quickly.  Tomography reads every Pauli expectation of the
+core off one Walsh-Hadamard transform and estimates them all in one
+vectorised binomial draw.
 """
 
 from __future__ import annotations

@@ -268,6 +268,11 @@ def givens_eliminate(matrices) -> list:
     (nu_k, mu_k).
     """
     matrices = [np.asarray(o, dtype=float) for o in matrices]
+    if not matrices:
+        raise ValueError("no matrices to eliminate")
+    for o in matrices[1:]:
+        if o.shape != matrices[0].shape:
+            raise ValueError(f"matrices of different sizes: {matrices[0].shape} and {o.shape}")
     for o in matrices:
         if not is_orthogonal(o, ORTHOGONAL_TOL):
             raise ValueError("input is not orthogonal within tolerance")
@@ -333,85 +338,3 @@ def random_antisymmetric(dim: int, rng, scale: float = 1.0) -> np.ndarray:
     a = rng.normal(size=(dim, dim))
     a = (a - a.T) / 2.0
     return scale * a
-
-
-def matrix_to_text(a: np.ndarray) -> str:
-    """Row-major decimal text; repr floats reload bit-exactly."""
-    return "\n".join(" ".join(repr(float(x)) for x in row) for row in np.asarray(a)) + "\n"
-
-
-# largest entry a matrix row may hold: 1, with ample room for rounding
-ROW_ENTRY_BOUND = 1.0 + 1e-6
-
-
-class LineReader:
-    """The non-blank lines of a text document, read in order.
-
-    Every read checks that the line is there and has the expected shape;
-    otherwise it raises ValueError("line k: expected ...") with k the 1-based
-    line number in the text.
-    """
-
-    def __init__(self, text: str):
-        raw = text.splitlines()
-        self._lines = [(k, ln.split()) for k, ln in enumerate(raw, 1) if ln.strip()]
-        self._end = len(raw) + 1
-        self._pos = 0
-
-    def error(self, expected: str) -> ValueError:
-        """The error for the line read last."""
-        return ValueError(f"line {self._lines[self._pos - 1][0]}: expected {expected}")
-
-    def fields(self, expected: str) -> list:
-        """Whitespace-separated fields of the next line."""
-        if self._pos == len(self._lines):
-            raise ValueError(f"line {self._end}: expected {expected}, got end of document")
-        self._pos += 1
-        return self._lines[self._pos - 1][1]
-
-    def convert(self, tokens, cast, expected: str) -> list:
-        """``cast`` of each token; NaN and infinities are rejected like any other non-number."""
-        try:
-            values = [cast(x) for x in tokens]
-        except ValueError:
-            raise self.error(expected) from None
-        if not all(map(math.isfinite, values)):
-            raise self.error(expected)
-        return values
-
-    def keyword(self, line: str) -> None:
-        if self.fields(repr(line)) != line.split():
-            raise self.error(repr(line))
-
-    def count(self, *words: str) -> int:
-        """The nonnegative integer ending a line that starts with ``words``."""
-        expected = repr(" ".join(words) + " <count>")
-        f = self.fields(expected)
-        if f[:-1] != list(words) or not f[-1].isdecimal():
-            raise self.error(expected)
-        return int(f[-1])
-
-    def row(self, width: int) -> list:
-        """A line of exactly ``width`` floats, each at most ROW_ENTRY_BOUND in magnitude.
-
-        Rows are of orthogonal matrices and unit vectors, whose entries are at
-        most 1; a larger one is rejected before arithmetic on it can overflow.
-        """
-        expected = f"a matrix row of {width} numbers"
-        f = self.fields(expected)
-        if len(f) != width:
-            raise self.error(expected)
-        values = self.convert(f, float, expected)
-        if any(abs(x) > ROW_ENTRY_BOUND for x in values):
-            raise self.error(expected)
-        return values
-
-    def matrix(self, rows: int, cols: int) -> np.ndarray:
-        return np.array([self.row(cols) for _ in range(rows)]).reshape(rows, cols)
-
-    def orthogonal(self, dim: int) -> np.ndarray:
-        """A dim x dim matrix that `is_orthogonal` accepts; a failure names its last row's line."""
-        o = self.matrix(dim, dim)
-        if not is_orthogonal(o):
-            raise self.error(f"{dim} rows ending here that form an orthogonal matrix")
-        return o

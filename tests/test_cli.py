@@ -26,7 +26,7 @@ from fermidope.cli import (
     build_parser,
     main,
 )
-from fermidope.doped import CompressedForm, CompressionError, circuit_dumps, circuit_loads
+from fermidope.doped import CompressedForm, CompressionError, DopedCircuit
 from fermidope.harness import KIND_TABLE, KINDS, ExperimentConfig, run
 from fermidope.states import ZeroProbabilityError
 
@@ -140,7 +140,7 @@ def test_save_circuit_is_trial_zeros_circuit(tmp_path):
     assert main(["prepare", "--n", "6", "--t", "2", "--kappa", "3", "--seed", "8", "--trials", "3",
                  "--out", str(tmp_path / "p.json"), "--save-circuit", str(circuit)]) == EXIT_OK
     cfg = ExperimentConfig(kind="prepare", n=6, t=2, kappa=3, seed=8, trials=3)
-    assert circuit.read_text() == circuit_dumps(run(cfg).artifacts["circuit"])
+    assert circuit.read_text() == run(cfg).artifacts["circuit"].dumps()
 
 
 def test_save_state_after_boosting_failure_exits_statistical(tmp_path, capsys):
@@ -248,7 +248,7 @@ def test_verify_of_a_register_above_the_cap_is_precondition_error(tmp_path, caps
     state.write_text(f"learned-state v1\nn {n}\nt 0\nO\n{eye}\nphi\n1.0 0.0\n")
     circuit.write_text(f"doped-circuit v1\nn {n}\nkappa 1\nt 0\ngaussian 0\n{eye}\n")
     expected = "line 2: expected 'n <count>' at most 12, the dense engine's limit"
-    for loads, path in ((CompressedForm.loads, state), (circuit_loads, circuit)):
+    for loads, path in ((CompressedForm.loads, state), (DopedCircuit.loads, circuit)):
         with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
             loads(path.read_text())
     assert main(["verify", "--learned", str(state), "--circuit", str(circuit)]) == EXIT_PRECONDITION
@@ -283,6 +283,15 @@ def test_verify_non_finite_input_is_precondition_error(tmp_path, capfd):
         assert capfd.readouterr() == ("", f"error: line {line}: expected {expected}\n")
 
 
+def test_verify_of_a_state_with_a_row_past_its_end_is_precondition_error(tmp_path, capsys):
+    circuit, state = _saved_circuit_and_state(tmp_path)
+    assert main(["verify", "--learned", str(state), "--circuit", str(circuit), "--eps", "1e-6"]) == EXIT_OK
+    state.write_text(state.read_text() + "0.0 0.0\n")
+    capsys.readouterr()
+    assert main(["verify", "--learned", str(state), "--circuit", str(circuit), "--eps", "1e-6"]) == EXIT_PRECONDITION
+    assert capsys.readouterr() == ("", "error: line 22: expected end of document\n")
+
+
 def test_non_orthogonal_rotations_are_rejected_at_their_line(tmp_path, capfd):
     circuit, state = _saved_circuit_and_state(tmp_path)
     capfd.readouterr()
@@ -292,7 +301,7 @@ def test_non_orthogonal_rotations_are_rejected_at_their_line(tmp_path, capfd):
     orthogonal = "expected 8 rows ending here that form an orthogonal matrix"
     last_row = 7  # the error names the block's last row
     for path, loader, line in ((o_hat, CompressedForm.loads, o_line + last_row),
-                               (gaussian, circuit_loads, gaussian_line + last_row)):
+                               (gaussian, DopedCircuit.loads, gaussian_line + last_row)):
         with open(path) as f, pytest.raises(ValueError, match=f"^line {line}: {orthogonal}$"):
             loader(f.read())
     for learned, circuit_path, line in ((o_hat, str(circuit), o_line + last_row),
@@ -305,7 +314,7 @@ def test_non_orthogonal_rotations_are_rejected_at_their_line(tmp_path, capfd):
 def _dumped_files() -> dict:
     """Trial 0's circuit and learned state at n = 3, as their loaders' inputs."""
     doc = run(ExperimentConfig(kind="learn", n=3, t=1, kappa=2, seed=5, mode="exact"))
-    return {circuit_loads: circuit_dumps(doc.artifacts["circuit"]),
+    return {DopedCircuit.loads: doc.artifacts["circuit"].dumps(),
             CompressedForm.loads: doc.artifacts["learned"].dumps()}
 
 
@@ -314,7 +323,7 @@ FUZZ_TOKENS = ("1e308", "-1e200", "1.5", "nan", "-0.0", "5e-324", "9" * 30, "x",
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=st.data(), loader=st.sampled_from([circuit_loads, CompressedForm.loads]),
+@given(data=st.data(), loader=st.sampled_from([DopedCircuit.loads, CompressedForm.loads]),
        edits=st.lists(st.sampled_from(["mutate", "delete", "duplicate", "reorder", "truncate"]),
                       min_size=1, max_size=3))
 def test_loaders_return_or_raise_value_error_on_mangled_files(data, loader, edits):
@@ -336,8 +345,10 @@ def test_loaders_return_or_raise_value_error_on_mangled_files(data, loader, edit
             tokens[i] = data.draw(st.sampled_from(FUZZ_TOKENS))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with contextlib.suppress(ValueError):
+        try:
             loader(" ".join(tokens))
+        except ValueError as exc:  # every fault in a document is named by its line
+            assert re.match(r"^line \d+: ", str(exc)), exc
     assert caught == []
 
 

@@ -1,5 +1,8 @@
 """Doped circuits: preparation oracle, compression, serialization."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,10 +11,9 @@ from numpy.testing import assert_allclose
 
 from fermidope import doped, ortho
 from fermidope.doped import (
+    CompressedForm,
     DopedCircuit,
     NonGaussianGate,
-    circuit_dumps,
-    circuit_loads,
     compress_state,
     compress_unitary,
     prepare,
@@ -19,6 +21,7 @@ from fermidope.doped import (
     report_gate_counts,
 )
 from fermidope.gaussian import GaussianUnitary, identity_gaussian
+from fermidope.learner import verify
 from fermidope.metrology import correlation_exact, gaussian_dimension
 from fermidope.pauli import PauliString, hermitize, majorana_monomial
 from fermidope.states import (
@@ -33,6 +36,10 @@ from fermidope.states import (
 )
 
 from conftest import doped_sweep_cells, planted_complement, text_prefixes
+
+# one file of each text format, as written before the format code moved into doped
+GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_CIRCUIT, GOLDEN_STATE = "doped-circuit-n4.txt", "learned-state-n4.txt"
 
 
 def test_gate_support_and_validation():
@@ -219,7 +226,7 @@ def test_compress_unitary_action_match(n, kappa, t, core):
 def test_random_circuit_reproducible():
     a = random_doped_circuit(4, 2, 3, np.random.default_rng(11))
     b = random_doped_circuit(4, 2, 3, np.random.default_rng(11))
-    assert circuit_dumps(a) == circuit_dumps(b)
+    assert a.dumps() == b.dumps()
 
 
 def test_random_circuit_kappa_bound():
@@ -245,9 +252,9 @@ def test_gate_counts():
 def test_serialization_round_trip():
     rng = np.random.default_rng(14)
     c = random_doped_circuit(3, 2, 3, rng)
-    text = circuit_dumps(c)
-    back = circuit_loads(text)
-    assert circuit_dumps(back) == text
+    text = c.dumps()
+    back = DopedCircuit.loads(text)
+    assert back.dumps() == text
     assert fidelity(prepare(back), prepare(c)) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -276,7 +283,7 @@ def doped_circuits(draw):
 @settings(max_examples=100, deadline=None)
 @given(doped_circuits())
 def test_serialization_round_trip_is_bit_exact(circuit):
-    back = circuit_loads(circuit_dumps(circuit))
+    back = DopedCircuit.loads(circuit.dumps())
     assert (back.n, back.kappa, back.t) == (circuit.n, circuit.kappa, circuit.t)
     for a, b in zip(back.gaussians, circuit.gaussians):
         assert a.O.tobytes() == b.O.tobytes()
@@ -287,14 +294,14 @@ def test_serialization_round_trip_is_bit_exact(circuit):
 
 def test_serialization_rejects_garbage():
     with pytest.raises(ValueError, match="^line 1: expected 'doped-circuit v1'$"):
-        circuit_loads("not a circuit\n")
+        DopedCircuit.loads("not a circuit\n")
 
 
 def test_serialization_rejects_every_truncation():
-    text = circuit_dumps(random_doped_circuit(3, 2, 3, np.random.default_rng(16)))
+    text = random_doped_circuit(3, 2, 3, np.random.default_rng(16)).dumps()
     for prefix, at_line_boundary in text_prefixes(text):
         try:
-            circuit_loads(prefix)
+            DopedCircuit.loads(prefix)
         except ValueError as exc:
             assert not at_line_boundary or str(exc).endswith("got end of document")
         else:
@@ -302,10 +309,90 @@ def test_serialization_rejects_every_truncation():
 
 
 def test_serialization_rejects_incomplete_gate_lines():
-    lines = circuit_dumps(random_doped_circuit(3, 1, 3, np.random.default_rng(17))).splitlines()
+    lines = random_doped_circuit(3, 1, 3, np.random.default_rng(17)).dumps().splitlines()
     assert lines[11].startswith("gate 1 terms ") and lines[12].startswith("term ")
     for k, bad, expected in ((11, "gate 1 terms", "'gate 1 terms <count>'"),
                              (12, "term 1 2 3 theta", "'term <indices> theta <angle>'")):
         with pytest.raises(ValueError) as info:
-            circuit_loads("\n".join(lines[:k] + [bad] + lines[k + 1 :]) + "\n")
+            DopedCircuit.loads("\n".join(lines[:k] + [bad] + lines[k + 1 :]) + "\n")
         assert str(info.value) == f"line {k + 1}: expected {expected}"
+
+
+def test_matrix_text_round_trip(rng):
+    o = ortho.random_orthogonal(6, rng)
+    text = doped.matrix_to_text(o)
+    back = doped.LineReader(text).matrix(6, 6)
+    assert np.array_equal(back, o)  # bit-exact at the precision written
+    assert doped.matrix_to_text(back) == text
+    with pytest.raises(ValueError, match="^line 2: expected a matrix row of 2 numbers$"):
+        doped.LineReader("1.0 0.5\n0.5\n").matrix(2, 2)
+    end = "^line 1: expected a matrix row of 2 numbers, got end of document$"
+    with pytest.raises(ValueError, match=end):
+        doped.LineReader("").matrix(1, 2)
+    with pytest.raises(ValueError, match="^line 3: expected a matrix row of 2 numbers$"):
+        doped.LineReader("1.0 0.5\n\n0.5 x\n").matrix(2, 2)
+    # entries of orthogonal matrices and unit vectors are at most 1 in magnitude
+    for bad in ("nan", "inf", "-inf", "NaN", "Infinity", "1.000002", "-2.0", "1e308"):
+        with pytest.raises(ValueError, match="^line 2: expected a matrix row of 2 numbers$"):
+            doped.LineReader(f"1.0 0.5\n0.5 {bad}\n").matrix(2, 2)
+    assert doped.LineReader("1.0000001 -1.0\n").matrix(1, 2).tolist() == [[1.0000001, -1.0]]
+
+
+def _golden(name: str) -> str:
+    return (GOLDEN / name).read_bytes().decode()
+
+
+def test_golden_circuit_file_round_trips_byte_for_byte():
+    text = _golden(GOLDEN_CIRCUIT)
+    circuit = DopedCircuit.loads(text)
+    assert circuit.dumps().encode() == (GOLDEN / GOLDEN_CIRCUIT).read_bytes()
+    assert (circuit.n, circuit.kappa, circuit.t) == (4, 3, 1)
+    assert compress_state(circuit).core_qubits == 3
+
+
+def test_golden_learned_state_file_round_trips_byte_for_byte():
+    text = _golden(GOLDEN_STATE)
+    form = CompressedForm.loads(text)
+    assert form.dumps().encode() == (GOLDEN / GOLDEN_STATE).read_bytes()
+    assert (form.n, form.core_qubits) == (4, 3)
+    # the state learned from the circuit file, which it reproduces
+    assert verify(form, prepare(DopedCircuit.loads(_golden(GOLDEN_CIRCUIT)))).trace_distance <= 1e-12
+
+
+def _with_line(name: str, k: int, line: str) -> str:
+    """The golden file ``name`` with its line ``k`` (1-based) replaced by ``line``."""
+    lines = _golden(name).splitlines()
+    lines[k - 1] = line
+    return "\n".join(lines) + "\n"
+
+
+# line 15 of the circuit file is its one term line, 'term 1 4 6 theta ...' (n = 4, kappa = 3);
+# lines 14 to 21 of the learned state are the rows of its core phi
+@pytest.mark.parametrize("name,k,line,message", [
+    (GOLDEN_CIRCUIT, 15, "term 3 2 1 theta 0.5",
+     "line 15: term indices must be strictly increasing, got (3, 2, 1)"),
+    (GOLDEN_CIRCUIT, 15, "term 0 1 theta 0.5", "line 15: term indices must be positive and non-empty, got (0, 1)"),
+    (GOLDEN_CIRCUIT, 15, "term 1 2 3 4 theta 0.5", "line 15: gate support (1, 2, 3, 4) exceeds Majorana locality 3"),
+    (GOLDEN_CIRCUIT, 15, "term 1 99 theta 0.5", "line 15: gate support (1, 99) exceeds 2n = 8"),
+    # the support of a gate is the union of its terms, so the fault shows at the term that widens it
+    (GOLDEN_CIRCUIT, 14, "gate 1 terms 2\nterm 1 4 theta 0.5\nterm 5 6 theta 0.5",
+     "line 16: gate support (1, 4, 5, 6) exceeds Majorana locality 3"),
+    (GOLDEN_STATE, 14, "0.0 0.0", "line 21: state not normalized: |amps| = 0.4256"),
+], ids=["indices-out-of-order", "zero-index", "support-past-kappa", "support-past-2n",
+        "union-past-kappa", "phi-not-normalized"])
+def test_loader_faults_name_their_line(name, k, line, message):
+    loads = DopedCircuit.loads if name == GOLDEN_CIRCUIT else CompressedForm.loads
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        loads(_with_line(name, k, line))
+
+
+@pytest.mark.parametrize("name,loads,last", [(GOLDEN_CIRCUIT, DopedCircuit.loads, 24),
+                                             (GOLDEN_STATE, CompressedForm.loads, 21)],
+                         ids=["circuit", "learned-state"])
+def test_loaders_reject_content_after_the_document(name, loads, last):
+    text = _golden(name)
+    assert len(text.splitlines()) == last
+    assert loads(text + "\n  \n").dumps() == text  # blank lines stay ignored
+    for extra, k in (("0.0 0.0\n", last + 1), ("\n\n0.0 0.0\n", last + 3), ("t 1\n", last + 1)):
+        with pytest.raises(ValueError, match=f"^line {k}: expected end of document$"):
+            loads(text + extra)

@@ -456,6 +456,13 @@ def test_givens_rejects_non_orthogonal():
         ortho.givens_eliminate([np.eye(4) * 1.1])
 
 
+def test_givens_rejects_no_matrices_and_mixed_sizes():
+    with pytest.raises(ValueError, match="^no matrices to eliminate$"):
+        ortho.givens_eliminate([])
+    with pytest.raises(ValueError, match=r"^matrices of different sizes: \(4, 4\) and \(6, 6\)$"):
+        ortho.givens_eliminate([np.eye(4), np.eye(6)])
+
+
 def test_random_orthogonal_properties(rng):
     with pytest.raises(ValueError):
         ortho.random_orthogonal(5, rng)
@@ -484,23 +491,3 @@ def test_weyl_perturbation_bound(rng):
         e = ortho.random_antisymmetric(dim, rng, scale=float(rng.uniform(0.01, 2.0)))
         gap = np.abs(ortho.normal_eigenvalues(a + e) - ortho.normal_eigenvalues(a))
         assert np.max(gap) <= ortho.opnorm(e) + 1e-12
-
-
-def test_matrix_text_round_trip(rng):
-    o = ortho.random_orthogonal(6, rng)
-    text = ortho.matrix_to_text(o)
-    back = ortho.LineReader(text).matrix(6, 6)
-    assert np.array_equal(back, o)  # bit-exact at the precision written
-    assert ortho.matrix_to_text(back) == text
-    with pytest.raises(ValueError, match="^line 2: expected a matrix row of 2 numbers$"):
-        ortho.LineReader("1.0 0.5\n0.5\n").matrix(2, 2)
-    end = "^line 1: expected a matrix row of 2 numbers, got end of document$"
-    with pytest.raises(ValueError, match=end):
-        ortho.LineReader("").matrix(1, 2)
-    with pytest.raises(ValueError, match="^line 3: expected a matrix row of 2 numbers$"):
-        ortho.LineReader("1.0 0.5\n\n0.5 x\n").matrix(2, 2)
-    # entries of orthogonal matrices and unit vectors are at most 1 in magnitude
-    for bad in ("nan", "inf", "-inf", "NaN", "Infinity", "1.000002", "-2.0", "1e308"):
-        with pytest.raises(ValueError, match="^line 2: expected a matrix row of 2 numbers$"):
-            ortho.LineReader(f"1.0 0.5\n0.5 {bad}\n").matrix(2, 2)
-    assert ortho.LineReader("1.0000001 -1.0\n").matrix(1, 2).tolist() == [[1.0000001, -1.0]]
