@@ -2,13 +2,14 @@
 
 Every run derives one RNG stream per trial from the config seed via
 SeedSequence.spawn, so serial and parallel execution agree and a repeated
-run writes a byte-identical document.  Wall-clock time and trial 0's
-artifacts (its doped circuit and learned state) are kept on the in-memory
-document, never in the serialized payload; re-running with the same
-config + seed reproduces the file exactly.  One table, ``KIND_TABLE``,
-gives each kind its trial, summary metric and fixtures, and the copy
-fields of every record come from one ledger computed from the config
-(``_ledger``), which ``validate_document`` checks.
+run writes a byte-identical document.  ``run`` draws each trial's input,
+its description and the dense state built from it, and hands both to the
+trial.  Wall-clock time and trial 0's artifacts (its doped circuit and
+learned state) are kept on the in-memory document, never in the serialized
+payload; re-running with the same config + seed reproduces the file exactly.
+One table, ``KIND_TABLE``, gives each kind its trial, summary metric and
+fixtures, and the copy fields of every record come from one ledger computed
+from the config (``_ledger``), which ``validate_document`` checks.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from . import __version__, metrology, ortho
-from .doped import compress_state, prepare, random_doped_circuit, report_gate_counts
+from .doped import CompressedForm, DopedCircuit, compress_state, prepare, random_doped_circuit, report_gate_counts
 from .gaussian import GaussianUnitary
 from .learner import (
     TOMOGRAPHY_LIMIT,
@@ -38,7 +39,6 @@ from .learner import (
 from .states import (
     MAX_QUBITS,
     StateVector,
-    embed_with_zero_tail,
     fidelity,
     postselect_zero_tail,
     product,
@@ -171,10 +171,6 @@ class ResultDocument:
     def to_json(self) -> str:
         return json.dumps(self.payload(), sort_keys=True, indent=2) + "\n"
 
-    def write(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_json())
-
 
 _CONFIG_FIELDS = {spec.name for spec in fields(ExperimentConfig)}
 _DOCUMENT_SHAPE = (("config", dict), ("seed", int), ("version", str),
@@ -220,24 +216,25 @@ def _tplus_state(n: int) -> StateVector:
     return reduce(product, [one] * n)
 
 
-def _fixture(config: ExperimentConfig, rng):
-    """Build the trial's input state plus fixture metadata."""
+def _fixture(config: ExperimentConfig, rng) -> tuple:
+    """The trial's input as drawn (its description) and the dense state it describes."""
     if config.fixture == "doped":
         circuit = random_doped_circuit(config.n, config.t, config.kappa, rng)
-        return prepare(circuit), {"circuit": circuit}
+        return circuit, prepare(circuit)
     if config.fixture == "tplus":
-        return _tplus_state(config.n), {}
+        psi = _tplus_state(config.n)
+        return psi, psi
     # G(phi (x) |0>): a Haar core phi on t qubits, or for the gaussian fixture an empty one
     g = GaussianUnitary(ortho.random_orthogonal(2 * config.n, rng), check=False)
     phi = random_state(config.t, rng) if config.fixture == "compressible" else zero_state(0)
-    return g.apply(embed_with_zero_tail(phi, config.n)), {}
+    form = CompressedForm(g, phi)
+    return form, form.reassemble()
 
 
-def _trial_prepare(config, rng):
-    psi, meta = _fixture(config, rng)
+def _trial_prepare(config, circuit, psi, rng):
     c = metrology.correlation_exact(psi)
     gdim = metrology.gaussian_dimension(c)
-    counts = report_gate_counts(meta["circuit"])
+    counts = report_gate_counts(circuit)
     return {
         "gaussian_dimension": gdim,
         "lambdas": [float(x) for x in ortho.normal_eigenvalues(c)],
@@ -245,12 +242,11 @@ def _trial_prepare(config, rng):
         "reflections": counts.reflections,
         "non_gaussian_terms": counts.non_gaussian_terms,
         "ok": gdim >= config._gaussian_floor(),
-    }, meta
+    }, {}
 
 
-def _trial_compress(config, rng):
-    psi, meta = _fixture(config, rng)
-    form = compress_state(meta["circuit"])
+def _trial_compress(config, circuit, psi, rng):
+    form = compress_state(circuit)
     prob, _ = postselect_zero_tail(form.G.adjoint().apply(psi), form.core_qubits)
     tail_weight = 1.0 - prob
     gdim = metrology.gaussian_dimension(metrology.correlation_exact(psi))
@@ -260,14 +256,14 @@ def _trial_compress(config, rng):
         "reassembly_fidelity": fidelity(form.reassemble(), psi),
         "gaussian_dimension": gdim,
         "ok": tail_weight <= 1e-8 and gdim >= config._gaussian_floor(),
-    }, meta
+    }, {}
 
 
 @lru_cache(maxsize=16)
-def _learn_budget(config: ExperimentConfig, t_learn: int):
+def _learn_budget(config: ExperimentConfig):
     """The run's one LearnBudget: its trials, its ledger and the document check share it."""
     make = plan_budget if config.budget == "default" else hoeffding_budget
-    budget = make(config.n, t_learn, config.eps, config.delta, config.c_tom)
+    budget = make(config.n, config._learn_t(), config.eps, config.delta, config.c_tom)
     return budget if config.shots_override is None else replace(budget, N_corr=config.shots_override)
 
 
@@ -284,9 +280,8 @@ def _ledger(config: ExperimentConfig) -> dict:
     """
     sampled = config.mode == "sampled"
     if config.kind == "learn":
-        t_learn = config._learn_t()
-        budget = _learn_budget(config, t_learn)
-        drawn = metrology.copies_drawn(budget.N_corr, config.n) if sampled and t_learn < config.n else 0
+        budget = _learn_budget(config)
+        drawn = metrology.copies_drawn(budget.N_corr, config.n) if sampled and budget.t < config.n else 0
         return {"copies_correlation": budget.N_corr, "copies_correlation_drawn": drawn,
                 "copies_loop": budget.N_loop}
     if config.kind == "test":
@@ -299,29 +294,26 @@ def _ledger(config: ExperimentConfig) -> dict:
     return {}
 
 
-def _trial_learn(config, rng):
-    psi, meta = _fixture(config, rng)
-    t_learn = config._learn_t()
-    budget = _learn_budget(config, t_learn)
+def _trial_learn(config, fixture, psi, rng):
+    budget = _learn_budget(config)
     threshold = 1e-6 if config.mode == "exact" else config.eps
     try:
         learned = learn(psi, budget, mode=config.mode, rng=rng)
     except BoostingFailureError as exc:
-        return {"t_learn": t_learn, "boosting_failure": str(exc), "ok": False}, meta
+        return {"t_learn": budget.t, "boosting_failure": str(exc), "ok": False}, {}
     report = verify(learned, psi)
     return {
-        "t_learn": t_learn,
+        "t_learn": budget.t,
         "trace_distance": report.trace_distance,
         "fidelity": report.fidelity,
         "postselect_rate": report.postselect_rate,
         "term_tomography": report.term_tomography,
         "term_projection": report.term_projection,
         "ok": report.trace_distance <= threshold,
-    }, {**meta, "learned": learned}
+    }, {"learned": learned}
 
 
-def _trial_test(config, rng):
-    psi, meta = _fixture(config, rng)
+def _trial_test(config, fixture, psi, rng):
     expected = "far" if config.fixture == "tplus" else "close"
     result = metrology.test_gaussian_dimension(
         psi,
@@ -338,11 +330,11 @@ def _trial_test(config, rng):
         "expected": expected,
         "lambda_t1": result.lambda_t1,
         "ok": result.verdict == expected,
-    }, meta
+    }, {}
 
 
 # kind -> (trial, the record field its summary states, the fixtures it runs on, default first).
-# Each trial returns (record, artifacts): the fixture's metadata plus what it built.  The
+# Each trial takes the fixture and psi that ``run`` drew and returns (record, what it built).  The
 # tester runs on no doped fixture: a doped state with kappa*t > t is generally outside its promise.
 KIND_TABLE = {
     "prepare": (_trial_prepare, "gaussian_dimension", ("doped",)),
@@ -392,9 +384,10 @@ def run(config: ExperimentConfig) -> ResultDocument:
     records = []
     for i, stream in enumerate(streams):
         rng = np.random.default_rng(stream)
-        record, built = trial(config, rng)
+        fixture, psi = _fixture(config, rng)
+        record, built = trial(config, fixture, psi, rng)
         if i == 0:
-            artifacts = built
+            artifacts = {"circuit": fixture, **built} if isinstance(fixture, DopedCircuit) else built
         if "boosting_failure" not in record:  # a failed learn trial spends no reported copies
             record.update(ledger)
         record["trial"] = i

@@ -32,6 +32,7 @@ from .metrology import copy_count, correlation_sampled, nearest_compressible
 from .pauli import LETTERS, PauliString
 from .states import (
     StateVector,
+    ZeroProbabilityError,
     embed_with_zero_tail,
     fidelity,
     postselect_zero_tail,
@@ -222,10 +223,11 @@ def learn(psi: StateVector, budget: LearnBudget, mode: str = "sampled", rng=None
     estimate with the exact quantity, so it returns the witness of
     `metrology.nearest_compressible` (for debugging and promise checks).
     Raises BoostingFailureError when fewer than N_tom post-selections
-    succeed, ZeroProbabilityError when the promise is violated outright,
-    and ValueError when ``psi`` is not on the budget's n qubits, the
-    budget's t is outside [0, n], or a sampled stage's copy count is past
-    what its draw takes (2^53 shots per correlation group, 2^63 for N_loop).
+    succeed (none do when G_hat leaves no zero tail), ZeroProbabilityError
+    when exact mode finds the promise violated outright, and ValueError
+    when ``psi`` is not on the budget's n qubits, the budget's t is outside
+    [0, n], or a sampled stage's copy count is past what its draw takes
+    (2^53 shots per correlation group, 2^63 for N_loop).
     """
     if mode not in ("exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -245,7 +247,11 @@ def learn(psi: StateVector, budget: LearnBudget, mode: str = "sampled", rng=None
     _check_draw("boosting, N_loop", budget.N_loop)  # before any stage runs
     c_hat = correlation_sampled(psi, budget.N_corr, rng)
     g_hat = GaussianUnitary(ortho.normal_form(c_hat).O, check=False)
-    p_zero, core = postselect_zero_tail(g_hat.adjoint().apply(psi), t)
+    rotated = g_hat.adjoint().apply(psi)
+    try:
+        p_zero, core = postselect_zero_tail(rotated, t)
+    except ZeroProbabilityError:  # an under-budget G_hat can flip parity: no copy post-selects
+        p_zero = 0.0
     # every iteration is i.i.d., so the success count is one binomial draw
     successes = int(rng.binomial(budget.N_loop, p_zero)) if p_zero < 1.0 else budget.N_loop
     if successes < budget.N_tom:

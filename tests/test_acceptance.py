@@ -250,8 +250,8 @@ def test_criterion_12_determinism(tmp_path):
                            fixture="compressible", trials=3)
     first, second = run(cfg), run(cfg)
     pa, pb = tmp_path / "a.json", tmp_path / "b.json"
-    first.write(pa)
-    second.write(pb)
+    pa.write_text(first.to_json())
+    pb.write_text(second.to_json())
     ok = pa.read_bytes() == pb.read_bytes()
     cfg2 = ExperimentConfig(kind="test", n=4, t=0, fixture="tplus", mode="sampled",
                             trials=3, seed=42, shots_override=10_000)

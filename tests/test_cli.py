@@ -154,6 +154,19 @@ def test_save_state_after_boosting_failure_exits_statistical(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_a_sampled_learn_with_an_empty_zero_tail_records_a_boosting_failure(tmp_path, capsys):
+    # one correlation copy gives a G_hat that flips parity, so trial 1 post-selects nothing:
+    # that trial records a boosting failure and the run goes on
+    out = tmp_path / "l.json"
+    code = main(["learn", "--n", "4", "--t", "0", "--trials", "2", "--eps", "1e-3", "--delta", "0.5",
+                 "--shots-override", "1", "--mode", "sampled", "--fixture", "compressible",
+                 "--seed", "0", "--out", str(out)])
+    assert code == EXIT_STATISTICAL
+    records = json.loads(out.read_text())["records"]
+    assert len(records) == 2 and not records[1]["ok"]
+    assert records[1]["boosting_failure"].startswith("0 post-selection successes < N_tom = ")
+
+
 def test_compress_stdout(capsys):
     code = main(["compress", "--n", "4", "--t", "1", "--kappa", "4", "--seed", "2"])
     assert code == EXIT_OK

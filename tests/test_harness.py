@@ -17,7 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fermidope import harness, metrology
-from fermidope.doped import prepare
+from fermidope.doped import CompressedForm, DopedCircuit, prepare
 from fermidope.harness import (
     ConfigError,
     ExperimentConfig,
@@ -27,6 +27,7 @@ from fermidope.harness import (
     trials_csv,
 )
 from fermidope.learner import verify
+from fermidope.states import StateVector
 
 
 def test_config_validation():
@@ -164,8 +165,8 @@ def test_determinism_byte_identical(tmp_path):
     a, b = run(cfg), run(cfg)
     assert a.to_json() == b.to_json()
     pa, pb = tmp_path / "a.json", tmp_path / "b.json"
-    a.write(pa)
-    b.write(pb)
+    pa.write_text(a.to_json())
+    pb.write_text(b.to_json())
     assert pa.read_bytes() == pb.read_bytes()
     # wall clock is reported in memory but never serialized
     assert "wall_clock" not in a.to_json()
@@ -181,6 +182,48 @@ def test_artifacts_are_trial_zeros_and_stay_out_of_the_document():
     assert doc.to_json() == run(cfg).to_json()
     report = verify(doc.artifacts["learned"], prepare(doc.artifacts["circuit"]))
     assert report.trace_distance == doc.records[0]["trace_distance"]
+
+
+@pytest.mark.parametrize("kind, fixture, t, described", [
+    ("learn", "doped", 1, DopedCircuit),
+    ("learn", "compressible", 2, CompressedForm),
+    ("test", "gaussian", 1, CompressedForm),
+    ("test", "tplus", 0, StateVector),
+], ids=["doped", "compressible", "gaussian", "tplus"])
+def test_a_fixture_is_its_description_and_the_state_it_describes(kind, fixture, t, described):
+    # the dense state is derived from the description, bit for bit
+    config = ExperimentConfig(kind=kind, fixture=fixture, n=5, t=t, kappa=3).validate()
+    drawn, psi = harness._fixture(config, np.random.default_rng(7))
+    assert type(drawn) is described and type(psi) is StateVector
+    if described is DopedCircuit:
+        expected = prepare(drawn)
+    elif described is CompressedForm:
+        assert drawn.core_qubits == (t if fixture == "compressible" else 0)
+        expected = drawn.reassemble()
+    else:
+        expected = drawn
+    assert psi.amps.tobytes() == expected.amps.tobytes()
+
+
+def test_run_hands_each_trial_the_fixture_and_state_it_drew(monkeypatch):
+    drawn, received = [], []
+    draw = harness._fixture
+    trial, metric, fixtures = harness.KIND_TABLE["learn"]
+
+    def spy(config, rng):
+        drawn.append(draw(config, rng))
+        return drawn[-1]
+
+    def recorder(config, fixture, psi, rng):
+        received.append((fixture, psi))
+        return trial(config, fixture, psi, rng)
+
+    monkeypatch.setattr(harness, "_fixture", spy)
+    monkeypatch.setitem(harness.KIND_TABLE, "learn", (recorder, metric, fixtures))
+    doc = run(ExperimentConfig(kind="learn", n=4, t=1, kappa=3, seed=5, trials=3))
+    assert len(drawn) == len(received) == 3
+    assert all(r[0] is d[0] and r[1] is d[1] for r, d in zip(received, drawn))
+    assert doc.artifacts["circuit"] is drawn[0][0]
 
 
 def test_different_seeds_differ():

@@ -394,8 +394,12 @@ def test_boosting_failure_reported():
         learn(psi, budget, mode="sampled", rng=np.random.default_rng(5))
 
 
-@pytest.mark.parametrize("mode", ["exact", "sampled"])
-def test_an_empty_zero_tail_raises_zero_probability(mode, monkeypatch):
+@pytest.mark.parametrize("mode, error, message", [
+    ("exact", ZeroProbabilityError, r"^all-zero tail outcome has probability"),
+    # sampled, the empty tail is an under-budget estimate: 0 successes, a boosting failure
+    ("sampled", BoostingFailureError, r"^0 post-selection successes < N_tom = \d+ \(success probability 0\.0+\)$"),
+], ids=["exact", "sampled"])
+def test_an_empty_zero_tail_raises_zero_probability(mode, error, message, monkeypatch):
     # the correlation stage reads the vacuum's matrix, so G_hat maps the vacuum to itself and
     # keeps parity; the learned state is odd, so its zero tail is empty
     n = 3
@@ -405,7 +409,7 @@ def test_an_empty_zero_tail_raises_zero_probability(mode, monkeypatch):
     else:
         monkeypatch.setattr(learner, "correlation_sampled", lambda psi, shots, rng: vacuum)
     budget = hoeffding_budget(n, 0, 0.25, 1 / 3)
-    with pytest.raises(ZeroProbabilityError, match="^all-zero tail outcome has probability"):
+    with pytest.raises(error, match=message):
         learn(basis_state(n, 1), budget, mode=mode, rng=np.random.default_rng(1))
 
 
