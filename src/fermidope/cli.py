@@ -5,11 +5,11 @@ sweep) plus `verify` for checking a saved learned state against a saved
 circuit.  When $FERMIDOPE_OUT is set, relative paths resolve against it,
 both the files written (--out, --csv, --save-circuit, --save-state) and
 the files `verify` reads (--learned, --circuit), so `verify` finds what the
-other subcommands saved.  Exit codes: 0 success, 2 precondition/configuration
-error, 3 statistical acceptance failure, 4 numerical failure or violated promise
-(a compression that leaves weight outside its core, a failed linear-algebra
-check, a post-selection outcome of zero probability).  A sweep with failing
-cells exits as a single run of its first failing cell would.
+other subcommands saved.  Exit codes: 0 success, 3 statistical acceptance
+failure; a failure exits with its type's ``exit_code``: 2 PreconditionError
+(ConfigError is one) or an OSError on a file, 3 BoostingFailureError, 4
+NumericalError or numpy's LinAlgError.  Any other exception is a bug: a
+traceback, exit 1.  A sweep exits as a run of its first failing cell would.
 """
 
 from __future__ import annotations
@@ -22,21 +22,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .doped import CompressedForm, CompressionError, DopedCircuit, prepare
+from .doped import CompressedForm, DopedCircuit, prepare
 from .harness import KIND_TABLE, KINDS, SWEEPABLE, ConfigError, ExperimentConfig, check_range, run, sweep, trials_csv
-from .learner import verify
-from .states import ZeroProbabilityError
+from .learner import BoostingFailureError, verify
+from .states import FermidopeError, NumericalError, PreconditionError
 
 EXIT_OK = 0
-EXIT_PRECONDITION = 2
-EXIT_STATISTICAL = 3
-EXIT_NUMERICAL = 4
+EXIT_PRECONDITION = PreconditionError.exit_code
+EXIT_STATISTICAL = BoostingFailureError.exit_code
+EXIT_NUMERICAL = NumericalError.exit_code
 
 OUT_DIR_ENV = "FERMIDOPE_OUT"
-
-# LinAlgError and ZeroProbabilityError subclass ValueError, so numerical errors are matched first
-_NUMERICAL_ERRORS = (CompressionError, np.linalg.LinAlgError, ZeroProbabilityError)
-_PRECONDITION_ERRORS = (ConfigError, ValueError, OSError)
 
 
 def _resolve(path: str) -> str:
@@ -157,9 +153,8 @@ def _cmd_run(args, kind: str) -> int:
         _write(args.save_circuit, doc.artifacts["circuit"].dumps())
     if kind == "learn" and args.save_state:
         if "learned" not in doc.artifacts:
-            print(f"error: trial 0 learned no state ({doc.records[0]['boosting_failure']}); "
-                  "nothing written to --save-state", file=sys.stderr)
-            return EXIT_STATISTICAL
+            raise BoostingFailureError(f"trial 0 learned no state ({doc.records[0]['boosting_failure']}); "
+                                       "nothing written to --save-state")
         _write(args.save_state, doc.artifacts["learned"].dumps())
     return EXIT_OK if doc.summary["acceptance_ok"] else EXIT_STATISTICAL
 
@@ -201,12 +196,14 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_run(args, args.command)
-    except _NUMERICAL_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except _PRECONDITION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    except FermidopeError as exc:
+        code, error = exc.exit_code, exc
+    except np.linalg.LinAlgError as exc:  # the type ortho's linear-algebra checks raise
+        code, error = EXIT_NUMERICAL, exc
+    except OSError as exc:  # a file the command reads or writes
+        code, error = EXIT_PRECONDITION, exc
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ use too.
 The text formats of circuits (``DopedCircuit.dumps``/``.loads``) and of
 compressed forms (``CompressedForm.dumps``/``.loads``) live here, with the
 line reader that both loaders read through: every malformed line, block or
-value in a document raises ValueError("line k: ...") naming the line where
+value in a document raises PreconditionError("line k: ...") naming the line where
 the fault shows.
 """
 
@@ -30,6 +30,8 @@ from .gaussian import GaussianUnitary, compile_programs
 from .pauli import hermitize, majorana_monomial
 from .states import (
     MAX_QUBITS,
+    NumericalError,
+    PreconditionError,
     StateVector,
     basis_state,
     embed_with_zero_tail,
@@ -38,7 +40,7 @@ from .states import (
 )
 
 
-class CompressionError(RuntimeError):
+class CompressionError(NumericalError, RuntimeError):
     """The constructed rotation failed to empty the trailing qubits."""
 
 
@@ -123,7 +125,7 @@ class DopedCircuit:
 
     @classmethod
     def loads(cls, text: str) -> "DopedCircuit":
-        """The DopedCircuit that ``dumps`` wrote; any fault raises ValueError naming its line."""
+        """The DopedCircuit that ``dumps`` wrote; any fault raises PreconditionError naming its line."""
         return _load(text, "doped-circuit v1", cls._read)
 
     @classmethod
@@ -207,7 +209,7 @@ class CompressedForm:
 
     @classmethod
     def loads(cls, text: str) -> "CompressedForm":
-        """The CompressedForm that ``dumps`` wrote; any fault raises ValueError naming its line."""
+        """The CompressedForm that ``dumps`` wrote; any fault raises PreconditionError naming its line."""
         return _load(text, "learned-state v1", cls._read)
 
     @classmethod
@@ -338,7 +340,7 @@ class LineReader:
     """The non-blank lines of a text document, read in order.
 
     Every read checks that the line is there and has the expected shape;
-    otherwise it raises ValueError("line k: expected ...") with k the 1-based
+    otherwise it raises PreconditionError("line k: expected ...") with k the 1-based
     line number in the text.
     """
 
@@ -348,21 +350,21 @@ class LineReader:
         self._end = len(raw) + 1
         self._pos = 0
 
-    def error(self, expected: str) -> ValueError:
+    def error(self, expected: str) -> PreconditionError:
         """The error for the line read last."""
-        return ValueError(f"line {self._lines[self._pos - 1][0]}: expected {expected}")
+        return PreconditionError(f"line {self._lines[self._pos - 1][0]}: expected {expected}")
 
     def checked(self, check, *args):
-        """``check(*args)``, whose ValueError is raised again naming the line read last."""
+        """``check(*args)``; its ValueError comes back as a PreconditionError naming the line read last."""
         try:
             return check(*args)
         except ValueError as exc:
-            raise ValueError(f"line {self._lines[self._pos - 1][0]}: {exc}") from None
+            raise PreconditionError(f"line {self._lines[self._pos - 1][0]}: {exc}") from None
 
     def fields(self, expected: str) -> list:
         """Whitespace-separated fields of the next line."""
         if self._pos == len(self._lines):
-            raise ValueError(f"line {self._end}: expected {expected}, got end of document")
+            raise PreconditionError(f"line {self._end}: expected {expected}, got end of document")
         self._pos += 1
         return self._lines[self._pos - 1][1]
 

@@ -38,6 +38,7 @@ from .learner import (
 )
 from .states import (
     MAX_QUBITS,
+    PreconditionError,
     StateVector,
     fidelity,
     postselect_zero_tail,
@@ -46,7 +47,7 @@ from .states import (
     zero_state,
 )
 
-class ConfigError(ValueError):
+class ConfigError(PreconditionError):
     """An experiment configuration violates a precondition."""
 
 
@@ -64,6 +65,7 @@ _RANGES = {
     "t": (lambda t: t >= 0, "t must be >= 0, got {}"),
     "kappa": (lambda kappa: kappa >= 1, "kappa must be >= 1, got {}"),
     "trials": (lambda trials: trials >= 1, "trials must be >= 1, got {}"),
+    "seed": (lambda seed: seed >= 0, "seed must be >= 0, got {}"),
     "shots_override": (lambda shots: shots is None or shots >= 1, "shots_override must be >= 1"),
     "eps": (lambda eps: 0 < eps <= 1, "eps must be in (0, 1], got {}"),
     "delta": (lambda delta: 0 < delta <= 1, "delta must be in (0, 1], got {}"),
@@ -119,6 +121,8 @@ class ExperimentConfig:
             raise ConfigError(f"kind {self.kind!r} needs the {names} fixture")
         for name in _RANGES:
             check_range(name, getattr(self, name))
+        if self.fixture == "doped" and self.kappa > 2 * self.n:
+            raise ConfigError(f"kappa must be <= 2n = {2 * self.n} for the doped fixture, got {self.kappa}")
         if self.budget not in ("default", "hoeffding"):
             raise ConfigError(f"budget must be default or hoeffding, got {self.budget!r}")
         if self.kind == "compress" and self.kappa * self.t > self.n:

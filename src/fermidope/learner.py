@@ -31,6 +31,8 @@ from .gaussian import GaussianUnitary, identity_gaussian
 from .metrology import copy_count, correlation_sampled, nearest_compressible
 from .pauli import LETTERS, PauliString
 from .states import (
+    FermidopeError,
+    PreconditionError,
     StateVector,
     ZeroProbabilityError,
     embed_with_zero_tail,
@@ -43,8 +45,9 @@ TOMOGRAPHY_LIMIT = 6
 DRAW_LIMIT = 2**63  # numpy's binomial draws take their counts as int64
 
 
-class BoostingFailureError(RuntimeError):
+class BoostingFailureError(FermidopeError, RuntimeError):
     """Fewer post-selection successes than the tomography stage needs."""
+    exit_code = 3
 
 
 @dataclass(frozen=True)
@@ -76,7 +79,7 @@ def boosting_iterations(n_needed: int, delta: float) -> int:
 
 def _check_draw(stage: str, count: int) -> None:
     if count >= DRAW_LIMIT:
-        raise ValueError(f"{stage}: {count} copies reach the binomial draw limit 2^63 = {DRAW_LIMIT}")
+        raise PreconditionError(f"{stage}: {count} copies reach the binomial draw limit 2^63 = {DRAW_LIMIT}")
 
 
 def _tomography_copies(t: int, eps: float, delta: float, c_tom: float) -> int:
@@ -194,7 +197,7 @@ def tomography_t_qubits(core: StateVector, shots: int | None = None, rng=None) -
         raise ValueError("sampled mode needs an rng")
     strings = pauli_strings(t)
     if shots is None or shots < 4**t - 1:
-        raise ValueError(f"need at least {4**t - 1} copies for {t}-qubit tomography, got {shots}")
+        raise PreconditionError(f"need at least {4**t - 1} copies for {t}-qubit tomography, got {shots}")
 
     shots_per_pauli = shots // (4**t - 1)
     _check_draw("tomography, per Pauli string", shots_per_pauli)
@@ -224,10 +227,10 @@ def learn(psi: StateVector, budget: LearnBudget, mode: str = "sampled", rng=None
     `metrology.nearest_compressible` (for debugging and promise checks).
     Raises BoostingFailureError when fewer than N_tom post-selections
     succeed (none do when G_hat leaves no zero tail), ZeroProbabilityError
-    when exact mode finds the promise violated outright, and ValueError
-    when ``psi`` is not on the budget's n qubits, the budget's t is outside
-    [0, n], or a sampled stage's copy count is past what its draw takes
-    (2^53 shots per correlation group, 2^63 for N_loop).
+    when exact mode finds the promise violated outright, ValueError when
+    ``psi`` is not on the budget's n qubits or the budget's t is outside
+    [0, n], and PreconditionError when a sampled stage's copy count is past
+    what its draw takes (2^53 shots per correlation group, 2^63 for N_loop).
     """
     if mode not in ("exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -277,11 +280,11 @@ def verify(learned: CompressedForm, psi_true: StateVector) -> LearnReport:
 
     Reports the total trace distance plus the two triangle-inequality
     terms: the tomography error on the core and the projection error of
-    the rotated state onto its zero tail.  Raises ValueError when the
+    the rotated state onto its zero tail.  Raises PreconditionError when the
     learned register size is not the true state's.
     """
     if learned.n != psi_true.n:
-        raise ValueError(f"learned state has {learned.n} qubits, true state has {psi_true.n}")
+        raise PreconditionError(f"learned state has {learned.n} qubits, true state has {psi_true.n}")
     psi_hat = learned.reassemble()
     d_total = trace_distance(psi_hat, psi_true)
     rotated = learned.G.adjoint().apply(psi_true)

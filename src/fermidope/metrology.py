@@ -32,6 +32,8 @@ from .gaussian import GaussianUnitary, identity_gaussian
 from .pauli import majorana
 from .states import (
     MAX_QUBITS,
+    NumericalError,
+    PreconditionError,
     StateVector,
     embed_with_zero_tail,
     postselect_zero_tail,
@@ -69,7 +71,7 @@ def correlation_exact(psi: StateVector) -> np.ndarray:
     if np.abs(imag).max(initial=0.0) > 1e-10:
         j, k = np.unravel_index(np.argmax(np.abs(imag)), imag.shape)
         value = complex(cross[j, k] - cross[k, j], imag[j, k])
-        raise AssertionError(f"correlation entry not real: {value}")
+        raise NumericalError(f"correlation entry not real: {value}")
     return cross - cross.T
 
 
@@ -186,9 +188,9 @@ def correlation_sampled(psi: StateVector, copies: int, rng) -> np.ndarray:
     the 2^n x n outcome-bit table give each pair's number of -1 outcomes k,
     and the mean is (shots - 2k) / shots.  The readout is exact up to
     READOUT_LIMIT = 2^53 shots per group, where every count and every sum
-    of counts is an integer float64 holds; more raise ValueError.  The two
-    walk programs depend only on n: each is compiled by the first call at
-    its n and shared with every later one.
+    of counts is an integer float64 holds; more raise PreconditionError.
+    The two walk programs depend only on n: each is compiled by the first
+    call at its n and shared with every later one.
     """
     if rng is None:
         raise ValueError("sampled mode needs an rng")
@@ -197,7 +199,7 @@ def correlation_sampled(psi: StateVector, copies: int, rng) -> np.ndarray:
     n = psi.n
     shots = group_shots(copies, n)
     if shots > READOUT_LIMIT:
-        raise ValueError(
+        raise PreconditionError(
             f"correlation sampling: {shots} shots per group exceed the exact-readout "
             f"limit 2^53 = {READOUT_LIMIT}"
         )
@@ -279,7 +281,7 @@ def dimension_verdict(lambda_t1: float, eps_test: float) -> str:
 
 
 def copy_count(name: str, formula) -> int:
-    """ceil(formula()), a copy count; ValueError naming it when it is not a finite number.
+    """ceil(formula()), a copy count; PreconditionError naming it when it is not a finite number.
 
     A float past its range reads as infinite, whether the arithmetic
     overflows or a power underflows to 0 and is divided by.
@@ -289,7 +291,7 @@ def copy_count(name: str, formula) -> int:
     except (OverflowError, ZeroDivisionError):
         value = math.inf
     if not math.isfinite(value):
-        raise ValueError(f"{name}: {value} is not a finite number of copies")
+        raise PreconditionError(f"{name}: {value} is not a finite number of copies")
     return math.ceil(value)
 
 

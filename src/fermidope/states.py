@@ -163,7 +163,22 @@ def born_probability(psi: StateVector, qubits, outcomes) -> float:
     return float(probs[pos])
 
 
-class ZeroProbabilityError(ValueError):
+class FermidopeError(Exception):
+    """A failure the package names; the CLI exits with its type's ``exit_code``."""
+    exit_code: int
+
+
+class PreconditionError(FermidopeError, ValueError):
+    """An input, a configuration or a copy count that the algorithms do not accept."""
+    exit_code = 2
+
+
+class NumericalError(FermidopeError):
+    """A failed numerical check or a violated promise."""
+    exit_code = 4
+
+
+class ZeroProbabilityError(NumericalError, ValueError):
     """A requested post-selection outcome has (numerically) zero probability."""
 
 

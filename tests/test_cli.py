@@ -27,8 +27,9 @@ from fermidope.cli import (
     main,
 )
 from fermidope.doped import CompressedForm, CompressionError, DopedCircuit
-from fermidope.harness import KIND_TABLE, KINDS, ExperimentConfig, run
-from fermidope.states import ZeroProbabilityError
+from fermidope.harness import KIND_TABLE, KINDS, ConfigError, ExperimentConfig, run
+from fermidope.learner import BoostingFailureError
+from fermidope.states import FermidopeError, NumericalError, PreconditionError, ZeroProbabilityError
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -403,6 +404,41 @@ def test_zero_probability_error_is_numerical_exit_code(monkeypatch, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_a_bug_is_not_filed_as_a_precondition_error(monkeypatch):
+    # a plain ValueError is no typed failure: main lets it through, so the console script
+    # ends in a traceback (exit 1) instead of exiting 2 as if the flags were at fault
+    def broken(circuit):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(harness, "compress_state", broken)
+    with pytest.raises(ValueError, match="^boom$"):
+        main(["compress", "--n", "4", "--t", "1", "--kappa", "3"])
+
+
+def test_each_error_type_carries_its_exit_code():
+    # the builtin bases stay, so `except ValueError` and `except RuntimeError` callers still work
+    for error, code, builtin in ((PreconditionError, EXIT_PRECONDITION, ValueError),
+                                 (ConfigError, EXIT_PRECONDITION, ValueError),
+                                 (BoostingFailureError, EXIT_STATISTICAL, RuntimeError),
+                                 (NumericalError, EXIT_NUMERICAL, Exception),
+                                 (ZeroProbabilityError, EXIT_NUMERICAL, ValueError),
+                                 (CompressionError, EXIT_NUMERICAL, RuntimeError)):
+        assert issubclass(error, FermidopeError) and issubclass(error, builtin), error
+        assert error.exit_code == code, error
+    assert (EXIT_PRECONDITION, EXIT_STATISTICAL, EXIT_NUMERICAL) == (2, 3, 4)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["compress", "--n", "4", "--t", "1", "--kappa", "3", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["prepare", "--n", "4", "--t", "1", "--kappa", "9"], "kappa must be <= 2n = 8 for the doped fixture, got 9"),
+    (["compress", "--n", "1", "--t", "0", "--kappa", "9"], "kappa must be <= 2n = 2 for the doped fixture, got 9"),
+])
+def test_a_negative_seed_or_a_doped_kappa_past_2n_names_its_flag(argv, message, capsys):
+    # the config check refuses each before any trial runs, in a message that names its flag
+    assert main(argv) == EXIT_PRECONDITION
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_shots_override_below_one_is_precondition_error(capsys):
     for args in (["test", "--n", "4", "--t", "1", "--mode", "sampled", "--shots-override", "-3"],
                  ["test", "--n", "4", "--t", "1", "--mode", "sampled", "--shots-override", "0"],
@@ -454,6 +490,9 @@ def test_tiny_test_eps_b_is_precondition_error(capsys):
     (["learn", "--n", "4", "--t", "1", "--eps", "1e-100"], "N_corr: inf is not a finite number of copies"),
     (["test", "--n", "4", "--t", "0", "--eps-a", "nan"], "eps_a must be a finite number, got nan"),
     (["test", "--n", "4", "--t", "0", "--eps-b", "inf"], "eps_b must be a finite number, got inf"),
+    # 55 loop copies, as c_tom asks for 1 tomography copy, cannot tomograph 5 qubits
+    (["learn", "--n", "5", "--t", "5", "--fixture", "compressible", "--mode", "sampled", "--c-tom", "5e-324"],
+     "need at least 1023 copies for 5-qubit tomography, got 55"),
 ])
 def test_non_finite_or_degenerate_float_is_precondition_error(args, message, capsys):
     # an infinite copy count or a non-finite input would end in a traceback or in invalid JSON
@@ -484,18 +523,24 @@ INT_EDGES = ("0", "-1", "1", "7", "1000", "100000000000000000000", "1e3", "nan",
 FUZZED_FLAGS = {"learn": ("c-tom", "eps", "delta"), "test": ("eps-a", "eps-b", "delta")}
 
 
-@settings(max_examples=30, deadline=None)
-@given(data=st.data(), kind=st.sampled_from(["learn", "test"]), n=st.integers(2, 4),
-       mode=st.sampled_from(["exact", "sampled"]), seed=st.integers(0, 3))
-def test_cli_edge_values_never_crash(data, kind, n, mode, seed):
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), kind=st.sampled_from(KINDS), n=st.sampled_from([1, 2, 3, 4, 5, 13]),
+       t=st.integers(0, 3), seed=st.sampled_from([0, 1, 2, 3, -1, 2**64]))
+def test_cli_edge_values_never_crash(data, kind, n, t, seed):
     # every flag value, in range or not, ends in a document or one "error:" line with a
-    # precondition, statistical or numerical exit code; never a traceback or a warning
-    argv = [kind, f"--n={n}", f"--t={min(1, n - 1)}", "--kappa=3", f"--mode={mode}", f"--seed={seed}"]
-    flags = [(flag, FLOAT_EDGES) for flag in FUZZED_FLAGS[kind]] + [("shots-override", INT_EDGES)]
-    for flag, edges in flags:
-        value = data.draw(st.none() | st.sampled_from(edges), label=flag)
-        if value is not None:
-            argv.append(f"--{flag}={value}")  # "=" keeps a value like -1e400 from reading as a flag
+    # precondition, statistical or numerical exit code; never a traceback or a warning.  main
+    # catches only the typed errors, so an untyped exception (a bug) escapes and fails here
+    kappa = data.draw(st.integers(1, 2 * n + 1), label="kappa")  # 2n + 1 is past a doped gate's reach
+    argv = [kind, f"--n={n}", f"--t={t}", f"--kappa={kappa}", f"--seed={seed}"]
+    if kind in FUZZED_FLAGS:  # learn and test take --mode and offer more than one fixture
+        argv += [f"--mode={data.draw(st.sampled_from(['exact', 'sampled']), label='mode')}",
+                 f"--fixture={data.draw(st.sampled_from(KIND_TABLE[kind][2]), label='fixture')}"]
+        flags = [(flag, FLOAT_EDGES) for flag in FUZZED_FLAGS[kind]] + [("shots-override", INT_EDGES)]
+        # most edge values are out of range, so half these runs keep every flag's default
+        for flag, edges in flags if data.draw(st.booleans(), label="edge values") else ():
+            value = data.draw(st.none() | st.sampled_from(edges), label=flag)
+            if value is not None:
+                argv.append(f"--{flag}={value}")  # "=" keeps a value like -1e400 from reading as a flag
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):

@@ -27,7 +27,7 @@ from fermidope.harness import (
     trials_csv,
 )
 from fermidope.learner import verify
-from fermidope.states import StateVector
+from fermidope.states import PreconditionError, StateVector
 
 
 def test_config_validation():
@@ -44,6 +44,25 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig(kind="prepare", fixture="gaussian").validate()
     ExperimentConfig(kind="compress", n=6, t=1, kappa=4).validate()
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"kind": "compress", "seed": -1}, "^seed must be >= 0, got -1$"),
+    ({"kind": "prepare", "n": 4, "t": 1, "kappa": 9}, "^kappa must be <= 2n = 8 for the doped fixture, got 9$"),
+    ({"kind": "compress", "n": 1, "t": 0, "kappa": 9}, "^kappa must be <= 2n = 2 for the doped fixture, got 9$"),
+    ({"kind": "learn", "n": 4, "t": 0, "kappa": 9}, "^kappa must be <= 2n = 8 for the doped fixture, got 9$"),
+])
+def test_config_rejects_a_negative_seed_and_a_doped_kappa_past_2n(config, message):
+    # the config check refuses each, so no trial seeds numpy or draws a circuit with it, and
+    # no document whose config echo holds it passes validate_document
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig(**config).validate()
+    payload = json.loads(run(ExperimentConfig(kind=config["kind"], n=4, t=0, kappa=3)).to_json())
+    payload["config"].update(config)
+    with pytest.raises(ConfigError, match=message):
+        harness.validate_document(payload)
+    # kappa past 2n is no fault where no gate is drawn
+    ExperimentConfig(kind="learn", fixture="compressible", n=4, t=1, kappa=9).validate()
 
 
 def test_the_test_kind_defaults_to_the_gaussian_fixture():
@@ -276,6 +295,14 @@ def test_sweep_partial_failure_recorded():
     assert all(len(row) == len(header) for row in rows)
     errors = [row for row in rows if row[header.index("row")] == "error"]
     assert len(errors) == 1 and errors[0][-1] == "ConfigError: compression needs kappa*t <= n, got 4 > 3"
+
+
+def test_a_failing_cell_row_names_its_error_type():
+    # an infinite copy count is the user's precondition, and the cell's row names that type
+    base = ExperimentConfig(kind="learn", n=4, t=1, kappa=3, trials=1, seed=0)
+    _, csv_text, failures = sweep(base, {"eps": [1e-100]})
+    assert [type(exc) for _, exc in failures] == [PreconditionError]
+    assert csv_text.splitlines()[-1].endswith(",PreconditionError: N_corr: inf is not a finite number of copies")
 
 
 def test_sweep_rejects_unknown_key():

@@ -22,6 +22,7 @@ from fermidope.metrology import (
 )
 from fermidope.pauli import majorana
 from fermidope.states import (
+    NumericalError,
     StateVector,
     apply_pauli,
     basis_state,
@@ -72,7 +73,7 @@ def test_correlation_with_a_corrupted_majorana_is_not_real(monkeypatch):
 
     monkeypatch.setattr(metrology, "_majorana_rows", corrupted)
     psi = random_state(3, np.random.default_rng(4))
-    with pytest.raises(AssertionError, match="correlation entry not real"):
+    with pytest.raises(NumericalError, match="correlation entry not real"):
         correlation_exact(psi)
 
 
