@@ -8,8 +8,9 @@ the files `verify` reads (--learned, --circuit), so `verify` finds what the
 other subcommands saved.  Exit codes: 0 success, 3 statistical acceptance
 failure; a failure exits with its type's ``exit_code``: 2 PreconditionError
 (ConfigError is one) or an OSError on a file, 3 BoostingFailureError, 4
-NumericalError or numpy's LinAlgError.  Any other exception is a bug: a
-traceback, exit 1.  A sweep exits as a run of its first failing cell would.
+NumericalError.  Any other exception is a bug: a traceback, exit 1.  A
+failed sweep prints one error line and exits as a run of its first failing
+cell would.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ import os
 import sys
 from dataclasses import fields
 from pathlib import Path
-
-import numpy as np
 
 from .doped import CompressedForm, DopedCircuit, prepare
 from .harness import KIND_TABLE, KINDS, SWEEPABLE, ConfigError, ExperimentConfig, check_range, run, sweep, trials_csv
@@ -166,13 +165,12 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("sweep needs at least one --grid-* list")
     docs, csv_text, failures = sweep(base, grid)
     _write(args.csv or f"sweep-{args.kind}.csv", csv_text, f" ({len(docs)} cells)")
-    if failures:
-        # main exits as a single run of the first failing cell would
+    if failures:  # exit as a single run of the first failing cell would
         cell, exc = failures[0]
         where = ", ".join(f"{key}={value}" for key, value in cell.items())
         print(f"error: {len(failures)} of {len(docs) + len(failures)} cells failed; "
               f"first ({where}): {type(exc).__name__}: {exc}", file=sys.stderr)
-        raise exc
+        return exc.exit_code
     bad = [d for d in docs if not d.summary["acceptance_ok"]]
     return EXIT_STATISTICAL if bad else EXIT_OK
 
@@ -198,8 +196,6 @@ def main(argv=None) -> int:
         return _cmd_run(args, args.command)
     except FermidopeError as exc:
         code, error = exc.exit_code, exc
-    except np.linalg.LinAlgError as exc:  # the type ortho's linear-algebra checks raise
-        code, error = EXIT_NUMERICAL, exc
     except OSError as exc:  # a file the command reads or writes
         code, error = EXIT_PRECONDITION, exc
     print(f"error: {error}", file=sys.stderr)

@@ -38,6 +38,7 @@ from .learner import (
 )
 from .states import (
     MAX_QUBITS,
+    FermidopeError,
     PreconditionError,
     StateVector,
     fidelity,
@@ -424,12 +425,12 @@ SWEEPABLE = ("n", "t", "kappa", "eps", "seed")
 
 
 def sweep(base: ExperimentConfig, grid: dict) -> tuple:
-    """Run the cartesian product of configs; never abort on a failing cell.
+    """Run the cartesian product of configs; a cell's package error does not abort it.
 
     Returns (documents, csv_text, failures) where the CSV holds one row per
-    (cell, trial) plus one summary row per cell; cells that raise are
-    recorded with their error message and the sweep continues.  ``failures``
-    lists (cell, exception) for those cells, in grid order.
+    (cell, trial) plus one summary row per cell; a cell that raises a
+    FermidopeError is recorded with its message and the sweep continues, and
+    ``failures`` lists (cell, exception) for those cells, in grid order.
     """
     for key in grid:
         if key not in SWEEPABLE:
@@ -448,7 +449,7 @@ def sweep(base: ExperimentConfig, grid: dict) -> tuple:
         cell = dict(zip(names, values))
         try:
             doc = run(replace(base, **cell))
-        except Exception as exc:  # noqa: BLE001 - partial failure is recorded, sweep continues
+        except FermidopeError as exc:
             failures.append((cell, exc))
             writer.writerow({**cell, "row": "error", "error": f"{type(exc).__name__}: {exc}"})
             continue

@@ -225,10 +225,10 @@ def learn(psi: StateVector, budget: LearnBudget, mode: str = "sampled", rng=None
     Sampled mode consumes the budget.  Exact mode replaces every statistical
     estimate with the exact quantity, so it returns the witness of
     `metrology.nearest_compressible` (for debugging and promise checks).
-    Raises BoostingFailureError when fewer than N_tom post-selections
-    succeed (none do when G_hat leaves no zero tail), ZeroProbabilityError
-    when exact mode finds the promise violated outright, ValueError when
-    ``psi`` is not on the budget's n qubits or the budget's t is outside
+    Raises BoostingFailureError when fewer than max(N_tom, 4^t - 1)
+    post-selections succeed (none do when G_hat leaves no zero tail),
+    ZeroProbabilityError when exact mode finds the promise violated outright,
+    ValueError when ``psi`` is not on the budget's n qubits or t is outside
     [0, n], and PreconditionError when a sampled stage's copy count is past
     what its draw takes (2^53 shots per correlation group, 2^63 for N_loop).
     """
@@ -257,11 +257,11 @@ def learn(psi: StateVector, budget: LearnBudget, mode: str = "sampled", rng=None
         p_zero = 0.0
     # every iteration is i.i.d., so the success count is one binomial draw
     successes = int(rng.binomial(budget.N_loop, p_zero)) if p_zero < 1.0 else budget.N_loop
-    if successes < budget.N_tom:
-        raise BoostingFailureError(
-            f"{successes} post-selection successes < N_tom = {budget.N_tom} "
-            f"(success probability {p_zero:.4f})"
-        )
+    needed = max(budget.N_tom, 4**t - 1)  # tomography takes 4^t - 1 copies even when N_tom is fewer
+    if successes < needed:
+        floor = "" if needed == budget.N_tom else f"4^{t} - 1 = {needed}, tomography's minimum above "
+        raise BoostingFailureError(f"{successes} post-selection successes < {floor}N_tom = {budget.N_tom} "
+                                   f"(success probability {p_zero:.4f})")
     # g_hat's adjoint has compiled the pair's program, so verify's G and G^dag decompose nothing
     return CompressedForm(g_hat, tomography_t_qubits(core, shots=successes, rng=rng))
 

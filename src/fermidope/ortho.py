@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .states import NumericalError
+
 _IY2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 # the orthogonality an O must have for its Givens elimination, and so for any O compiled
 ORTHOGONAL_TOL = 1e-10
@@ -138,11 +140,11 @@ def normal_form(c: np.ndarray) -> NormalForm:
         q, r = np.linalg.qr(o)
         o = q * np.sign(np.diag(r))
         if not is_orthogonal(o):
-            raise np.linalg.LinAlgError("normal form produced a non-orthogonal basis")
+            raise NumericalError("normal form produced a non-orthogonal basis")
 
     nf = NormalForm(O=o, lambdas=lambdas)
     if not opnorm_within(nf.reconstruct() - c, 1e-8, relative_to=c):
-        raise np.linalg.LinAlgError("normal form reconstruction residual too large")
+        raise NumericalError("normal form reconstruction residual too large")
     return nf
 
 
@@ -205,7 +207,7 @@ def compression_rotation(vectors, n: int | None = None, symplectic: bool = True)
     for v in vectors:
         mapped = o @ v
         if np.max(np.abs(mapped[span:]), initial=0.0) > 1e-9:
-            raise np.linalg.LinAlgError("compression rotation left residual outside the span")
+            raise NumericalError("compression rotation left residual outside the span")
     return o
 
 
@@ -304,7 +306,7 @@ def givens_eliminate(matrices) -> list:
     out = []
     for a_i, chain, r in zip(a, chains, reflect):
         if not opnorm_within(a_i - np.eye(d), 1e-8):
-            raise np.linalg.LinAlgError("Givens elimination did not reach the identity")
+            raise NumericalError("Givens elimination did not reach the identity")
         chain.reverse()
         planes = np.stack([np.concatenate([_NO_PLANES, *(mu for mu, _, _ in chain)]),
                            np.concatenate([_NO_PLANES, *(nu for _, nu, _ in chain)])], axis=1)

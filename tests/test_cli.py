@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermidope import harness
+from fermidope import harness, ortho
 from fermidope.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -166,6 +166,19 @@ def test_a_sampled_learn_with_an_empty_zero_tail_records_a_boosting_failure(tmp_
     records = json.loads(out.read_text())["records"]
     assert len(records) == 2 and not records[1]["ok"]
     assert records[1]["boosting_failure"].startswith("0 post-selection successes < N_tom = ")
+
+
+def test_a_sampled_learn_short_of_tomography_copies_records_boosting_failures(tmp_path):
+    # c_tom = 5e-324 gives N_tom = 1, below the 15 copies 2-qubit tomography takes: a trial with
+    # fewer successes records a boosting failure, and the run goes on
+    out = tmp_path / "l.json"
+    code = main(["learn", "--n", "4", "--t", "2", "--fixture", "compressible", "--mode", "sampled",
+                 "--c-tom", "5e-324", "--shots-override", "1", "--seed", "1", "--trials", "3",
+                 "--out", str(out)])
+    assert code in (EXIT_OK, EXIT_STATISTICAL)
+    short = [r for r in json.loads(out.read_text())["records"] if not r["ok"]]
+    assert short and all(re.match(r"^\d+ post-selection successes < 4\^2 - 1 = 15, tomography's minimum "
+                                  r"above N_tom = 1 ", r["boosting_failure"]) for r in short)
 
 
 def test_compress_stdout(capsys):
@@ -382,15 +395,22 @@ def test_compression_error_is_numerical_exit_code(monkeypatch, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_linalg_error_is_numerical_exit_code(monkeypatch, capsys):
-    message = "compression rotation left residual outside the span"
-
+def test_linalg_error_is_numerical_exit_code(monkeypatch):
+    # ortho's checks raise NumericalError, so numpy's own LinAlgError (NaN input, or LAPACK
+    # failing to converge) is a bug: main lets it through to a traceback (exit 1)
     def unstable(circuit):
-        raise np.linalg.LinAlgError(message)
+        raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setattr(harness, "compress_state", unstable)
+    with pytest.raises(np.linalg.LinAlgError, match="^SVD did not converge$"):
+        main(["compress", "--n", "4", "--t", "1", "--kappa", "3"])
+
+
+def test_a_failed_ortho_check_is_numerical_exit_code(monkeypatch, capsys):
+    # an identity in place of the rotation leaves the gates' vectors outside the span
+    monkeypatch.setattr(ortho, "symplectic_from_unitary", lambda u: np.eye(2 * len(u)))
     assert main(["compress", "--n", "4", "--t", "1", "--kappa", "3"]) == EXIT_NUMERICAL
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == "error: compression rotation left residual outside the span\n"
 
 
 def test_zero_probability_error_is_numerical_exit_code(monkeypatch, capsys):
@@ -615,6 +635,7 @@ def test_sweep_with_a_failing_cell_exits_like_its_single_run(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_PRECONDITION == main(["test", "--n", "4", "--t", "5"])
     assert "error: 1 of 2 cells failed; first (n=4, t=5): ConfigError: test needs t < n" in err
+    assert err.count("error:") == 1
     lines = csv_path.read_text().strip().splitlines()
     assert lines[-1].startswith("4,5,error,") and sum(",summary," in ln for ln in lines) == 1
     # the same with no cell left to run

@@ -305,6 +305,16 @@ def test_a_failing_cell_row_names_its_error_type():
     assert csv_text.splitlines()[-1].endswith(",PreconditionError: N_corr: inf is not a finite number of copies")
 
 
+def test_a_bug_in_a_cell_stops_the_sweep(monkeypatch):
+    # only the package's own errors are recorded as failed cells; anything else is a bug
+    def broken(circuit):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(harness, "compress_state", broken)
+    with pytest.raises(ValueError, match="^boom$"):
+        sweep(ExperimentConfig(kind="compress", n=4, t=1, kappa=3), {"seed": [0, 1]})
+
+
 def test_sweep_rejects_unknown_key():
     base = ExperimentConfig(kind="compress", n=4, t=1, kappa=3)
     for key in ("flavour", "mode", "fixture"):

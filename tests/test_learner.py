@@ -413,6 +413,20 @@ def test_an_empty_zero_tail_raises_zero_probability(mode, error, message, monkey
         learn(basis_state(n, 1), budget, mode=mode, rng=np.random.default_rng(1))
 
 
+def test_fewer_successes_than_tomography_takes_is_a_boosting_failure(monkeypatch):
+    # a tiny c_tom puts N_tom below the 4^t - 1 copies tomography needs; exact correlations keep
+    # every copy post-selecting, so the successes are N_loop, and 14 < 15 is the boosting failure
+    psi, _, _ = compressible_fixture(4, 2, seed=3)
+    monkeypatch.setattr(learner, "correlation_sampled", lambda psi, shots, rng: correlation_exact(psi))
+    budget = replace(plan_budget(4, 2, 0.5, 1 / 3, c_tom=5e-324), N_loop=14)
+    assert budget.N_tom < 15
+    message = (r"^14 post-selection successes < 4\^2 - 1 = 15, tomography's minimum above "
+               rf"N_tom = {budget.N_tom} \(success probability 1\.0000\)$")
+    with pytest.raises(BoostingFailureError, match=message):
+        learn(psi, budget, mode="sampled", rng=np.random.default_rng(1))
+    assert learn(psi, replace(budget, N_loop=15), mode="sampled", rng=np.random.default_rng(1)).phi.n == 2
+
+
 def test_union_bound_inequality_with_injected_perturbations(rng):
     # d_tr(phi (x) 0, G_hat^dag psi) <= sqrt((n - t) ||E||_inf) and the
     # post-selection probability is at least 1 - (n - t) ||E||_inf

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fermidope import ortho
+from fermidope.doped import prepare, random_doped_circuit
+from fermidope.gaussian import GaussianUnitary
 from fermidope.metrology import _group_permutation, commuting_groups, correlation_exact
 from fermidope.pauli import PauliString
-from fermidope.states import expectation
+from fermidope.states import NumericalError, expectation, zero_state
 
 from conftest import (
     compile_input,
@@ -92,6 +94,27 @@ def test_normal_form_planted_spectra_at_zero_tol(lams, seed):
     oracle = np.linalg.eigvalsh(1j * c)[dim // 2 :]
     assert_allclose(nf.lambdas, np.maximum(oracle, 0.0), atol=1e-12)
     assert_allclose(nf.lambdas, np.sort(lams), atol=1e-12)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(n=st.integers(1, 6), doped=st.booleans(), scale=st.floats(0.0, 2.0), seed=st.integers(0, 2**32 - 1))
+def test_normal_form_of_a_noisy_correlation_matrix(n, doped, scale, seed):
+    # a sampled C is an exact one plus antisymmetric noise, whose normal eigenvalues may pass 1:
+    # normal_form either returns a decomposition that passes its checks or raises NumericalError
+    rng = np.random.default_rng(seed)
+    if doped:
+        psi = prepare(random_doped_circuit(n, 1, min(3, 2 * n), rng))
+    else:
+        psi = GaussianUnitary(ortho.random_orthogonal(2 * n, rng)).apply(zero_state(n))
+    c = correlation_exact(psi) + ortho.random_antisymmetric(2 * n, rng, scale=scale)
+    try:
+        nf = ortho.normal_form(c)
+    except NumericalError:
+        return
+    assert ortho.is_orthogonal(nf.O)
+    assert ortho.opnorm(nf.reconstruct() - c) <= 1e-8 * max(1.0, ortho.opnorm(c))
+    # eigvalsh and eigh run different LAPACK drivers, so the two spectra agree only to rounding
+    assert_allclose(ortho.normal_eigenvalues(c), nf.lambdas, rtol=0, atol=1e-12 * max(1.0, ortho.opnorm(c)))
 
 
 def test_normal_form_idempotent_on_lambdas(rng):
@@ -461,6 +484,35 @@ def test_givens_rejects_no_matrices_and_mixed_sizes():
         ortho.givens_eliminate([])
     with pytest.raises(ValueError, match=r"^matrices of different sizes: \(4, 4\) and \(6, 6\)$"):
         ortho.givens_eliminate([np.eye(4), np.eye(6)])
+
+
+_ROTATE_CHAINS = ortho._rotate_chains
+
+# each residual check of ortho, forced to fire by breaking the step before it: (patched owner,
+# name, replacement, call on an rng, the check's message)
+FORCED_CHECKS = [
+    (ortho, "is_orthogonal", lambda o, tol=ortho.ORTHOGONAL_TOL: False,
+     lambda rng: ortho.normal_form(ortho.random_antisymmetric(6, rng)),
+     "normal form produced a non-orthogonal basis"),
+    (ortho.NormalForm, "reconstruct", lambda self: self.O,
+     lambda rng: ortho.normal_form(ortho.random_antisymmetric(6, rng)),
+     "normal form reconstruction residual too large"),
+    (ortho, "symplectic_from_unitary", lambda u: np.eye(2 * len(u)),
+     lambda rng: ortho.compression_rotation([ortho.random_orthogonal(6, rng)[0]], n=3),
+     "compression rotation left residual outside the span"),
+    (ortho, "_rotate_chains", lambda block: _ROTATE_CHAINS(block.copy()),  # rotates nothing in place
+     lambda rng: ortho.givens_eliminate([ortho.random_orthogonal(6, rng)]),
+     "Givens elimination did not reach the identity"),
+]
+
+
+@pytest.mark.parametrize("owner, name, replacement, call, message", FORCED_CHECKS,
+                         ids=["non_orthogonal", "reconstruction", "compression", "givens"])
+def test_a_failed_residual_check_raises_numerical_error(owner, name, replacement, call, message, rng,
+                                                        monkeypatch):
+    monkeypatch.setattr(owner, name, replacement)
+    with pytest.raises(NumericalError, match=f"^{message}$"):
+        call(rng)
 
 
 def test_random_orthogonal_properties(rng):
