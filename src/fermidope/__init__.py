@@ -45,24 +45,18 @@ from .metrology import (
 from .ortho import (
     NormalForm,
     compression_rotation,
-    is_symplectic,
     normal_eigenvalues,
     normal_form,
-    omega,
     random_orthogonal,
-    random_unitary,
     symplectic_from_unitary,
 )
 from .pauli import PauliString, hermitize, majorana, majorana_monomial, pauli_mul
 from .states import (
     StateVector,
     ZeroProbabilityError,
-    apply_dense_unitary,
     apply_pauli,
     apply_pauli_rotation,
     basis_state,
-    born_probability,
-    expectation,
     fidelity,
     random_state,
     trace_distance,

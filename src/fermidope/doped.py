@@ -314,10 +314,6 @@ class GateCounts:
     reflections: int
     non_gaussian_terms: int
 
-    @property
-    def total(self) -> int:
-        return self.rotations + self.reflections + self.non_gaussian_terms
-
 
 def report_gate_counts(circuit: DopedCircuit) -> GateCounts:
     """Tally of compiled two-Majorana rotations, reflections, and gate terms."""

@@ -10,8 +10,7 @@ plane rotations; the rotation in plane (mu, nu) by angle theta is realized
 as exp(i * theta/2 * P) with P the Hermitian form of -i gamma_mu gamma_nu,
 and a det = -1 factor is realized by applying gamma_1 as a gate
 (``majorana(1, n).times``).  The test suite checks the angle/sign
-convention against the Heisenberg identity on dense matrices (see
-``heisenberg_matrix``).
+convention against the Heisenberg identity on dense matrices.
 
 Under Jordan-Wigner, P is a two-qubit gate dressed by a Z-string (Jozsa &
 Miyake 2008); an unfused plane runs through the in-place kernel
@@ -69,7 +68,7 @@ from . import ortho
 from .pauli import PauliString, majorana, pauli_mul
 # apply_pauli_rotation is unused here: bench/test_bench.py reads gaussian.apply_pauli_rotation,
 # so the import stays until that oracle leaves src/ (ROADMAP item 13)
-from .states import StateVector, apply_pauli_rotation, operator_matrix  # noqa: F401
+from .states import StateVector, apply_pauli_rotation  # noqa: F401
 
 FUSE_QUBITS = 4  # widest window of adjacent qubits fused into one dense block
 FUSION_PLANS = 64  # plane sequences whose fusion plan stays cached
@@ -364,10 +363,6 @@ class GaussianUnitary:
             amps = reflect(amps)
         return StateVector(n, amps)
 
-    def matrix(self) -> np.ndarray:
-        """Dense 2^n x 2^n unitary; for oracle checks at small n."""
-        return operator_matrix(self.apply, self.n)
-
 
 def compile_programs(unitaries) -> None:
     """Fill the empty program cells of Gaussian unitaries on one register size, in one elimination.
@@ -387,17 +382,3 @@ def compile_programs(unitaries) -> None:
 
 def identity_gaussian(n: int) -> GaussianUnitary:
     return GaussianUnitary(np.eye(2 * n), check=False)
-
-
-def heisenberg_matrix(g: GaussianUnitary) -> np.ndarray:
-    """Recover O from the dense conjugation action G^dag gamma_mu G."""
-    n = g.n
-    u = g.matrix()
-    out = np.zeros((2 * n, 2 * n))
-    gammas = [majorana(mu, n).to_matrix() for mu in range(1, 2 * n + 1)]
-    dim = 2**n
-    for mu in range(2 * n):
-        conj = u.conj().T @ gammas[mu] @ u
-        for nu in range(2 * n):
-            out[mu, nu] = (np.trace(gammas[nu] @ conj) / dim).real
-    return out

@@ -25,7 +25,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from . import __version__, metrology, ortho
+from . import __version__, doped, metrology, ortho
 from .doped import CompressedForm, DopedCircuit, compress_state, prepare, random_doped_circuit, report_gate_counts
 from .gaussian import GaussianUnitary
 from .learner import (
@@ -135,6 +135,14 @@ class ExperimentConfig:
             if self.mode == "sampled" and self._learn_t() > TOMOGRAPHY_LIMIT:
                 raise ConfigError(f"sampled learning's tomography is limited to {TOMOGRAPHY_LIMIT} qubits, "
                                   f"got a core of {self._learn_t()}; reduce t or kappa, or use exact mode")
+            # at t_learn = n every loop copy goes to tomography, so N_loop, a function of the
+            # config alone, must reach the 4^n - 1 copies tomography takes
+            if self.mode == "sampled" and self._learn_t() == self.n:
+                loop, needed = _learn_budget(self).N_loop, 4**self.n - 1
+                if loop < needed:
+                    raise ConfigError(f"c_tom = {self.c_tom} gives N_loop = {loop} copies, fewer than the "
+                                      f"4^{self.n} - 1 = {needed} that {self.n}-qubit tomography takes "
+                                      f"at t_learn = n; raise c_tom")
         if self.kind == "test":
             if self.t >= self.n:
                 raise ConfigError("test needs t < n")
@@ -260,7 +268,7 @@ def _trial_compress(config, circuit, psi, rng):
         "tail_weight": tail_weight,
         "reassembly_fidelity": fidelity(form.reassemble(), psi),
         "gaussian_dimension": gdim,
-        "ok": tail_weight <= 1e-8 and gdim >= config._gaussian_floor(),
+        "ok": tail_weight <= doped.COMPRESSION_TOL and gdim >= config._gaussian_floor(),
     }, {}
 
 

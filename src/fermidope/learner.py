@@ -64,11 +64,6 @@ class LearnBudget:
     N_loop: int
     eps_c: float
 
-    @property
-    def pure_tomography(self) -> bool:
-        """t = n leaves no qubits to post-select; learning is tomography alone."""
-        return self.t == self.n
-
 
 def boosting_iterations(n_needed: int, delta: float) -> int:
     """Repetitions so that >= n_needed successes occur w.p. 1 - delta, given p >= 3/4."""
@@ -108,11 +103,9 @@ def hoeffding_budget(n: int, t: int, eps: float, delta: float, c_tom: float = 1.
     """Correlation stage sized by Hoeffding + union bound at target eps_c.
 
     N_corr = ceil(8 n^2 (2n-1) / eps_c^2 * log(2 n (2n-1) * 3 / delta)) total
-    copies across the 2n-1 commuting groups.
+    copies across the 2n-1 commuting groups; 0 at t = n, where eps_c is infinite.
     """
     base = plan_budget(n, t, eps, delta, c_tom)
-    if base.pure_tomography:
-        return replace(base, N_corr=0)
     m = n * (2 * n - 1)
     n_corr = copy_count(
         "N_corr", lambda: 8.0 * n**2 * (2 * n - 1) / base.eps_c**2 * math.log(2.0 * m * 3.0 / delta))
@@ -166,7 +159,7 @@ def pauli_expectations(core: StateVector) -> np.ndarray:
     A string with basis-order masks x, z and phase i^k has <P> = Re(i^k E[x, z]),
     where E[x, z] = sum_c (-1)^|c & z| F[x, c] is the Walsh-Hadamard transform
     along c of F[x, c] = conj(psi[c ^ x]) psi[c].  The fast transform sums in
-    pairs, so each value is within 6e-16 of `states.expectation` for t <= 6.
+    pairs, so each value is within 6e-16 of the dense <psi|P|psi> for t <= 6.
     """
     t, dim = core.n, 2**core.n
     gather, flat = _walsh_table(t)

@@ -1,7 +1,7 @@
 """Real-matrix toolkit for the Majorana picture.
 
 Covers the antisymmetric normal form C = O (sum_j lambda_j iY) O^T, the
-orthogonal/symplectic predicates, the embedding of U(n) as symplectic
+orthogonal and antisymmetric predicates, the embedding of U(n) as symplectic
 orthogonal matrices, plane-rotation (Givens) decompositions of O(2n), and the
 rotation that maps a given set of vectors into the span of the leading
 canonical basis vectors.
@@ -44,11 +44,6 @@ def opnorm_within(x: np.ndarray, tol: float, relative_to: np.ndarray | None = No
     return opnorm(x) <= (tol if relative_to is None else tol * max(1.0, opnorm(relative_to)))
 
 
-def omega(n: int) -> np.ndarray:
-    """The 2n x 2n symplectic form, blocks [[0, 1], [-1, 0]]."""
-    return np.kron(np.eye(n), _IY2)
-
-
 def _is_square(a: np.ndarray) -> bool:
     return a.ndim == 2 and a.shape[0] == a.shape[1]
 
@@ -61,15 +56,6 @@ def is_antisymmetric(c: np.ndarray, tol: float = 1e-12) -> bool:
 def is_orthogonal(o: np.ndarray, tol: float = ORTHOGONAL_TOL) -> bool:
     o = np.asarray(o, dtype=float)
     return _is_square(o) and opnorm_within(o.T @ o - np.eye(o.shape[0]), tol)
-
-
-def is_symplectic(o: np.ndarray, tol: float = 1e-9) -> bool:
-    """True iff O preserves the symplectic form: O Omega O^T = Omega."""
-    o = np.asarray(o, dtype=float)
-    if not _is_square(o) or o.shape[0] % 2 != 0:
-        return False
-    w = omega(o.shape[0] // 2)
-    return opnorm_within(o @ w @ o.T - w, tol)
 
 
 def normal_eigenvalues(c: np.ndarray) -> np.ndarray:
@@ -95,10 +81,6 @@ class NormalForm:
 
     O: np.ndarray
     lambdas: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.lambdas)
 
     def lambda_matrix(self) -> np.ndarray:
         return np.kron(np.diag(self.lambdas), _IY2)
@@ -326,17 +308,3 @@ def random_orthogonal(dim: int, rng, haar: bool = True) -> np.ndarray:
     if not haar and np.linalg.det(q) < 0:
         q[:, [0, 1]] = q[:, [1, 0]]
     return q
-
-
-def random_unitary(dim: int, rng) -> np.ndarray:
-    """Haar-random element of U(dim)."""
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
-    phases = np.diag(r) / np.abs(np.diag(r))
-    return q * phases
-
-
-def random_antisymmetric(dim: int, rng, scale: float = 1.0) -> np.ndarray:
-    a = rng.normal(size=(dim, dim))
-    a = (a - a.T) / 2.0
-    return scale * a

@@ -77,17 +77,6 @@ class PauliString:
     def identity(cls, n: int) -> "PauliString":
         return cls(n, 0, 0, 0)
 
-    @classmethod
-    def single(cls, n: int, qubit: int, letter: str) -> "PauliString":
-        """The one-letter string ``letter`` in {I,X,Y,Z} acting on ``qubit``."""
-        if not 1 <= qubit <= n:
-            raise ValueError(f"qubit {qubit} out of range for n={n}")
-        try:
-            x, z, p = LETTERS[letter]
-        except KeyError:
-            raise ValueError(f"unknown Pauli letter {letter!r}") from None
-        return cls(n, x << (qubit - 1), z << (qubit - 1), p)
-
     @property
     def phase(self) -> complex:
         return _PHASES[self.phase_exp]

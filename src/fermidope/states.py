@@ -1,4 +1,4 @@
-"""Dense statevector engine: gates, expectations, Born probabilities, post-selection, distances.
+"""Dense statevector engine: Pauli gates, post-selection, distances, and the package's error types.
 
 Index convention: a basis index b encodes qubit values as
 b = sum_k x_k 2^(n-k), i.e. qubit 1 is the most significant bit.  All
@@ -46,10 +46,6 @@ class StateVector:
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
 
 def zero_state(n: int) -> StateVector:
     amps = np.zeros(2**n, dtype=complex)
@@ -91,37 +87,6 @@ def apply_pauli_rotation(psi: StateVector, p: PauliString, theta: float) -> Stat
     return StateVector(psi.n, amps)
 
 
-def apply_dense_unitary(psi: StateVector, qubits, u: np.ndarray) -> StateVector:
-    """Apply a 2^k x 2^k unitary on the listed qubits, identity elsewhere."""
-    qubits = list(qubits)
-    k = len(qubits)
-    if len(set(qubits)) != k:
-        raise ValueError(f"duplicate qubit indices: {qubits}")
-    if any(not 1 <= q <= psi.n for q in qubits):
-        raise ValueError(f"qubit indices out of range: {qubits}")
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (2**k, 2**k):
-        raise ValueError(f"expected a {2**k} x {2**k} matrix, got {u.shape}")
-    if np.linalg.norm(u.conj().T @ u - np.eye(2**k), 2) > 1e-10:
-        raise ValueError("matrix is not unitary")
-    if k == 0:
-        return psi
-    t = psi.amps.reshape([2] * psi.n)
-    axes = [q - 1 for q in qubits]
-    t = np.moveaxis(t, axes, range(k))
-    t = u @ t.reshape(2**k, -1)
-    t = np.moveaxis(t.reshape([2] * psi.n), range(k), axes)
-    return StateVector(psi.n, t.reshape(-1))
-
-
-def expectation(psi: StateVector, p: PauliString) -> float:
-    """<psi| P |psi> for Hermitian P."""
-    if not p.is_hermitian:
-        raise ValueError("expectation requires a Hermitian Pauli string")
-    value = np.vdot(psi.amps, apply_pauli(psi, p).amps)
-    return float(value.real)
-
-
 def overlap(a: StateVector, b: StateVector) -> complex:
     if a.n != b.n:
         raise ValueError("qubit counts differ")
@@ -139,28 +104,6 @@ def trace_distance(a: StateVector, b: StateVector) -> float:
     the square root of 1 - F, stays accurate below sqrt(eps).
     """
     return float(np.linalg.norm(b.amps - overlap(a, b) * a.amps))
-
-
-def marginal_probabilities(psi: StateVector, qubits) -> np.ndarray:
-    """Joint outcome distribution of the listed qubits, in listed order."""
-    qubits = list(qubits)
-    if not qubits:
-        raise ValueError("qubit list is empty")
-    if len(set(qubits)) != len(qubits):
-        raise ValueError(f"duplicate qubit indices: {qubits}")
-    probs = np.abs(psi.amps.reshape([2] * psi.n)) ** 2
-    probs = np.moveaxis(probs, [q - 1 for q in qubits], range(len(qubits)))
-    return probs.reshape(2 ** len(qubits), -1).sum(axis=1)
-
-
-def born_probability(psi: StateVector, qubits, outcomes) -> float:
-    """Probability of observing the given outcome bits on the listed qubits."""
-    qubits, outcomes = list(qubits), list(outcomes)
-    probs = marginal_probabilities(psi, qubits)
-    pos = 0
-    for bit in outcomes:
-        pos = (pos << 1) | int(bit)
-    return float(probs[pos])
 
 
 class FermidopeError(Exception):
@@ -204,12 +147,3 @@ def embed_with_zero_tail(core: StateVector, n: int) -> StateVector:
     if core.n > n:
         raise ValueError(f"core has {core.n} qubits, register has {n}")
     return product(core, zero_state(n - core.n))
-
-
-def operator_matrix(apply_fn, n: int) -> np.ndarray:
-    """Dense matrix of a linear map given by its action on statevectors."""
-    dim = 2**n
-    out = np.zeros((dim, dim), dtype=complex)
-    for b in range(dim):
-        out[:, b] = apply_fn(basis_state(n, b)).amps
-    return out

@@ -24,8 +24,6 @@ from fermidope.learner import (
 from fermidope.harness import ExperimentConfig, run
 from fermidope.metrology import correlation_exact, distance_bounds, nearest_compressible
 from fermidope.states import (
-    apply_dense_unitary,
-    born_probability,
     embed_with_zero_tail,
     fidelity,
     postselect_zero_tail,
@@ -35,6 +33,7 @@ from fermidope.states import (
 )
 
 from conftest import compressible_fixture, doped_sweep_cells, tplus_state
+from oracles import apply_dense_unitary, born_probability, omega, random_antisymmetric
 
 
 def _report(num, name, ok, detail):
@@ -60,7 +59,7 @@ def test_criterion_01_normal_form():
     worst_recon = worst_ortho = worst_lambda = 0.0
     for _ in range(200):
         dim = int(rng.choice([4, 8, 12, 16]))
-        c = ortho.random_antisymmetric(dim, rng)
+        c = random_antisymmetric(dim, rng)
         nf = ortho.normal_form(c)
         worst_recon = max(worst_recon, ortho.opnorm(nf.reconstruct() - c))
         worst_ortho = max(worst_ortho, ortho.opnorm(nf.O.T @ nf.O - np.eye(dim)))
@@ -82,7 +81,7 @@ def test_criterion_02_gaussian_correctness():
         o = ortho.random_orthogonal(2 * n, rng)
         psi = GaussianUnitary(o).apply(zero_state(n))
         c = correlation_exact(psi)
-        worst_transport = max(worst_transport, ortho.opnorm(c - o @ ortho.omega(n) @ o.T))
+        worst_transport = max(worst_transport, ortho.opnorm(c - o @ omega(n) @ o.T))
         worst_unit = max(worst_unit, float(np.max(np.abs(ortho.normal_eigenvalues(c) - 1.0))))
     elapsed = time.perf_counter() - start
     ok = worst_transport <= 1e-9 and worst_unit <= 1e-9 and elapsed < 30
@@ -165,7 +164,7 @@ def test_criterion_07_union_bound():
             n, t = (4, 1) if i % 3 else (6, 2)
             psi, _, _ = compressible_fixture(n, t, seed=7_000 + cases)
             c = correlation_exact(psi)
-            e = ortho.random_antisymmetric(2 * n, rng)
+            e = random_antisymmetric(2 * n, rng)
             e *= magnitude / ortho.opnorm(e)
             g_hat = GaussianUnitary(ortho.normal_form(c + e).O)
             rotated = g_hat.adjoint().apply(psi)
@@ -226,8 +225,8 @@ def test_criterion_10_perturbation_lemma():
     passes = 0
     for _ in range(100):
         dim = int(rng.choice([4, 8, 12, 16]))
-        a = ortho.random_antisymmetric(dim, rng)
-        e = ortho.random_antisymmetric(dim, rng, scale=float(rng.uniform(0.01, 3.0)))
+        a = random_antisymmetric(dim, rng)
+        e = random_antisymmetric(dim, rng, scale=float(rng.uniform(0.01, 3.0)))
         gap = np.max(np.abs(ortho.normal_eigenvalues(a + e) - ortho.normal_eigenvalues(a)))
         passes += gap <= ortho.opnorm(e) + 1e-12
     ok = passes == 100

@@ -181,6 +181,24 @@ def test_a_sampled_learn_short_of_tomography_copies_records_boosting_failures(tm
                                   r"above N_tom = 1 ", r["boosting_failure"]) for r in short)
 
 
+@pytest.mark.parametrize("flags, n", [
+    (["--n", "5", "--t", "5", "--fixture", "compressible"], 5),
+    (["--n", "3", "--t", "1", "--kappa", "4", "--fixture", "doped"], 3),  # t_learn = min(kappa t, n)
+], ids=["compressible", "doped"])
+def test_a_sampled_learn_of_the_whole_register_short_of_tomography_copies_names_c_tom(
+        flags, n, capsys, monkeypatch):
+    # 55 loop copies, as c_tom asks for 1 tomography copy, cannot tomograph the whole register;
+    # N_loop follows from the config, so the run is refused before any trial draws its input
+    args = ["learn", *flags, "--c-tom", "5e-324"]
+    monkeypatch.setattr(harness, "_fixture", lambda *_: pytest.fail("a trial drew its input"))
+    assert main([*args, "--mode", "sampled"]) == EXIT_PRECONDITION
+    assert capsys.readouterr() == ("", f"error: c_tom = 5e-324 gives N_loop = 55 copies, fewer than the "
+                                       f"4^{n} - 1 = {4**n - 1} that {n}-qubit tomography takes at "
+                                       f"t_learn = n; raise c_tom\n")
+    monkeypatch.undo()
+    assert main([*args, "--mode", "exact"]) == EXIT_OK  # exact mode runs no tomography
+
+
 def test_compress_stdout(capsys):
     code = main(["compress", "--n", "4", "--t", "1", "--kappa", "4", "--seed", "2"])
     assert code == EXIT_OK
@@ -510,9 +528,6 @@ def test_tiny_test_eps_b_is_precondition_error(capsys):
     (["learn", "--n", "4", "--t", "1", "--eps", "1e-100"], "N_corr: inf is not a finite number of copies"),
     (["test", "--n", "4", "--t", "0", "--eps-a", "nan"], "eps_a must be a finite number, got nan"),
     (["test", "--n", "4", "--t", "0", "--eps-b", "inf"], "eps_b must be a finite number, got inf"),
-    # 55 loop copies, as c_tom asks for 1 tomography copy, cannot tomograph 5 qubits
-    (["learn", "--n", "5", "--t", "5", "--fixture", "compressible", "--mode", "sampled", "--c-tom", "5e-324"],
-     "need at least 1023 copies for 5-qubit tomography, got 55"),
 ])
 def test_non_finite_or_degenerate_float_is_precondition_error(args, message, capsys):
     # an infinite copy count or a non-finite input would end in a traceback or in invalid JSON

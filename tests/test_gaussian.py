@@ -18,7 +18,6 @@ from fermidope.gaussian import (
     _window_generators,
     apply_pauli_rotation,
     compile_programs,
-    heisenberg_matrix,
     identity_gaussian,
     rotation_generator,
 )
@@ -27,6 +26,7 @@ from fermidope.pauli import majorana
 from fermidope.states import apply_pauli, fidelity, overlap, random_state, zero_state
 
 from conftest import compile_input, rotation_product, rotations_of, signed_permutation
+from oracles import dense_matrix, heisenberg_matrix, is_symplectic, omega, random_unitary
 
 
 def test_identity_program_is_empty():
@@ -46,7 +46,7 @@ def test_reflection_gate_conjugation_dense():
     # G = gamma_1 flips every other Majorana: dense conjugation oracle, n <= 3
     for n in (2, 3):
         g = GaussianUnitary(ortho.reflection_matrix(2 * n))
-        u = g.matrix()
+        u = dense_matrix(g)
         for mu in range(1, 2 * n + 1):
             m = majorana(mu, n).to_matrix()
             sign = 1.0 if mu == 1 else -1.0
@@ -70,7 +70,7 @@ def test_correlation_transport(rng):
     for n in (2, 3, 4):
         o = ortho.random_orthogonal(2 * n, rng)
         psi = GaussianUnitary(o).apply(zero_state(n))
-        assert ortho.opnorm(correlation_exact(psi) - o @ ortho.omega(n) @ o.T) <= 1e-9
+        assert ortho.opnorm(correlation_exact(psi) - o @ omega(n) @ o.T) <= 1e-9
 
 
 def test_gaussian_states_have_unit_lambdas(rng):
@@ -106,15 +106,15 @@ def keeps_vacuum(g: GaussianUnitary) -> bool:
 
 def test_vacuum_preservation_iff_symplectic(rng):
     assert keeps_vacuum(identity_gaussian(3))
-    o_symp = ortho.symplectic_from_unitary(ortho.random_unitary(3, rng))
+    o_symp = ortho.symplectic_from_unitary(random_unitary(3, rng))
     g = GaussianUnitary(o_symp)
     assert keeps_vacuum(g)
-    assert ortho.is_symplectic(g.O) and ortho.is_symplectic(g.O.T)
+    assert is_symplectic(g.O) and is_symplectic(g.O.T)
     # a rotation mixing the (gamma_1, gamma_4) plane breaks particle number
     o_bad = rotation_product(6, [(1, 4, 0.9)])
     g_bad = GaussianUnitary(o_bad)
     assert not keeps_vacuum(g_bad)
-    assert not ortho.is_symplectic(g_bad.O) and not ortho.is_symplectic(g_bad.O.T)
+    assert not is_symplectic(g_bad.O) and not is_symplectic(g_bad.O.T)
 
 
 def test_vacuum_agreement_random(rng):
@@ -122,7 +122,7 @@ def test_vacuum_agreement_random(rng):
     for _ in range(10):
         o = ortho.random_orthogonal(6, rng)
         g = GaussianUnitary(o)
-        assert keeps_vacuum(g) == ortho.is_symplectic(o) == ortho.is_symplectic(o.T)
+        assert keeps_vacuum(g) == is_symplectic(o) == is_symplectic(o.T)
 
 
 def test_gate_count_bound(rng):

@@ -30,9 +30,7 @@ from fermidope.states import (
     StateVector,
     ZeroProbabilityError,
     basis_state,
-    born_probability,
     embed_with_zero_tail,
-    expectation,
     postselect_zero_tail,
     random_state,
     trace_distance,
@@ -40,6 +38,7 @@ from fermidope.states import (
 )
 
 from conftest import compressible_fixture, doped_sweep_cells, kron_chain, text_prefixes, tplus_state
+from oracles import born_probability, expectation, random_antisymmetric, single
 
 
 def test_budget_formula_fixture():
@@ -68,8 +67,10 @@ def test_budget_tomography_doubles_with_t():
 def test_budget_records_eps_c():
     budget = plan_budget(5, 1, 0.2, 0.1)
     assert budget.eps_c == pytest.approx(0.2**2 / (4 * 4))
-    assert not budget.pure_tomography
-    assert plan_budget(3, 3, 0.2, 0.1).pure_tomography
+    assert plan_budget(3, 3, 0.2, 0.1).eps_c == math.inf
+    # t = n leaves no qubits to post-select, and the Hoeffding formula asks for no correlation copies
+    for n in range(1, 7):
+        assert hoeffding_budget(n, n, 0.2, 0.1).N_corr == 0
 
 
 def test_budget_validation():
@@ -233,7 +234,7 @@ def test_pauli_strings_are_letter_products_identity_first():
         for letters, p in strings:
             product = PauliString.identity(t)
             for k, letter in enumerate(letters, start=1):
-                product = product * PauliString.single(t, k, letter)
+                product = product * single(t, k, letter)
             assert p == product  # same n, masks and phase
 
 
@@ -247,7 +248,7 @@ def kron_loop_tomography(core: StateVector, shots: int, rng) -> StateVector:
             continue
         p = PauliString.identity(t)
         for k, letter in enumerate(letters, start=1):
-            p = p * PauliString.single(t, k, letter)
+            p = p * single(t, k, letter)
         prob = np.clip((1.0 + expectation(core, p)) / 2.0, 0.0, 1.0)
         wins = rng.binomial(shots_per_pauli, prob)
         rho += (2.0 * wins / shots_per_pauli - 1.0) * kron_chain("".join(letters)) / dim
@@ -436,7 +437,7 @@ def test_union_bound_inequality_with_injected_perturbations(rng):
             n, t = (4, 1) if i % 2 == 0 else (5, 2)
             psi, _, _ = compressible_fixture(n, t, seed=300 + cases)
             c = correlation_exact(psi)
-            e = ortho.random_antisymmetric(2 * n, rng)
+            e = random_antisymmetric(2 * n, rng)
             e *= magnitude / ortho.opnorm(e)
             g_hat = GaussianUnitary(ortho.normal_form(c + e).O)
             rotated = g_hat.adjoint().apply(psi)
@@ -453,7 +454,7 @@ def test_postselect_probability_bound_statistical(rng):
     n, t, magnitude = 4, 1, 1e-2
     psi, _, _ = compressible_fixture(n, t, seed=77)
     c = correlation_exact(psi)
-    e = ortho.random_antisymmetric(2 * n, rng)
+    e = random_antisymmetric(2 * n, rng)
     e *= magnitude / ortho.opnorm(e)
     g_hat = GaussianUnitary(ortho.normal_form(c + e).O)
     rotated = g_hat.adjoint().apply(psi)

@@ -33,11 +33,12 @@ from fermidope.states import (
 )
 
 from conftest import compressible_fixture, tplus_state
+from oracles import omega
 
 
 def test_correlation_of_vacuum_is_omega():
     for n in (1, 2, 3):
-        assert_allclose(correlation_exact(zero_state(n)), ortho.omega(n), atol=1e-12)
+        assert_allclose(correlation_exact(zero_state(n)), omega(n), atol=1e-12)
 
 
 def _correlation_loop(psi):
@@ -98,7 +99,7 @@ def test_correlation_of_basis_state_flips_blocks():
 def test_correlation_transport_of_gaussian(rng):
     o = ortho.random_orthogonal(8, rng)
     psi = GaussianUnitary(o).apply(zero_state(4))
-    assert ortho.opnorm(correlation_exact(psi) - o @ ortho.omega(4) @ o.T) <= 1e-9
+    assert ortho.opnorm(correlation_exact(psi) - o @ omega(4) @ o.T) <= 1e-9
 
 
 def test_exact_scheme_identical_to_exact(rng):
@@ -336,7 +337,7 @@ def test_sampled_estimates_concentrate(rng):
     # 1e5 shots per group on |0^2>: operator-norm error well inside 0.05, every trial
     for _ in range(25):
         est = correlation_sampled(zero_state(2), 3 * 100_000, rng)
-        err = ortho.opnorm(est - ortho.omega(2))
+        err = ortho.opnorm(est - omega(2))
         assert err <= 0.05, err
 
 

@@ -12,8 +12,7 @@ from fermidope import ortho
 from fermidope.doped import prepare, random_doped_circuit
 from fermidope.gaussian import GaussianUnitary
 from fermidope.metrology import _group_permutation, commuting_groups, correlation_exact
-from fermidope.pauli import PauliString
-from fermidope.states import NumericalError, expectation, zero_state
+from fermidope.states import NumericalError, zero_state
 
 from conftest import (
     compile_input,
@@ -23,18 +22,19 @@ from conftest import (
     signed_permutation,
     tplus_state,
 )
+from oracles import expectation, is_symplectic, omega, random_antisymmetric, random_unitary, single
 
 
 def test_omega_layout():
-    w = ortho.omega(2)
+    w = omega(2)
     assert_allclose(w[:2, :2], [[0, 1], [-1, 0]])
     assert_allclose(w, -w.T)
 
 
 def test_normal_form_of_omega_is_trivial():
-    nf = ortho.normal_form(ortho.omega(2))
+    nf = ortho.normal_form(omega(2))
     assert_allclose(nf.lambdas, [1.0, 1.0])
-    assert ortho.opnorm(nf.reconstruct() - ortho.omega(2)) <= 1e-12
+    assert ortho.opnorm(nf.reconstruct() - omega(2)) <= 1e-12
 
 
 def test_normal_form_of_zero_matrix():
@@ -51,7 +51,7 @@ def test_normal_form_rejects_non_antisymmetric():
 def test_normal_form_random(rng):
     for _ in range(50):
         dim = int(rng.choice([4, 8, 12, 16]))
-        c = ortho.random_antisymmetric(dim, rng)
+        c = random_antisymmetric(dim, rng)
         nf = ortho.normal_form(c)
         assert ortho.opnorm(nf.O.T @ nf.O - np.eye(dim)) <= 1e-10
         assert ortho.opnorm(nf.reconstruct() - c) <= 1e-9
@@ -106,7 +106,7 @@ def test_normal_form_of_a_noisy_correlation_matrix(n, doped, scale, seed):
         psi = prepare(random_doped_circuit(n, 1, min(3, 2 * n), rng))
     else:
         psi = GaussianUnitary(ortho.random_orthogonal(2 * n, rng)).apply(zero_state(n))
-    c = correlation_exact(psi) + ortho.random_antisymmetric(2 * n, rng, scale=scale)
+    c = correlation_exact(psi) + random_antisymmetric(2 * n, rng, scale=scale)
     try:
         nf = ortho.normal_form(c)
     except NumericalError:
@@ -119,7 +119,7 @@ def test_normal_form_of_a_noisy_correlation_matrix(n, doped, scale, seed):
 
 def test_normal_form_idempotent_on_lambdas(rng):
     for _ in range(10):
-        c = ortho.random_antisymmetric(8, rng)
+        c = random_antisymmetric(8, rng)
         nf = ortho.normal_form(c)
         again = ortho.normal_form(nf.reconstruct())
         assert_allclose(again.lambdas, nf.lambdas, atol=1e-9)
@@ -128,23 +128,23 @@ def test_normal_form_idempotent_on_lambdas(rng):
 def test_tplus_correlation_has_zero_lambda():
     # <Z> of T|+> vanishes, so the single normal eigenvalue is 0
     state = tplus_state(1)
-    assert expectation(state, PauliString.single(1, 1, "Z")) == pytest.approx(0.0, abs=1e-12)
+    assert expectation(state, single(1, 1, "Z")) == pytest.approx(0.0, abs=1e-12)
     nf = ortho.normal_form(correlation_exact(state))
     assert_allclose(nf.lambdas, [0.0], atol=1e-12)
 
 
 def test_is_symplectic_fixtures(rng):
-    assert ortho.is_symplectic(np.eye(4))
+    assert is_symplectic(np.eye(4))
     refl = ortho.reflection_matrix(4)
     # direct product oracle: the reflection flips Omega's sign pattern
-    w = ortho.omega(2)
+    w = omega(2)
     assert ortho.opnorm(refl @ w @ refl.T - w) > 0.5
-    assert not ortho.is_symplectic(refl)
-    o = ortho.symplectic_from_unitary(ortho.random_unitary(3, rng))
-    assert ortho.is_symplectic(o)
+    assert not is_symplectic(refl)
+    o = ortho.symplectic_from_unitary(random_unitary(3, rng))
+    assert is_symplectic(o)
 
 
-@pytest.mark.parametrize("predicate", [ortho.is_orthogonal, ortho.is_symplectic,
+@pytest.mark.parametrize("predicate", [ortho.is_orthogonal, is_symplectic,
                                        ortho.is_antisymmetric])
 @pytest.mark.parametrize("shape", [(), (3,), (4,), (2, 3), (4, 2), (2, 2, 2)])
 def test_predicates_reject_non_square_input(predicate, shape):
@@ -185,21 +185,21 @@ def test_exact_checks_run_no_svd_on_haar_and_group_inputs(rng, monkeypatch):
     inputs = list(group_matrices(12)) + [ortho.random_orthogonal(d, rng) for d in (2, 8, 16, 24)]
     for o in inputs:
         ortho.givens_eliminate([o])
-    ortho.normal_form(ortho.random_antisymmetric(24, rng))
+    ortho.normal_form(random_antisymmetric(24, rng))
     assert calls == []
 
 
 def test_symplectic_from_unitary_fixtures(rng):
     assert_allclose(ortho.symplectic_from_unitary(np.eye(3)), np.eye(6))
     assert_allclose(ortho.symplectic_from_unitary(np.array([[1j]])), [[0, 1], [-1, 0]])
-    u = ortho.random_unitary(4, rng)
+    u = random_unitary(4, rng)
     o = ortho.symplectic_from_unitary(u)
-    assert ortho.is_orthogonal(o, 1e-9) and ortho.is_symplectic(o, 1e-9)
+    assert ortho.is_orthogonal(o, 1e-9) and is_symplectic(o, 1e-9)
     assert_allclose(o[0::2, 0::2] + 1j * o[0::2, 1::2], u, atol=1e-10)  # the inverse map
 
 
 def test_real_complex_pairing_equivariance(rng):
-    u = ortho.random_unitary(5, rng)
+    u = random_unitary(5, rng)
     o = ortho.symplectic_from_unitary(u)
     for _ in range(5):
         w = rng.normal(size=10)
@@ -211,7 +211,7 @@ def test_compression_rotation_identity_case():
     o = ortho.compression_rotation(vs, symplectic=True)
     for v in vs:
         assert np.max(np.abs((o @ v)[4:])) <= 1e-9
-    assert ortho.is_symplectic(o)
+    assert is_symplectic(o)
 
 
 def test_compression_rotation_moves_back_plane():
@@ -219,7 +219,7 @@ def test_compression_rotation_moves_back_plane():
     v = np.eye(8)[6]
     o = ortho.compression_rotation([v], symplectic=True)
     assert np.max(np.abs((o @ v)[2:])) <= 1e-9
-    assert ortho.is_symplectic(o) and ortho.is_orthogonal(o)
+    assert is_symplectic(o) and ortho.is_orthogonal(o)
 
 
 def test_compression_rotation_random_vectors(rng):
@@ -227,7 +227,7 @@ def test_compression_rotation_random_vectors(rng):
         vs = [rng.normal(size=8) for _ in range(2)]
         vs = [v / np.linalg.norm(v) for v in vs]
         o = ortho.compression_rotation(vs, symplectic=True)
-        assert ortho.is_orthogonal(o) and ortho.is_symplectic(o)
+        assert ortho.is_orthogonal(o) and is_symplectic(o)
         for v in vs:
             assert np.max(np.abs((o @ v)[4:])) <= 1e-9
         o2 = ortho.compression_rotation(vs, symplectic=False)
@@ -278,7 +278,7 @@ def test_compression_rotation_any_unit_vectors(case):
     vectors, n, symplectic = case
     o = ortho.compression_rotation(vectors, n=n, symplectic=symplectic)
     assert ortho.is_orthogonal(o)
-    assert not symplectic or ortho.is_symplectic(o)
+    assert not symplectic or is_symplectic(o)
     span = 2 * len(vectors) if symplectic else len(vectors)
     for v in vectors:
         assert np.max(np.abs((o @ v)[span:]), initial=0.0) <= 1e-9
@@ -289,7 +289,7 @@ def test_compression_rotation_n_minus_one_random_vectors(rng):
     for _ in range(20):
         vs = [v / np.linalg.norm(v) for v in rng.normal(size=(63, 128))]
         o = ortho.compression_rotation(vs, n=64, symplectic=True)
-        assert ortho.is_orthogonal(o) and ortho.is_symplectic(o)
+        assert ortho.is_orthogonal(o) and is_symplectic(o)
 
 
 def test_givens_identity_is_empty():
@@ -492,10 +492,10 @@ _ROTATE_CHAINS = ortho._rotate_chains
 # name, replacement, call on an rng, the check's message)
 FORCED_CHECKS = [
     (ortho, "is_orthogonal", lambda o, tol=ortho.ORTHOGONAL_TOL: False,
-     lambda rng: ortho.normal_form(ortho.random_antisymmetric(6, rng)),
+     lambda rng: ortho.normal_form(random_antisymmetric(6, rng)),
      "normal form produced a non-orthogonal basis"),
     (ortho.NormalForm, "reconstruct", lambda self: self.O,
-     lambda rng: ortho.normal_form(ortho.random_antisymmetric(6, rng)),
+     lambda rng: ortho.normal_form(random_antisymmetric(6, rng)),
      "normal form reconstruction residual too large"),
     (ortho, "symplectic_from_unitary", lambda u: np.eye(2 * len(u)),
      lambda rng: ortho.compression_rotation([ortho.random_orthogonal(6, rng)[0]], n=3),
@@ -539,7 +539,7 @@ def test_weyl_perturbation_bound(rng):
     # |lambda_k(A+E) - lambda_k(A)| <= ||E||_inf, over random pairs
     for _ in range(100):
         dim = int(rng.choice([4, 8, 12, 16]))
-        a = ortho.random_antisymmetric(dim, rng)
-        e = ortho.random_antisymmetric(dim, rng, scale=float(rng.uniform(0.01, 2.0)))
+        a = random_antisymmetric(dim, rng)
+        e = random_antisymmetric(dim, rng, scale=float(rng.uniform(0.01, 2.0)))
         gap = np.abs(ortho.normal_eigenvalues(a + e) - ortho.normal_eigenvalues(a))
         assert np.max(gap) <= ortho.opnorm(e) + 1e-12
